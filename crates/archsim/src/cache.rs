@@ -6,7 +6,6 @@
 //! (see [`crate::stream`]) and read back per-level hit/miss statistics.
 
 use ntc_units::MemBytes;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one cache level.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let l1d = CacheConfig::new(MemBytes::from_kib(32), 4, 64);
 /// assert_eq!(l1d.num_sets(), 128);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     capacity: MemBytes,
     associativity: usize,
@@ -100,7 +99,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,
@@ -204,7 +203,7 @@ impl Cache {
 }
 
 /// Per-level statistics of a [`Hierarchy`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HierarchyStats {
     /// L1 data cache.
     pub l1d: CacheStats,

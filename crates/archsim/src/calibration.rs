@@ -2,12 +2,11 @@
 //! executable documentation of how close the gem5 substitute lands.
 
 use ntc_units::{Frequency, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::{Kernel, Platform, ServerSim};
 
 /// One calibration cell: a (platform, workload) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationCell {
     /// Platform name.
     pub platform: String,

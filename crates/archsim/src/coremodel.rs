@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 /// The pipeline discipline of a core.
 ///
 /// The paper replaced the Cavium ThunderX's in-order cores with
 /// out-of-order Cortex-A57s precisely because in-order pipelines cannot
 /// overlap independent misses: their effective memory-level parallelism
 /// is near 1, so every stall is serialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// In-order issue (Cortex-A53 class): no miss overlap.
     InOrder,
@@ -25,7 +23,7 @@ pub enum CoreKind {
 /// assert_eq!(a57.kind, CoreKind::OutOfOrder);
 /// assert!(a57.mlp_mem > CoreParams::cortex_a53().mlp_mem);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreParams {
     /// Pipeline discipline.
     pub kind: CoreKind,

@@ -11,7 +11,6 @@
 //! [`crate::MemoryParams`] (see the `validates_memoryparams_*` tests).
 
 use ntc_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// DDR timing parameters, in memory-clock cycles.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let t = DdrTiming::ddr4_2400();
 /// assert!((t.clock_ns - 0.833).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdrTiming {
     /// Memory clock period in nanoseconds (DDR4-2400: 0.833 ns).
     pub clock_ns: f64,
@@ -91,7 +90,7 @@ impl DdrTiming {
 }
 
 /// Per-access classification by row-buffer outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowOutcome {
     /// The addressed row was already open.
     Hit,
@@ -102,7 +101,7 @@ pub enum RowOutcome {
 }
 
 /// Aggregate statistics of a [`DdrController`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DdrStats {
     /// Row-buffer hits.
     pub hits: u64,

@@ -14,7 +14,6 @@
 //! ordering) that every figure of the paper rests on.
 
 use ntc_units::{Frequency, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::Hierarchy;
 use crate::ddr::{DdrController, DdrTiming};
@@ -23,7 +22,7 @@ use crate::stream::AddressStream;
 use crate::{CoreKind, Kernel, Platform};
 
 /// Result of a detailed run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetailedOutcome {
     /// Micro-ops executed (the sampled window).
     pub uops: u64,
@@ -44,7 +43,7 @@ pub struct DetailedOutcome {
 }
 
 /// Configuration of a detailed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetailedConfig {
     /// Micro-ops to simulate (a sample of the kernel; the projection
     /// scales to the full instruction count).

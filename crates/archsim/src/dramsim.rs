@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a server's shared memory subsystem.
 ///
 /// The contention model is M/D/1-flavoured: as the aggregate demand of
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let busy = ddr4.effective_latency_ns(17.0e9);
 /// assert!(busy > quiet);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryParams {
     /// Unloaded (idle-queue) access latency in nanoseconds.
     pub base_latency_ns: f64,

@@ -1,5 +1,4 @@
 use ntc_units::MemBytes;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic workload kernel — one VM's worth of a banking batch job.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let k = Kernel::high_mem();
 /// assert!(k.dram_dpki() > Kernel::low_mem().dram_dpki());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     instructions: u64,

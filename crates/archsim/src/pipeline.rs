@@ -13,10 +13,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One micro-op in the synthetic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Uop {
     /// Single-cycle ALU work.
     Alu,
@@ -28,7 +27,7 @@ pub enum Uop {
 }
 
 /// Pipeline geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Micro-ops dispatched per cycle.
     pub width: u32,
@@ -61,7 +60,7 @@ impl PipelineConfig {
 }
 
 /// Result of a pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOutcome {
     /// Micro-ops retired.
     pub retired: u64,

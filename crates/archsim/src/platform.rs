@@ -1,5 +1,4 @@
 use ntc_units::{Frequency, MemBytes};
-use serde::{Deserialize, Serialize};
 
 use crate::{CoreParams, MemoryParams};
 
@@ -24,7 +23,7 @@ use crate::{CoreParams, MemoryParams};
 /// assert_eq!(p.num_cores, 16);
 /// assert_eq!(p.llc_capacity.as_mib(), 16.0 * 1024.0 / 1024.0 * 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Display name.
     pub name: String,

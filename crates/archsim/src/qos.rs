@@ -6,7 +6,6 @@
 //! X5650 at 2.66 GHz with one LXC container per core.
 
 use ntc_units::{Frequency, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::{Kernel, Platform, ServerSim};
 
@@ -26,7 +25,7 @@ pub const QOS_DEGRADATION_FACTOR: f64 = 2.0;
 /// let limit = baseline.qos_limit(&Kernel::low_mem());
 /// assert!(limit.as_secs() > 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosBaseline {
     entries: Vec<(String, Seconds)>,
 }

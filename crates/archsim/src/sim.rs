@@ -1,11 +1,10 @@
 use ntc_units::{Frequency, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::{Kernel, Platform};
 
 /// Aggregate outputs of one simulation run — the quantities the paper
 /// extracts from gem5 and feeds into the power model (§IV-5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Wall-clock execution time of the (symmetric) per-core kernel.
     pub exec_time: Seconds,
@@ -69,7 +68,7 @@ impl SimOutcome {
 /// let fast = sim.run(&Kernel::mid_mem(), Frequency::from_ghz(2.5));
 /// assert!(slow.exec_time > fast.exec_time);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSim {
     platform: Platform,
 }

@@ -162,6 +162,13 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         spec = spec.with_seeds(&seeds);
     }
     if let Some(scales) = opt_list::<f64>(args, "--static-power-scales")? {
+        // `f64::from_str` accepts "nan" and "inf", which no spec can
+        // carry: JSON has no such numbers.
+        if let Some(bad) = scales.iter().find(|s| !s.is_finite()) {
+            return Err(format!(
+                "--static-power-scales: {bad} is not a finite number"
+            ));
+        }
         spec.static_power_scales = scales;
     }
     if let Some(backends) = opt_list::<BackendSpec>(args, "--backends")? {

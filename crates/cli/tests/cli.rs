@@ -106,6 +106,23 @@ fn emit_spec_carries_the_new_axes() {
 }
 
 #[test]
+fn emit_spec_keeps_seeds_above_two_to_the_53() {
+    // 2^53 + 1 has no f64 form; it must not round to 2^53.
+    let (ok, out, err) = run(&["sweep", "--seeds", "9007199254740993", "--emit-spec"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("\"seed\": 9007199254740993"), "{out}");
+}
+
+#[test]
+fn non_finite_static_power_scales_are_refused() {
+    let (ok, out, err) = run(&["sweep", "--static-power-scales", "nan,inf", "--emit-spec"]);
+    assert!(!ok, "{out}");
+    assert!(out.is_empty(), "no spec may be emitted: {out}");
+    assert!(err.starts_with("error: --static-power-scales"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+}
+
+#[test]
 fn seed_averaged_sweep_prints_mean_std_groups() {
     let (ok, out, _) = run(&[
         "sweep",

@@ -1,7 +1,6 @@
 use ntc_power::DataCenterPowerModel;
 use ntc_trace::{CorrelationCache, PatternStats, TimeSeries};
 use ntc_units::{Frequency, Percent};
-use serde::{Deserialize, Serialize};
 
 use crate::{AllocationPolicy, SlotContext, SlotPlan};
 
@@ -76,7 +75,7 @@ fn consolidate(
 /// everything else off. On conventional servers this is near-optimal; on
 /// energy-proportional NTC servers it forces the inefficient Fmax
 /// operating point and leaves no slack for mispredictions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Coat {
     _private: (),
 }
@@ -126,7 +125,7 @@ impl AllocationPolicy for Coat {
 /// The fixed cap removes COAT's biggest inefficiency (running at Fmax)
 /// but, unlike EPACT, cannot adapt the cap to the slot's workload mix
 /// nor raise frequency beyond it to absorb mispredictions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoatOpt {
     _private: (),
 }

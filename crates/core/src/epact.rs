@@ -1,5 +1,4 @@
 use ntc_power::DataCenterPowerModel;
-use serde::{Deserialize, Serialize};
 
 use crate::{eq1, AllocationPolicy, OneDimAllocator, SlotContext, SlotPlan, TwoDimAllocator};
 
@@ -35,7 +34,7 @@ use crate::{eq1, AllocationPolicy, OneDimAllocator, SlotContext, SlotPlan, TwoDi
 /// # let ctx = SlotContext::new(&cpu, &mem, &server, 100);
 /// # let _ = policy.allocate(&ctx);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Epact {
     correlation_only: bool,
 }

@@ -1,5 +1,4 @@
 use ntc_units::Frequency;
-use serde::{Deserialize, Serialize};
 
 use crate::{AllocationPolicy, SlotContext, SlotPlan};
 
@@ -22,7 +21,7 @@ use crate::{AllocationPolicy, SlotContext, SlotPlan};
 /// let policy = LoadBalance::new();
 /// assert_eq!(policy.name(), "LOAD-BAL");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadBalance {
     target_util: f64,
 }

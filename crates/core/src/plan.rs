@@ -1,7 +1,6 @@
 use ntc_power::ServerPowerModel;
 use ntc_trace::{CorrelationCache, DayCache, TimeSeries};
 use ntc_units::Frequency;
-use serde::{Deserialize, Serialize};
 
 use crate::Error;
 
@@ -196,7 +195,7 @@ impl<'a> SlotContext<'a> {
 }
 
 /// A policy's decision for one slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotPlan {
     assignments: Vec<usize>,
     num_servers: usize,

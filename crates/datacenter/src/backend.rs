@@ -21,9 +21,10 @@
 //!
 //! # The backend contract (cache soundness)
 //!
-//! The engine's [`PlanCache`](crate::cache) and `ForecastCache` share
-//! plans and day-ahead forecasts across every cell whose *planning
-//! inputs* coincide — including cells that differ only in backend. That
+//! The engine's cross-cell caches
+//! ([`Engine::caching`](crate::Engine::caching)) share plans and
+//! day-ahead forecasts across every cell whose *planning inputs*
+//! coincide — including cells that differ only in backend. That
 //! sharing is sound if and only if a backend **conserves the upstream
 //! stages**: it may read the governed operating points but must not
 //! influence what is forecast, how VMs are packed, or which frequency
@@ -33,8 +34,8 @@
 //! A backend that *does* parameterize planning (say, a future
 //! latency-aware packer) must surface every planning-relevant parameter
 //! through [`BackendSpec::planning_inputs`], which is folded into the
-//! plan-group fingerprint: distinct fingerprints get distinct plan
-//! groups, and the dedup stays sound. Both built-in backends are pure
+//! plan key: distinct fingerprints get distinct plan rows, and the
+//! dedup stays sound. Both built-in backends are pure
 //! accounting, so their fingerprints are empty and an
 //! `analytic`+`archsim` sweep plans each (fleet, policy) arm exactly
 //! once.
@@ -48,7 +49,6 @@ use ntc_core::GovernedSample;
 use ntc_power::{ServerLoad, ServerPowerModel};
 use ntc_units::{Energy, Frequency, Percent, Seconds};
 use ntc_workload::MemClass;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::ServerSpec;
 
@@ -362,7 +362,7 @@ pub(crate) fn mem_class_rank(class: MemClass) -> u8 {
 
 /// An accounting backend in the sweep's backend set — the sixth cell
 /// axis of [`ExperimentSpec`](crate::ExperimentSpec).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendSpec {
     /// The analytic §IV power-model integration (the default; legacy
     /// specs without a backend axis parse as this).
@@ -431,7 +431,7 @@ impl BackendSpec {
     }
 
     /// The backend's planning-relevant parameters as f64 bit patterns,
-    /// folded into the plan-group fingerprint (see the
+    /// folded into the engine's plan key (see the
     /// [module docs](self)). Both built-ins conserve planning, so both
     /// return an empty fingerprint and share plans freely.
     pub fn planning_inputs(&self) -> Vec<u64> {

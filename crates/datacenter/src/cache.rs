@@ -1,38 +1,45 @@
-//! Cross-cell memoization for the sweep engine: plan dedup over the
-//! static-power axis and day-forecast sharing across policies.
+//! Cross-cell memoization for the sweep engine: one keyed table of
+//! once-initialized values, shared by fleets, day forecasts and plans.
 //!
-//! Cells of one sweep differ along six axes, but three of them often
-//! do not change what a policy *plans*:
+//! A sweep's cells often need the same expensive value: every cell over
+//! a fleet needs its traces, every policy/server/scale/floor arm over a
+//! fleet needs the same day-ahead forecasts, and cells whose planning
+//! inputs coincide need the same per-slot plans. [`OnceTable`] holds one
+//! row of `OnceLock<Arc<V>>` per distinct key; the engine builds each
+//! table from the spec before any worker starts, and
+//! [`fetch_or_compute`] is the one place a lock is filled: the first
+//! worker to reach a lock computes its value, everyone else clones the
+//! `Arc`. Every value is a pure function of the spec, so which worker
+//! wins a race cannot change any result, and a panicking computation
+//! leaves its lock unset for a sibling to retry.
+//!
+//! | table | key | row width |
+//! |---|---|---|
+//! | fleets | [`FleetSpec`] | 1 |
+//! | day forecasts | [`FleetSpec`] | [`EVAL_DAYS`] |
+//! | plans | [`PlanKey`] | [`EVAL_SLOTS`] |
+//!
+//! Forecasts depend on the fleet and the spec-wide predictor alone. A
+//! plan depends on fewer axes than a cell has:
 //!
 //! * the QoS floor only shapes the online replay, never the plan;
 //! * the accounting backend only prices governed slots (the
 //!   conservation contract of [`crate::backend`]); its planning
 //!   fingerprint is folded into the key and is empty for both
-//!   built-ins, so `analytic` and `archsim` arms share plan groups —
-//!   and day-ahead forecasts, which depend on the fleet and predictor
-//!   alone;
+//!   built-ins, so `analytic` and `archsim` arms share plans;
 //! * a static-power scale changes the plan only through the quantities
 //!   the policy actually derives from the power model (`F_NTC_opt`, the
 //!   DVFS table, full-load powers). When those coincide across scales —
 //!   always for COAT, which plans purely at `Fmax` — the packing work
 //!   is identical and can be shared.
 //!
-//! [`PlanCache`] therefore keys plan groups on the *planning inputs*: a
-//! bit-pattern fingerprint of exactly the model-derived numbers each
-//! policy reads while allocating, alongside the fleet, policy, ablation
-//! and server budget. Cells with equal fingerprints share one
-//! `OnceLock<Arc<SlotPlan>>` per evaluation slot (the same pattern as
-//! the engine's fleet cache): the first worker to reach a slot plans
-//! it, everyone else reuses the `Arc`. Initialization is a pure
-//! function of the spec, so the race winner cannot change any result.
+//! [`PlanKey`] therefore holds the *planning inputs*: a bit-pattern
+//! fingerprint of exactly the model-derived numbers each policy reads
+//! while allocating, alongside the fleet, policy, ablation and server
+//! budget.
 //!
-//! [`ForecastCache`] does the same one level up for predictor sweeps:
-//! the day-ahead forecast depends only on the fleet and the (spec-wide)
-//! predictor, so all policy/server/scale/floor arms over one fleet
-//! share its seven `DayForecast`s.
-//!
-//! [`CacheStats`] counts hits and misses; `ntcdc sweep --cache-stats`
-//! prints the totals.
+//! [`CacheStats`] counts plan and forecast hits and misses;
+//! `ntcdc sweep --cache-stats` prints the totals.
 
 use std::sync::{Arc, OnceLock};
 
@@ -43,14 +50,14 @@ use ntc_units::Percent;
 
 use crate::engine::{CellSpec, ExperimentSpec, FleetSpec, PolicySpec};
 
-/// Hourly slots in the evaluation week — the size of every plan group.
+/// Hourly slots in the evaluation week — the width of a plan row.
 pub(crate) const EVAL_SLOTS: usize = 7 * 24;
 
-/// Days in the evaluation week — the size of every forecast entry.
+/// Days in the evaluation week — the width of a forecast row.
 pub(crate) const EVAL_DAYS: usize = 7;
 
 /// Cache hit/miss counters of one cell run (or, summed, of a sweep).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Allocation slots answered from the shared plan cache.
     pub plan_hits: usize,
@@ -82,12 +89,74 @@ pub(crate) struct DayForecast {
     pub mem: Vec<TimeSeries>,
 }
 
-/// The identity of a plan group: everything that can change what a
+/// One row of `width` once-initialized values per distinct key; see the
+/// [module docs](self).
+#[derive(Debug)]
+pub(crate) struct OnceTable<K, V> {
+    rows: Vec<(K, Vec<OnceLock<Arc<V>>>)>,
+}
+
+impl<K: PartialEq, V> OnceTable<K, V> {
+    /// One row of `width` empty locks per distinct key of `keys`, in
+    /// first-occurrence order. Keys are compared by linear search: a
+    /// sweep has tens of distinct keys, not thousands.
+    pub fn new(width: usize, keys: impl IntoIterator<Item = K>) -> Self {
+        let mut rows: Vec<(K, Vec<OnceLock<Arc<V>>>)> = Vec::new();
+        for key in keys {
+            if !rows.iter().any(|(k, _)| *k == key) {
+                rows.push((key, (0..width).map(|_| OnceLock::new()).collect()));
+            }
+        }
+        Self { rows }
+    }
+
+    /// The row of `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was not among the keys the table was built from:
+    /// the engine derives every lookup key from the same spec.
+    pub fn row(&self, key: &K) -> &[OnceLock<Arc<V>>] {
+        let (_, row) = self
+            .rows
+            .iter()
+            .find(|(k, _)| k == key)
+            .expect("every lookup key comes from the spec the table was built from");
+        row
+    }
+
+    /// Number of distinct keys (for diagnostics/tests).
+    #[cfg(test)]
+    pub fn num_rows(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// The value behind `lock`, computing it when the lock is still empty,
+/// and whether this call computed it. Without a lock (no shared table)
+/// the value is always computed. A lock that another worker fills
+/// while this one waits counts as a hit.
+pub(crate) fn fetch_or_compute<V>(
+    lock: Option<&OnceLock<Arc<V>>>,
+    compute: impl FnOnce() -> V,
+) -> (Arc<V>, bool) {
+    let Some(lock) = lock else {
+        return (Arc::new(compute()), true);
+    };
+    let mut computed = false;
+    let value = lock.get_or_init(|| {
+        computed = true;
+        Arc::new(compute())
+    });
+    (Arc::clone(value), computed)
+}
+
+/// The identity of a plan row: everything that can change what a
 /// policy plans. Cells differing only in QoS floor — or in a
 /// static-power scale whose derived planning inputs coincide — map to
 /// the same key and share plans.
 #[derive(Debug, PartialEq)]
-struct PlanKey {
+pub(crate) struct PlanKey {
     fleet: FleetSpec,
     policy: PolicySpec,
     correlation_only: bool,
@@ -96,12 +165,26 @@ struct PlanKey {
     /// planning; see [`planning_inputs`].
     inputs: Vec<u64>,
     /// The backend's planning-relevant parameters
-    /// ([`BackendSpec::planning_inputs`]): empty for every backend that
-    /// honours the conservation contract of [`crate::backend`], so
-    /// cells differing only in backend share one plan group. A backend
-    /// that did parameterize planning would fingerprint differently
-    /// here and split, keeping the dedup sound.
+    /// ([`BackendSpec::planning_inputs`](crate::BackendSpec::planning_inputs)):
+    /// empty for every backend that honours the conservation contract
+    /// of [`crate::backend`], so cells differing only in backend share
+    /// one plan row. A backend that did parameterize planning would
+    /// fingerprint differently here and split, keeping the dedup sound.
     backend_inputs: Vec<u64>,
+}
+
+impl PlanKey {
+    /// The plan key of `cell` within `spec`.
+    pub fn new(spec: &ExperimentSpec, cell: &CellSpec) -> Self {
+        Self {
+            fleet: cell.fleet,
+            policy: cell.policy,
+            correlation_only: spec.ablation.correlation_only,
+            max_servers: spec.max_servers,
+            inputs: planning_inputs(cell.policy, &cell.server_model(), spec.max_servers),
+            backend_inputs: cell.backend.planning_inputs(),
+        }
+    }
 }
 
 /// The model-derived quantities `policy` reads during `allocate`, as
@@ -146,114 +229,14 @@ fn planning_inputs(policy: PolicySpec, model: &ServerPowerModel, max_servers: us
     v
 }
 
-/// One shared set of per-slot plan locks; see the [module docs](self).
-#[derive(Debug)]
-pub(crate) struct PlanGroup {
-    slots: Vec<OnceLock<Arc<SlotPlan>>>,
-}
-
-impl PlanGroup {
-    fn new() -> Self {
-        Self {
-            slots: (0..EVAL_SLOTS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The lock for `slot`, or `None` when the run's horizon exceeds
-    /// the group's (defensive — evaluation is always one week).
-    pub fn slot(&self, slot: usize) -> Option<&OnceLock<Arc<SlotPlan>>> {
-        self.slots.get(slot)
-    }
-}
-
-/// Plan groups for every cell of one sweep, deduplicated by
-/// [`PlanKey`]; cells sharing a key share a [`PlanGroup`].
-#[derive(Debug)]
-pub(crate) struct PlanCache {
-    groups: Vec<PlanGroup>,
-    /// Spec-order cell index → group index.
-    by_cell: Vec<usize>,
-}
-
-impl PlanCache {
-    /// Computes the key of every cell and deduplicates the groups.
-    pub fn new(spec: &ExperimentSpec, cells: &[CellSpec]) -> Self {
-        let mut keys: Vec<PlanKey> = Vec::new();
-        let mut groups: Vec<PlanGroup> = Vec::new();
-        let mut by_cell = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let key = PlanKey {
-                fleet: cell.fleet,
-                policy: cell.policy,
-                correlation_only: spec.ablation.correlation_only,
-                max_servers: spec.max_servers,
-                inputs: planning_inputs(cell.policy, &cell.server_model(), spec.max_servers),
-                backend_inputs: cell.backend.planning_inputs(),
-            };
-            let idx = match keys.iter().position(|k| *k == key) {
-                Some(i) => i,
-                None => {
-                    keys.push(key);
-                    groups.push(PlanGroup::new());
-                    groups.len() - 1
-                }
-            };
-            by_cell.push(idx);
-        }
-        Self { groups, by_cell }
-    }
-
-    /// The plan group of the cell at spec-order index `cell_index`.
-    pub fn group(&self, cell_index: usize) -> &PlanGroup {
-        &self.groups[self.by_cell[cell_index]]
-    }
-
-    /// Number of distinct plan groups (for diagnostics/tests).
-    #[cfg(test)]
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-}
-
-/// Per-fleet day-forecast locks shared by every cell over that fleet;
-/// only built for non-oracle sweeps (the predictor is spec-wide).
-#[derive(Debug)]
-pub(crate) struct ForecastCache {
-    entries: Vec<(FleetSpec, Vec<OnceLock<Arc<DayForecast>>>)>,
-}
-
-impl ForecastCache {
-    /// Builds an empty cache over the distinct fleet specs.
-    pub fn new(fleets: &[FleetSpec]) -> Self {
-        let mut entries: Vec<(FleetSpec, Vec<OnceLock<Arc<DayForecast>>>)> = Vec::new();
-        for &fleet in fleets {
-            if !entries.iter().any(|(f, _)| *f == fleet) {
-                entries.push((fleet, (0..EVAL_DAYS).map(|_| OnceLock::new()).collect()));
-            }
-        }
-        Self { entries }
-    }
-
-    /// The seven day-forecast locks of `fleet`.
-    pub fn days(&self, fleet: &FleetSpec) -> &[OnceLock<Arc<DayForecast>>] {
-        let (_, days) = self
-            .entries
-            .iter()
-            .find(|(f, _)| f == fleet)
-            .expect("every cell's fleet comes from the spec's fleet set");
-        days
-    }
-}
-
-/// The cache handles one `WeekSim` run receives from the engine; both
-/// levels are optional so the public (uncached) API and the cached
-/// engine path share one code path.
+/// The shared rows one `WeekSim` run reads, handed in by the engine;
+/// both are optional so the public (uncached) API and the cached engine
+/// path share one code path.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RunCaches<'c> {
-    /// Shared per-slot plans, when the engine deduplicated this cell
-    /// into a plan group.
-    pub plans: Option<&'c PlanGroup>,
-    /// Shared day-forecast locks of this cell's fleet.
+    /// This cell's plan row, one lock per evaluation slot.
+    pub plans: Option<&'c [OnceLock<Arc<SlotPlan>>]>,
+    /// This cell's fleet's forecast row, one lock per evaluation day.
     pub forecasts: Option<&'c [OnceLock<Arc<DayForecast>>]>,
 }
 
@@ -276,66 +259,70 @@ mod tests {
         spec
     }
 
+    fn plan_table(spec: &ExperimentSpec) -> (Vec<CellSpec>, OnceTable<PlanKey, SlotPlan>) {
+        let cells = spec.cells();
+        let table = OnceTable::new(EVAL_SLOTS, cells.iter().map(|c| PlanKey::new(spec, c)));
+        (cells, table)
+    }
+
     #[test]
     fn coat_plans_dedup_across_static_power_scales() {
-        // COAT plans at Fmax only: every scale arm shares one group.
+        // COAT plans at Fmax only: every scale arm shares one row.
         let mut spec = spec_with_scales(vec![0.5, 1.0, 2.0]);
         spec.policies = vec![PolicySpec::Coat];
-        let cells = spec.cells();
-        let cache = PlanCache::new(&spec, &cells);
+        let (cells, table) = plan_table(&spec);
         assert_eq!(cells.len(), 3);
-        assert_eq!(cache.num_groups(), 1);
-        assert!(std::ptr::eq(cache.group(0), cache.group(2)));
+        assert_eq!(table.num_rows(), 1);
+        let row = |i: usize| table.row(&PlanKey::new(&spec, &cells[i]));
+        assert!(std::ptr::eq(row(0), row(2)));
+        assert_eq!(row(0).len(), EVAL_SLOTS);
     }
 
     #[test]
     fn backend_arms_always_share_plans() {
         // Both built-in backends conserve planning (empty
-        // planning_inputs): one group per policy across the axis.
+        // planning_inputs): one row per policy across the axis.
         use crate::backend::BackendSpec;
         let mut spec = spec_with_scales(vec![1.0]);
         spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];
-        let cells = spec.cells();
-        let cache = PlanCache::new(&spec, &cells);
+        let (cells, table) = plan_table(&spec);
         assert_eq!(cells.len(), 6);
-        assert_eq!(cache.num_groups(), 3);
-        assert!(std::ptr::eq(cache.group(0), cache.group(3)));
+        assert_eq!(table.num_rows(), 3);
+        let row = |i: usize| table.row(&PlanKey::new(&spec, &cells[i]));
+        assert!(std::ptr::eq(row(0), row(3)));
     }
 
     #[test]
     fn qos_floor_arms_always_share_plans() {
-        // The floor shapes replay, not planning: one group per policy.
+        // The floor shapes replay, not planning: one row per policy.
         let mut spec = spec_with_scales(vec![1.0]);
         spec.qos_floors_mhz = vec![None, Some(1200.0), Some(1800.0)];
-        let cells = spec.cells();
-        let cache = PlanCache::new(&spec, &cells);
+        let (cells, table) = plan_table(&spec);
         assert_eq!(cells.len(), 9);
-        assert_eq!(cache.num_groups(), 3);
+        assert_eq!(table.num_rows(), 3);
     }
 
     #[test]
     fn epact_plans_split_when_f_ntc_opt_moves() {
         // A large static-power change shifts F_NTC_opt, so EPACT's
-        // planning inputs differ and the groups must not merge.
+        // planning inputs differ and the rows must not merge.
         let mut spec = spec_with_scales(vec![0.0, 8.0]);
         spec.policies = vec![PolicySpec::Epact];
-        let cells = spec.cells();
+        let (cells, table) = plan_table(&spec);
         let inputs: Vec<_> = cells
             .iter()
             .map(|c| planning_inputs(c.policy, &c.server_model(), spec.max_servers))
             .collect();
         assert_ne!(inputs[0], inputs[1], "fingerprints must differ");
-        let cache = PlanCache::new(&spec, &cells);
-        assert_eq!(cache.num_groups(), 2);
+        assert_eq!(table.num_rows(), 2);
     }
 
     #[test]
     fn distinct_fleets_never_share_plans() {
         let mut spec = spec_with_scales(vec![1.0]).with_seeds(&[1, 2]);
         spec.policies = vec![PolicySpec::Coat];
-        let cells = spec.cells();
-        let cache = PlanCache::new(&spec, &cells);
-        assert_eq!(cache.num_groups(), 2);
+        let (_, table) = plan_table(&spec);
+        assert_eq!(table.num_rows(), 2);
     }
 
     #[test]
@@ -348,9 +335,9 @@ mod tests {
             };
             3
         ];
-        let cache = ForecastCache::new(&fleets);
-        assert_eq!(cache.days(&fleets[0]).len(), EVAL_DAYS);
-        assert_eq!(cache.entries.len(), 1);
+        let table: OnceTable<FleetSpec, DayForecast> = OnceTable::new(EVAL_DAYS, fleets.clone());
+        assert_eq!(table.row(&fleets[0]).len(), EVAL_DAYS);
+        assert_eq!(table.num_rows(), 1);
     }
 
     #[test]

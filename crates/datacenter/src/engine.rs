@@ -56,24 +56,25 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use ntc_core::{AllocationPolicy, Coat, CoatOpt, Epact, Error, LoadBalance};
+use ntc_core::{AllocationPolicy, Coat, CoatOpt, Epact, Error, LoadBalance, SlotPlan};
 use ntc_forecast::{ArimaPredictor, SeasonalNaive};
 use ntc_power::ServerPowerModel;
 use ntc_units::Frequency;
 use ntc_workload::{ClusterTraceGenerator, Fleet};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendSpec;
-use crate::cache::{CacheStats, ForecastCache, PlanCache, RunCaches};
+use crate::cache::{
+    fetch_or_compute, CacheStats, DayForecast, OnceTable, PlanKey, RunCaches, EVAL_DAYS, EVAL_SLOTS,
+};
 use crate::fault::{self, CellError, CellStage, FailureCause, FailurePolicy, FaultSpec};
 use crate::{MeanStd, WeekOutcome, WeekSim};
 
 /// One synthetic fleet of a sweep's fleet set (see
 /// [`ClusterTraceGenerator::google_like`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Number of VMs.
     pub num_vms: usize,
@@ -101,7 +102,7 @@ impl FleetSpec {
 }
 
 /// An allocation policy in the sweep's policy set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicySpec {
     /// The paper's contribution (§V-B).
     Epact,
@@ -127,7 +128,7 @@ impl PolicySpec {
 }
 
 /// A server power model in the sweep's server set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerSpec {
     /// The NTC many-core server (Table 1).
     Ntc,
@@ -154,7 +155,7 @@ impl ServerSpec {
 }
 
 /// The forecast pipeline shared by every cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorSpec {
     /// Perfect predictions (the actual traces) — isolates allocation
     /// quality from forecast quality.
@@ -166,7 +167,7 @@ pub enum PredictorSpec {
 }
 
 /// Ablation switches applied across the sweep (DESIGN.md §7).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AblationFlags {
     /// Drop the Eq. 2 distance term in EPACT's memory-dominated path,
     /// scoring servers by correlation alone.
@@ -176,13 +177,13 @@ pub struct AblationFlags {
 /// A declarative experiment sweep: the cross product of `fleets`,
 /// `static_power_scales`, `servers`, `qos_floors_mhz` and `policies`.
 ///
-/// This is the single serde-serializable entry point the CLI `sweep`
-/// subcommand, the examples and the benches all share; see
-/// [`spec_json`](crate::spec_json) for the on-disk form. Multiple
+/// This is the single entry point the CLI `sweep` subcommand, the
+/// examples and the benches all share; see
+/// [`spec_json`](crate::spec_json) for its JSON form. Multiple
 /// fleets model seed-averaged runs (same size, different seeds) or
 /// size sweeps; `static_power_scales` multiplies each server model's
 /// motherboard ("static") power — the Fig. 7 knob.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Display name of the sweep.
     pub name: String,
@@ -339,7 +340,7 @@ fn config_label(
 /// One (policy, configuration) cell of a sweep, carrying the full
 /// identity of its arm: fleet, static-power scale, policy, server and
 /// QoS floor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSpec {
     /// The fleet this cell runs over.
     pub fleet: FleetSpec,
@@ -520,7 +521,7 @@ impl SweepResult {
 /// One seed-averaged configuration of a sweep: the headline metrics of
 /// every fleet that ran this (policy, server, floor, scale) arm,
 /// collapsed to mean ± sample standard deviation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupOutcome {
     /// The allocation policy of this group.
     pub policy: PolicySpec,
@@ -555,40 +556,6 @@ impl GroupOutcome {
             self.backend,
             ablation,
         )
-    }
-}
-
-/// Lazily-generated fleets, one per distinct [`FleetSpec`] of the
-/// sweep. The first worker to need a fleet generates it inside the
-/// `OnceLock`; everyone else clones the `Arc`. Generation is
-/// deterministic in the spec, so which worker wins the race cannot
-/// change any result.
-#[derive(Debug)]
-struct FleetCache {
-    entries: Vec<(FleetSpec, OnceLock<Arc<Fleet>>)>,
-}
-
-impl FleetCache {
-    /// Builds an empty cache over the distinct fleet specs, preserving
-    /// first-occurrence order.
-    fn new(fleets: &[FleetSpec]) -> Self {
-        let mut entries: Vec<(FleetSpec, OnceLock<Arc<Fleet>>)> = Vec::new();
-        for &fleet in fleets {
-            if !entries.iter().any(|(f, _)| *f == fleet) {
-                entries.push((fleet, OnceLock::new()));
-            }
-        }
-        Self { entries }
-    }
-
-    /// The generated fleet for `spec`, materializing it on first use.
-    fn get(&self, spec: &FleetSpec) -> Arc<Fleet> {
-        let (_, slot) = self
-            .entries
-            .iter()
-            .find(|(f, _)| f == spec)
-            .expect("every cell's fleet comes from the spec's fleet set");
-        slot.get_or_init(|| Arc::new(spec.generate())).clone()
     }
 }
 
@@ -657,10 +624,11 @@ impl Engine {
     /// `Fmax` — share one plan per slot, and all cells over a fleet
     /// share its day-ahead forecasts. Every shared value is a pure
     /// function of the spec, so results are bit-identical either way;
-    /// `caching(false)` exists for benchmarking and as an escape
-    /// hatch. (The per-run day-moment cache inside [`WeekSim`] is a
-    /// separate knob and stays on here regardless, keeping the two
-    /// engine modes on one numerical path.)
+    /// `caching(false)` is the uncached reference those results are
+    /// tested against. Each distinct fleet is generated once in both
+    /// modes, and both plan every slot on the same numerical path:
+    /// inside [`WeekSim`], the policy alone decides whether day-level
+    /// moment caches serve its plans.
     #[must_use]
     pub fn caching(mut self, enabled: bool) -> Self {
         self.caching = enabled;
@@ -713,10 +681,12 @@ impl Engine {
             return Err(Error::EmptySpec);
         }
         let caches = SweepCaches {
-            fleet: FleetCache::new(&spec.fleets),
-            plans: self.caching.then(|| PlanCache::new(spec, &cells)),
+            fleets: OnceTable::new(1, spec.fleets.iter().copied()),
+            plans: self
+                .caching
+                .then(|| OnceTable::new(EVAL_SLOTS, cells.iter().map(|c| PlanKey::new(spec, c)))),
             forecasts: (self.caching && spec.predictor != PredictorSpec::Oracle)
-                .then(|| ForecastCache::new(&spec.fleets)),
+                .then(|| OnceTable::new(EVAL_DAYS, spec.fleets.iter().copied())),
         };
 
         let workers = threads.min(cells.len()).max(1);
@@ -763,14 +733,14 @@ impl Engine {
     }
 }
 
-/// Every shared structure one sweep's workers draw on: the lazily
-/// generated fleets and, when caching is enabled, the deduplicated plan
-/// groups and per-fleet day forecasts.
+/// Every shared table one sweep's workers draw on: the lazily
+/// generated fleets, one per distinct [`FleetSpec`], and, when caching
+/// is enabled, the deduplicated plan rows and per-fleet day forecasts.
 #[derive(Debug)]
 struct SweepCaches {
-    fleet: FleetCache,
-    plans: Option<PlanCache>,
-    forecasts: Option<ForecastCache>,
+    fleets: OnceTable<FleetSpec, Fleet>,
+    plans: Option<OnceTable<PlanKey, SlotPlan>>,
+    forecasts: Option<OnceTable<FleetSpec, DayForecast>>,
 }
 
 /// The per-run failure machinery shared by every worker: the armed
@@ -851,10 +821,10 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Evaluates one cell: resolve the fleet through the cache, build the
+/// Evaluates one cell: resolve the fleet through its table, build the
 /// simulator with the scaled server model, instantiate the policy and
-/// predictor, run the week with this cell's plan group and forecast
-/// locks attached. Pure in (spec, cell) — every cache initializer is a
+/// predictor, run the week with this cell's plan and forecast rows
+/// attached. Pure in (spec, cell) — every cache initializer is a
 /// deterministic function of the spec, so the determinism guarantee
 /// still rests here whichever worker wins a lock race. (A panicking
 /// initializer leaves its `OnceLock` unset, so a faulted cell cannot
@@ -884,7 +854,9 @@ fn run_cell(
     if let Some(error) = fault::injected_error(CellStage::Fleet, index) {
         return Err(fail(CellStage::Fleet, error));
     }
-    let fleet = caches.fleet.get(&cell.fleet);
+    let (fleet, _) = fetch_or_compute(caches.fleets.row(&cell.fleet).first(), || {
+        cell.fleet.generate()
+    });
     fault::enter(CellStage::Setup);
     if let Some(error) = fault::injected_error(CellStage::Setup, index) {
         return Err(fail(CellStage::Setup, error));
@@ -902,8 +874,11 @@ fn run_cell(
     let policy = cell.policy.build(spec.ablation);
     let per_day = fleet.grid().samples_per_day();
     let run_caches = RunCaches {
-        plans: caches.plans.as_ref().map(|p| p.group(index)),
-        forecasts: caches.forecasts.as_ref().map(|f| f.days(&cell.fleet)),
+        plans: caches
+            .plans
+            .as_ref()
+            .map(|plans| plans.row(&PlanKey::new(spec, cell))),
+        forecasts: caches.forecasts.as_ref().map(|f| f.row(&cell.fleet)),
     };
     let (outcome, cache) = match spec.predictor {
         PredictorSpec::Oracle => sim.run_counted(policy.as_ref(), None, &run_caches),

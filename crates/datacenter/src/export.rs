@@ -126,18 +126,18 @@ fn week_value(outcome: &WeekOutcome) -> Value {
     };
     Value::Object(vec![
         ("policy".into(), Value::String(outcome.policy.clone())),
-        ("slots".into(), Value::Number(outcome.slots.len() as f64)),
+        ("slots".into(), Value::Int(outcome.slots.len() as u64)),
         (
             "total_energy_mj".into(),
             Value::Number(outcome.total_energy().as_megajoules()),
         ),
         (
             "total_violations".into(),
-            Value::Number(outcome.total_violations() as f64),
+            Value::Int(outcome.total_violations() as u64),
         ),
         (
             "total_migrations".into(),
-            Value::Number(outcome.total_migrations() as f64),
+            Value::Int(outcome.total_migrations() as u64),
         ),
         (
             "mean_active_servers".into(),
@@ -185,20 +185,20 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     Value::Number(spec.static_power_scale),
                 ),
                 ("backend".into(), Value::String(spec.backend.label().into())),
-                ("num_vms".into(), Value::Number(spec.fleet.num_vms as f64)),
-                ("seed".into(), Value::Number(spec.fleet.seed as f64)),
-                ("weeks".into(), Value::Number(spec.fleet.weeks as f64)),
+                ("num_vms".into(), Value::Int(spec.fleet.num_vms as u64)),
+                ("seed".into(), Value::Int(spec.fleet.seed)),
+                ("weeks".into(), Value::Int(spec.fleet.weeks as u64)),
                 (
                     "energy_mj".into(),
                     Value::Number(c.outcome.total_energy().as_megajoules()),
                 ),
                 (
                     "violations".into(),
-                    Value::Number(c.outcome.total_violations() as f64),
+                    Value::Int(c.outcome.total_violations() as u64),
                 ),
                 (
                     "migrations".into(),
-                    Value::Number(c.outcome.total_migrations() as f64),
+                    Value::Int(c.outcome.total_migrations() as u64),
                 ),
                 (
                     "mean_active_servers".into(),
@@ -230,7 +230,7 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     Value::Number(g.static_power_scale),
                 ),
                 ("backend".into(), Value::String(g.backend.label().into())),
-                ("runs".into(), Value::Number(g.runs as f64)),
+                ("runs".into(), Value::Int(g.runs as u64)),
                 ("energy_mj".into(), stat(g.energy_mj)),
                 ("violations".into(), stat(g.violations)),
                 ("migrations".into(), stat(g.migrations)),
@@ -243,9 +243,9 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
         .iter()
         .map(|f| {
             Value::Object(vec![
-                ("index".into(), Value::Number(f.index as f64)),
+                ("index".into(), Value::Int(f.index as u64)),
                 ("label".into(), Value::String(f.label.clone())),
-                ("seed".into(), Value::Number(f.cell.fleet.seed as f64)),
+                ("seed".into(), Value::Int(f.cell.fleet.seed)),
                 (
                     "stage".into(),
                     f.stage()
@@ -258,30 +258,27 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
         .collect();
     let totals = sweep.cache_totals();
     Value::Object(vec![
-        ("threads".into(), Value::Number(sweep.threads as f64)),
-        (
-            "cells_total".into(),
-            Value::Number(sweep.total_cells() as f64),
-        ),
+        ("threads".into(), Value::Int(sweep.threads as u64)),
+        ("cells_total".into(), Value::Int(sweep.total_cells() as u64)),
         (
             "cells_failed".into(),
-            Value::Number(sweep.failed().len() as f64),
+            Value::Int(sweep.failed().len() as u64),
         ),
         (
             "plan_cache_hits".into(),
-            Value::Number(totals.plan_hits as f64),
+            Value::Int(totals.plan_hits as u64),
         ),
         (
             "plan_cache_misses".into(),
-            Value::Number(totals.plan_misses as f64),
+            Value::Int(totals.plan_misses as u64),
         ),
         (
             "forecast_cache_hits".into(),
-            Value::Number(totals.forecast_hits as f64),
+            Value::Int(totals.forecast_hits as u64),
         ),
         (
             "forecast_cache_misses".into(),
-            Value::Number(totals.forecast_misses as f64),
+            Value::Int(totals.forecast_misses as u64),
         ),
         ("cells".into(), Value::Array(cells)),
         ("groups".into(), Value::Array(groups)),

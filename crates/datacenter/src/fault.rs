@@ -44,7 +44,6 @@
 use std::cell::Cell;
 
 use ntc_core::Error;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::CellSpec;
 
@@ -53,7 +52,7 @@ use crate::engine::CellSpec;
 /// generation) and [`Setup`](CellStage::Setup) (backend + simulator
 /// construction) stages, then the four stages of the
 /// [`WeekSim`](crate::WeekSim) slot pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStage {
     /// Generating (or fetching from the shared cache) the cell's fleet.
     Fleet,
@@ -91,7 +90,7 @@ impl std::fmt::Display for CellStage {
 }
 
 /// How a [`FaultSpec`] manifests when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Panic with an "injected fault" payload — exercises the
     /// `catch_unwind` capture path.
@@ -110,7 +109,7 @@ pub enum FaultKind {
 /// Firing is deterministic — the fault triggers the first time cell
 /// `cell` enters stage `stage`, wherever the scheduler placed that
 /// cell — so a faulted sweep is exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Spec-order index of the targeted cell.
     pub cell: usize,
@@ -142,7 +141,7 @@ impl FaultSpec {
 }
 
 /// What to do with the rest of a sweep once one cell has failed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Finish every remaining cell and report the failures alongside
     /// the completed results (the default).

@@ -1,9 +1,8 @@
 use ntc_units::{Energy, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// A mean and sample standard deviation over a set of runs — the unit
 /// of seed-averaged reporting (`mean ± std`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanStd {
     /// Arithmetic mean of the values.
     pub mean: f64,
@@ -40,7 +39,7 @@ impl std::fmt::Display for MeanStd {
 }
 
 /// What happened in one allocation slot (one hour, 12 samples).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotOutcome {
     /// Overutilized server-samples in the slot (the Fig. 4 metric): a
     /// server counts once per 5-minute sample in which its aggregated
@@ -61,7 +60,7 @@ pub struct SlotOutcome {
 }
 
 /// A full evaluation-week run of one policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeekOutcome {
     /// Policy display name.
     pub policy: String,

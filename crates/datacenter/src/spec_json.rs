@@ -62,7 +62,7 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
             "predictor".into(),
             Value::String(predictor_tag(spec.predictor).to_string()),
         ),
-        ("max_servers".into(), Value::Number(spec.max_servers as f64)),
+        ("max_servers".into(), Value::Int(spec.max_servers as u64)),
         (
             "correlation_only".into(),
             Value::Bool(spec.ablation.correlation_only),
@@ -77,9 +77,9 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
 
 fn fleet_value(fleet: &FleetSpec) -> Value {
     Value::Object(vec![
-        ("num_vms".into(), Value::Number(fleet.num_vms as f64)),
-        ("seed".into(), Value::Number(fleet.seed as f64)),
-        ("weeks".into(), Value::Number(fleet.weeks as f64)),
+        ("num_vms".into(), Value::Int(fleet.num_vms as u64)),
+        ("seed".into(), Value::Int(fleet.seed)),
+        ("weeks".into(), Value::Int(fleet.weeks as u64)),
     ])
 }
 
@@ -304,6 +304,13 @@ pub(crate) fn parse_value(text: &str) -> Result<Value, String> {
 pub(crate) enum Value {
     Null,
     Bool(bool),
+    /// A number written without sign or fraction that fits a `u64`,
+    /// carried exactly: seeds use all 64 bits, which an `f64` cannot
+    /// hold.
+    Int(u64),
+    /// Any other number. Parsing never yields a non-finite one, and
+    /// rendering writes one as `null`, since JSON has no NaN or
+    /// infinity.
     Number(f64),
     String(String),
     Array(Vec<Value>),
@@ -315,7 +322,7 @@ impl Value {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "a boolean",
-            Value::Number(_) => "a number",
+            Value::Int(_) | Value::Number(_) => "a number",
             Value::String(_) => "a string",
             Value::Array(_) => "an array",
             Value::Object(_) => "an object",
@@ -364,6 +371,7 @@ impl Value {
 
     pub(crate) fn as_f64(&self, path: &str) -> Result<f64, String> {
         match self {
+            Value::Int(n) => Ok(*n as f64),
             Value::Number(n) => Ok(*n),
             other => Err(format!(
                 "{path} must be a number, got {}",
@@ -373,8 +381,13 @@ impl Value {
     }
 
     pub(crate) fn as_u64(&self, path: &str) -> Result<u64, String> {
+        if let Value::Int(n) = self {
+            return Ok(*n);
+        }
+        // An integral float such as `3.0` still counts; 2^64 (the f64
+        // nearest u64::MAX) does not fit.
         let n = self.as_f64(path)?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+        if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
             return Err(format!("{path} must be a non-negative integer, got {n}"));
         }
         Ok(n as u64)
@@ -393,7 +406,8 @@ impl Value {
     /// Pretty-prints the tree: objects multiline with two-space
     /// indentation, scalar arrays inline, structured arrays one item
     /// per line. Output ends with a newline and round-trips through
-    /// the parser (f64 `Display` never emits exponents).
+    /// the parser (f64 `Display` never emits exponents); a non-finite
+    /// number renders as `null` so the output is always valid JSON.
     pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -409,9 +423,13 @@ impl Value {
             Value::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            Value::Number(n) => {
+            Value::Int(n) => {
                 let _ = write!(out, "{n}");
             }
+            Value::Number(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Number(_) => out.push_str("null"),
             Value::String(s) => {
                 let _ = write!(out, "\"{}\"", escape(s));
             }
@@ -640,9 +658,14 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(format!("number {text:?} at byte {start} is out of range")),
+            Err(_) => Err(format!("invalid number {text:?} at byte {start}")),
+        }
     }
 }
 
@@ -817,8 +840,24 @@ mod tests {
             ("c".into(), Value::Object(vec![])),
             ("d".into(), Value::Array(vec![])),
             ("e".into(), Value::Bool(true)),
+            ("f".into(), Value::Int(u64::MAX)),
         ]);
         let text = v.render();
         assert_eq!(parse_value(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn non_finite_numbers_never_reach_or_leave_the_codec() {
+        // JSON has no NaN or infinity: the writer emits null, and a
+        // literal too large for an f64 is refused instead of parsing
+        // to infinity.
+        let v = Value::Array(vec![Value::Number(f64::NAN), Value::Number(f64::INFINITY)]);
+        assert_eq!(v.render(), "[null, null]\n");
+        let huge = format!(
+            r#"{{"fleet": {{"num_vms": 4, "seed": 1}}, "static_power_scales": [1{}]}}"#,
+            "0".repeat(400)
+        );
+        let err = from_json(&huge).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 }

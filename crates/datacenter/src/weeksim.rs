@@ -9,7 +9,7 @@ use ntc_units::Frequency;
 use ntc_workload::{Fleet, MemClass};
 
 use crate::backend::{mem_class_rank, AnalyticBackend, GovernedSlot, SlotBackend};
-use crate::cache::{CacheStats, DayForecast, RunCaches};
+use crate::cache::{fetch_or_compute, CacheStats, DayForecast, RunCaches};
 use crate::fault::{self, CellStage};
 use crate::{SlotOutcome, WeekOutcome};
 
@@ -31,7 +31,6 @@ pub struct WeekSim<'a> {
     max_servers: usize,
     eval_start: usize,
     qos_floor: Option<Frequency>,
-    day_cache: bool,
     backend: Box<dyn SlotBackend>,
 }
 
@@ -74,8 +73,15 @@ impl DayState {
     }
 }
 
-/// Builder for [`WeekSim`], collecting the optional knobs (currently the
-/// QoS frequency floor) before validating the fleet horizon.
+/// Builder for [`WeekSim`], collecting the two optional settings — the
+/// QoS frequency floor and the accounting backend — before validating
+/// the fleet horizon.
+///
+/// How a plan is computed is not a setting: a policy that re-plans
+/// more than once a day (EPACT) answers its slot windows from one
+/// [`DayCache`](ntc_trace::DayCache) pair per planning day, while a
+/// once-a-day consolidator (COAT, COAT-OPT) rebuilds the moments of
+/// its single window, which is cheaper for one window.
 ///
 /// Obtained from [`WeekSim::builder`]; finish with
 /// [`build`](WeekSimBuilder::build) (fallible) or
@@ -86,7 +92,6 @@ pub struct WeekSimBuilder<'a> {
     server: ServerPowerModel,
     max_servers: usize,
     qos_floor: Option<Frequency>,
-    day_cache: bool,
     backend: Option<Box<dyn SlotBackend>>,
 }
 
@@ -117,26 +122,6 @@ impl<'a> WeekSimBuilder<'a> {
         self
     }
 
-    /// Enables or disables the day-level moment cache (default: on).
-    ///
-    /// When on, each planning day builds one
-    /// [`DayCache`](ntc_trace::DayCache) of prefix sums over the day's
-    /// prediction series, and every slot context answers its window
-    /// covariances from it in O(1) instead of rebuilding Pearson terms
-    /// per slot. Per-series means, variances and every degenerate-σ
-    /// decision are bit-identical either way; pairwise covariances
-    /// agree to ulp precision (prefix vs centered accumulation), so a
-    /// packing race decided by an *exact* score tie can resolve
-    /// differently — week outcomes are statistically indistinguishable
-    /// but not guaranteed bit-equal across this knob. `false` exists
-    /// for benchmarking the rebuild cost and as an escape hatch; both
-    /// settings are individually deterministic.
-    #[must_use]
-    pub fn day_moment_cache(mut self, enabled: bool) -> Self {
-        self.day_cache = enabled;
-        self
-    }
-
     /// Validates the configuration and builds the simulator.
     ///
     /// # Errors
@@ -162,7 +147,6 @@ impl<'a> WeekSimBuilder<'a> {
             max_servers: self.max_servers,
             eval_start: have - week,
             qos_floor: self.qos_floor,
-            day_cache: self.day_cache,
             backend: self.backend.unwrap_or_else(|| Box::new(AnalyticBackend)),
         })
     }
@@ -197,7 +181,6 @@ impl<'a> WeekSim<'a> {
             server,
             max_servers,
             qos_floor: None,
-            day_cache: true,
             backend: None,
         }
     }
@@ -308,37 +291,17 @@ impl<'a> WeekSim<'a> {
                 fault::enter(CellStage::Plan);
                 // Shared-plan fast path first: a hit skips forecasting,
                 // moment building and packing for the whole period.
-                let new_plan: Arc<SlotPlan> = match caches.plans.and_then(|g| g.slot(slot)) {
-                    Some(lock) => {
-                        if let Some(plan) = lock.get() {
-                            stats.plan_hits += 1;
-                            Arc::clone(plan)
-                        } else {
-                            let mut computed = false;
-                            let plan = lock.get_or_init(|| {
-                                computed = true;
-                                Arc::new(self.plan_slot(
-                                    policy, predictor, caches, slot, period, slots, &mut state,
-                                    &mut stats,
-                                ))
-                            });
-                            if computed {
-                                stats.plan_misses += 1;
-                            } else {
-                                // Another worker initialized the lock
-                                // between our `get` and `get_or_init`.
-                                stats.plan_hits += 1;
-                            }
-                            Arc::clone(plan)
-                        }
-                    }
-                    None => {
-                        stats.plan_misses += 1;
-                        Arc::new(self.plan_slot(
+                let (new_plan, computed) =
+                    fetch_or_compute(caches.plans.and_then(|row| row.get(slot)), || {
+                        self.plan_slot(
                             policy, predictor, caches, slot, period, slots, &mut state, &mut stats,
-                        ))
-                    }
-                };
+                        )
+                    });
+                if computed {
+                    stats.plan_misses += 1;
+                } else {
+                    stats.plan_hits += 1;
+                }
                 migrations_this_slot = match &current_plan {
                     Some(prev) => ntc_core::migration_count(prev, &new_plan),
                     None => 0,
@@ -416,8 +379,9 @@ impl<'a> WeekSim<'a> {
         )
     }
 
-    /// Plans one slot: ensures the day's forecast and moment caches are
-    /// current, builds the prediction windows and runs the policy.
+    /// Plans one slot: ensures the day's forecast (and, for a policy
+    /// that re-plans within the day, its moment caches) is current,
+    /// builds the prediction windows and runs the policy.
     /// Called only on plan-cache misses (or uncached runs).
     #[allow(clippy::too_many_arguments)]
     fn plan_slot(
@@ -457,9 +421,13 @@ impl<'a> WeekSim<'a> {
             fault::enter(CellStage::Plan);
         }
 
-        // Day-level moment caches: one prefix-sum build per day serves
-        // every re-plan of that day with O(1) windowed covariances.
-        if self.day_cache {
+        // Day-level moment caches: one prefix-sum and block-plane build
+        // per day serves every re-plan of that day with O(1) windowed
+        // covariances. Only a policy that re-plans within the day reads
+        // more than one window of them; a once-a-day consolidator reads
+        // a single window, which the per-slot rebuild serves for less
+        // than the O(V²·blocks) plane fill.
+        if period < slots_per_day {
             let day_start = self.eval_start + day * per_day;
             let forecast = &state.forecast;
             let fleet = self.fleet;
@@ -517,46 +485,29 @@ impl<'a> WeekSim<'a> {
     ) -> Arc<DayForecast> {
         let per_day = self.fleet.grid().samples_per_day();
         let day_start = self.eval_start + day * per_day;
-        let build = || {
-            Arc::new(DayForecast {
-                cpu: self
-                    .fleet
-                    .vms()
-                    .iter()
-                    .map(|v| p.forecast(&v.cpu.window(0..day_start), per_day))
-                    .collect(),
-                mem: self
-                    .fleet
-                    .vms()
-                    .iter()
-                    .map(|v| p.forecast(&v.mem.window(0..day_start), per_day))
-                    .collect(),
-            })
-        };
-        match caches.forecasts.and_then(|days| days.get(day)) {
-            Some(lock) => {
-                if let Some(fc) = lock.get() {
-                    stats.forecast_hits += 1;
-                    Arc::clone(fc)
-                } else {
-                    let mut computed = false;
-                    let fc = lock.get_or_init(|| {
-                        computed = true;
-                        build()
-                    });
-                    if computed {
-                        stats.forecast_misses += 1;
-                    } else {
-                        stats.forecast_hits += 1;
-                    }
-                    Arc::clone(fc)
+        let (forecast, computed) =
+            fetch_or_compute(caches.forecasts.and_then(|row| row.get(day)), || {
+                DayForecast {
+                    cpu: self
+                        .fleet
+                        .vms()
+                        .iter()
+                        .map(|v| p.forecast(&v.cpu.window(0..day_start), per_day))
+                        .collect(),
+                    mem: self
+                        .fleet
+                        .vms()
+                        .iter()
+                        .map(|v| p.forecast(&v.mem.window(0..day_start), per_day))
+                        .collect(),
                 }
-            }
-            None => {
-                stats.forecast_misses += 1;
-                build()
-            }
+            });
+        if computed {
+            stats.forecast_misses += 1;
+        } else {
+            stats.forecast_hits += 1;
         }
+        forecast
     }
 }
 
@@ -699,37 +650,6 @@ mod tests {
         for (sa, sb) in a.slots.iter().zip(&b.slots) {
             assert_eq!(sa.planned_freq, sb.planned_freq);
             assert_eq!(sa.mean_freq, sb.mean_freq, "govern stage is shared");
-        }
-    }
-
-    #[test]
-    fn day_moment_cache_is_statistically_equivalent() {
-        // Covariances from the day cache agree with the per-slot
-        // rebuild to ulp precision, so only exact score ties can
-        // resolve differently; the week metrics must stay within
-        // rounding distance of each other (and typically match
-        // exactly, as COAT does).
-        let fleet = small_fleet();
-        let cached = WeekSim::new(&fleet, ServerPowerModel::ntc(), 600);
-        let rebuilt = WeekSim::builder(&fleet, ServerPowerModel::ntc(), 600)
-            .day_moment_cache(false)
-            .build_or_panic();
-        for policy in [&Epact::new() as &dyn AllocationPolicy, &Coat::new()] {
-            let a = cached.run_with_oracle(policy);
-            let b = rebuilt.run_with_oracle(policy);
-            assert_eq!(a.slots.len(), b.slots.len());
-            assert_eq!(a.total_violations(), b.total_violations());
-            let (ea, eb) = (a.total_energy().as_joules(), b.total_energy().as_joules());
-            assert!(
-                (ea - eb).abs() <= 1e-3 * eb,
-                "{}: day cache moved energy beyond tie noise: {ea} vs {eb}",
-                policy.name()
-            );
-            assert!(
-                (a.mean_active_servers() - b.mean_active_servers()).abs() <= 0.1,
-                "{}: active-server profile shifted",
-                policy.name()
-            );
         }
     }
 

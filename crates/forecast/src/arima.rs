@@ -1,5 +1,4 @@
 use ntc_trace::stats;
-use serde::{Deserialize, Serialize};
 
 use crate::ar::{residuals, yule_walker};
 use crate::diff;
@@ -34,7 +33,7 @@ use crate::linalg;
 /// let fc = fit.forecast(period);
 /// assert!((fc[0] - history[6 * period]).abs() < 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arima {
     p: usize,
     d: usize,
@@ -186,7 +185,7 @@ impl Arima {
 }
 
 /// A fitted ARIMA model, ready to forecast.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FittedArima {
     spec: Arima,
     phi: Vec<f64>,

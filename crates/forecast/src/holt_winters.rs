@@ -6,7 +6,6 @@
 //! shifts than ARIMA while exploiting the same daily periodicity.
 
 use ntc_trace::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 use crate::Predictor;
 
@@ -25,7 +24,7 @@ use crate::Predictor;
 /// let fc = HoltWinters::daily(period).forecast(&history, period);
 /// assert_eq!(fc.len(), period);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltWinters {
     period: usize,
     /// Level smoothing constant α.

@@ -1,5 +1,4 @@
 use ntc_trace::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 use crate::Arima;
 
@@ -26,7 +25,7 @@ pub trait Predictor: std::fmt::Debug {
 /// let fc = SeasonalNaive::new(10).forecast(&history, 5);
 /// assert_eq!(fc.values(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeasonalNaive {
     period: usize,
 }
@@ -64,7 +63,7 @@ impl Predictor for SeasonalNaive {
 
 /// ARIMA wrapped as a [`Predictor`] (the paper's choice, §V-B), with a
 /// seasonal-naive fallback for histories too short to fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArimaPredictor {
     spec: Arima,
     period: usize,

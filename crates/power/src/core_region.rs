@@ -1,5 +1,4 @@
 use ntc_units::{Frequency, Percent, Power, Voltage};
-use serde::{Deserialize, Serialize};
 
 use crate::VfCurve;
 
@@ -28,7 +27,7 @@ use crate::VfCurve;
 /// let idle = cores.power(Frequency::from_ghz(1.9), Percent::ZERO, Percent::ZERO);
 /// assert!(busy.as_watts() > 10.0 * idle.as_watts());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreRegionModel {
     vf: VfCurve,
     num_cores: usize,

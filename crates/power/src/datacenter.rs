@@ -1,5 +1,4 @@
 use ntc_units::{Frequency, Percent, Power};
-use serde::{Deserialize, Serialize};
 
 use crate::{ServerLoad, ServerPowerModel};
 
@@ -27,7 +26,7 @@ use crate::{ServerLoad, ServerPowerModel};
 /// let p_max = dc.worst_case_power(u, Frequency::from_ghz(3.1)).unwrap();
 /// assert!(p_opt < p_max); // consolidation at Fmax is NOT optimal
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataCenterPowerModel {
     server: ServerPowerModel,
     num_servers: usize,

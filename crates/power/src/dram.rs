@@ -1,5 +1,4 @@
 use ntc_units::{Energy, MemBytes, Percent, Power};
-use serde::{Deserialize, Serialize};
 
 /// Power model of the DRAM banks (§IV-4 of the paper).
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let idle = dram.power(Percent::ZERO, 0.0);
 /// assert!((idle.as_watts() - 0.248).abs() < 1e-9); // 15.5 mW/GB x 16 GB
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramModel {
     capacity: MemBytes,
     idle_mw_per_gb: f64,

@@ -1,5 +1,4 @@
 use ntc_units::{Frequency, Voltage};
-use serde::{Deserialize, Serialize};
 
 /// A voltage–frequency operating curve.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let v = curve.voltage_at(Frequency::from_ghz(1.9));
 /// assert!(v.as_volts() > 0.7 && v.as_volts() < 0.9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfCurve {
     /// `(frequency, voltage)` knots sorted by ascending frequency.
     points: Vec<(Frequency, Voltage)>,

@@ -1,5 +1,4 @@
 use ntc_units::{Energy, MemBytes, Power, Voltage};
-use serde::{Deserialize, Serialize};
 
 /// Power model of the last-level cache (§IV-2 of the paper).
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let leak = llc.leakage(Voltage::from_volts(0.78));
 /// assert!(leak.as_watts() > 0.0 && leak.as_watts() < 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlcModel {
     capacity: MemBytes,
     block_size: MemBytes,

@@ -8,7 +8,6 @@
 //! studies report wall energy instead of DC energy.
 
 use ntc_units::Power;
-use serde::{Deserialize, Serialize};
 
 /// A load-dependent PSU efficiency curve (piecewise-linear over load
 /// fraction knots).
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let wall = psu.wall_power(Power::from_watts(100.0));
 /// assert!(wall.as_watts() > 100.0 && wall.as_watts() < 120.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsuModel {
     rating: Power,
     /// `(load fraction, efficiency)` knots, ascending in load.

@@ -1,5 +1,4 @@
 use ntc_units::{Frequency, Percent, Power};
-use serde::{Deserialize, Serialize};
 
 use crate::{CoreRegionModel, DramModel, LlcModel, UncoreModel};
 
@@ -15,7 +14,7 @@ use crate::{CoreRegionModel, DramModel, LlcModel, UncoreModel};
 /// assert_eq!(load.cpu_active.value(), 80.0);
 /// assert_eq!(load.read_bytes_per_sec, 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerLoad {
     /// Fraction of core-cycles doing useful work.
     pub cpu_active: Percent,
@@ -78,7 +77,7 @@ impl ServerLoad {
 }
 
 /// Per-component decomposition of server power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Core region (cores + L1/L2).
     pub cores: Power,
@@ -120,7 +119,7 @@ impl PowerBreakdown {
 /// // NTC servers are energy-proportional: busy/idle ratio is large.
 /// assert!(busy.as_watts() / idle.as_watts() > 1.8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerPowerModel {
     cores: CoreRegionModel,
     llc: LlcModel,

@@ -9,7 +9,6 @@
 //! follow-up studies (the paper's group's COMPUSAPIEN line of work).
 
 use ntc_units::Power;
-use serde::{Deserialize, Serialize};
 
 /// Exponential leakage–temperature model:
 /// `P_leak(T) = P_leak(T_ref) · exp((T − T_ref)/T_0)`.
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let hot = m.scale(Power::from_watts(1.0), 85.0);
 /// assert!(hot.as_watts() > 1.3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageThermalModel {
     /// Reference junction temperature (°C) of the characterization.
     pub t_ref_celsius: f64,

@@ -1,5 +1,4 @@
 use ntc_units::{Frequency, Power};
-use serde::{Deserialize, Serialize};
 
 /// Power model of the memory controller, peripherals, IO subsystem and
 /// motherboard (§IV-3 of the paper).
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((p_lo.as_watts() - (11.84 + 1.6 + 15.0)).abs() < 1e-9);
 /// assert!((p_hi.as_watts() - (11.84 + 9.0 + 15.0)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UncoreModel {
     constant: Power,
     proportional_min: Power,

@@ -10,7 +10,6 @@
 //! advantage — the NTC server's optimum stays far below Fmax.
 
 use ntc_units::Voltage;
-use serde::{Deserialize, Serialize};
 
 use crate::VfCurve;
 
@@ -33,7 +32,7 @@ use crate::VfCurve;
 /// let nominal = g.margin(Voltage::from_volts(1.15));
 /// assert!(near > nominal, "NTC operation needs larger margins");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardbandModel {
     /// Device threshold voltage.
     pub vth: Voltage,

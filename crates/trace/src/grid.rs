@@ -1,5 +1,4 @@
 use ntc_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// The sampling layout shared by every trace in an experiment.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(grid.slots(), 168);
 /// assert_eq!(grid.slot_range(0), 0..12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SampleGrid {
     len: usize,
     sample_period_secs: u32,

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats;
 
 /// A sampled utilization trace (values are percentages or any scalar).
@@ -22,7 +20,7 @@ use crate::stats;
 /// let comp = server_load.complementary();
 /// assert_eq!(comp.values(), &[30.0, 0.0, 15.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     values: Vec<f64>,
 }

@@ -104,10 +104,11 @@ struct PairStore {
     /// `k·num_pairs + pair` is `Σ x·y` over block `k`. One plane is
     /// contiguous across pairs, so a block-aligned window's admit loop
     /// streams rather than gathers. Empty until the first aligned
-    /// query; the fill is wholesale — the consolidation policies
-    /// compare every pair anyway, and a plane-major batch fill writes
-    /// each plane sequentially instead of scattering one store per
-    /// plane per pair.
+    /// query; the fill is wholesale — the week simulation builds a day
+    /// cache only for a per-slot re-planner, whose 24 windows over the
+    /// day compare every pair anyway, and a plane-major batch fill
+    /// writes each plane sequentially instead of scattering one store
+    /// per plane per pair.
     block_sums: Vec<f64>,
 }
 

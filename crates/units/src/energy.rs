@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Power, Seconds};
 
 /// Energy in joules.
@@ -20,7 +18,7 @@ use crate::{Power, Seconds};
 /// let avg = e / Seconds::new(3600.0);
 /// assert!((avg.as_kilowatts() - 4.861).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {

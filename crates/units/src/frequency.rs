@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A clock frequency, stored internally in megahertz.
 ///
 /// Frequencies are the primary control knob of the paper: DVFS levels range
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(fopt < Frequency::from_mhz(3100.0));
 /// assert_eq!(fopt.as_hz(), 1.9e9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Frequency(f64);
 
 impl Frequency {

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An amount of memory, stored internally in bytes.
 ///
 /// Used both for capacities (16 GiB of server DRAM, 16 MiB of LLC) and for
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(vm < server);
 /// assert!((vm.as_fraction_of(server) - 0.02655).abs() < 1e-4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemBytes(u64);
 
 impl MemBytes {

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::UnitRangeError;
 
 /// A utilization percentage.
@@ -25,7 +23,7 @@ use crate::UnitRangeError;
 /// assert!((a + b).is_saturated());       // 115% — an overutilized server
 /// assert!(Percent::try_new(115.0).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Percent(f64);
 
 impl Percent {

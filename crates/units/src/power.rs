@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Energy, Seconds};
 
 /// Electrical power in watts.
@@ -17,7 +15,7 @@ use crate::{Energy, Seconds};
 /// let slot_energy = server * Seconds::new(3600.0);
 /// assert!((slot_energy.as_joules() - 211_320.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Frequency;
 
 /// A duration in seconds.
@@ -16,7 +14,7 @@ use crate::Frequency;
 /// let sample = Seconds::from_minutes(5.0);
 /// assert_eq!(sample.as_secs(), 300.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -148,9 +146,7 @@ impl Sum for Seconds {
 /// let t = Cycles::new(2_000_000) / Frequency::from_ghz(2.0);
 /// assert!((t.as_secs() - 0.001).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A supply voltage in volts.
 ///
 /// In 28nm UTBB FD-SOI the usable range spans from the near-threshold
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let vdd = Voltage::from_volts(0.62);
 /// assert!((vdd.squared() - 0.3844).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Voltage(f64);
 
 impl Voltage {

@@ -1,5 +1,4 @@
 use ntc_trace::{SampleGrid, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 use crate::{Vm, VmId};
 
@@ -16,7 +15,7 @@ use crate::{Vm, VmId};
 /// assert_eq!(agg.len(), fleet.grid().len());
 /// assert!(agg.peak() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     grid: SampleGrid,
     vms: Vec<Vm>,

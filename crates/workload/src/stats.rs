@@ -3,12 +3,11 @@
 //! sample had (utilization ranges, class balance, correlation mass).
 
 use ntc_trace::stats;
-use serde::{Deserialize, Serialize};
 
 use crate::{Fleet, MemClass};
 
 /// Summary statistics of one fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
     /// Number of VMs.
     pub num_vms: usize,

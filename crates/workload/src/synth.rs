@@ -3,7 +3,6 @@ use std::f64::consts::TAU;
 use ntc_trace::{SampleGrid, TimeSeries};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{Fleet, MemClass, Vm, VmId};
 
@@ -31,7 +30,7 @@ use crate::{Fleet, MemClass, Vm, VmId};
 /// assert_eq!(fleet.len(), 100);
 /// assert_eq!(fleet.grid().len(), 2 * 2016); // training week + evaluation week
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterTraceGenerator {
     num_vms: usize,
     weeks: usize,

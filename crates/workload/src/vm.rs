@@ -1,6 +1,5 @@
 use ntc_trace::TimeSeries;
 use ntc_units::MemBytes;
-use serde::{Deserialize, Serialize};
 
 /// A virtual machine identifier (index into its [`crate::Fleet`]).
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.index(), 7);
 /// assert_eq!(id.to_string(), "vm7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(usize);
 
 impl VmId {
@@ -36,7 +35,7 @@ impl std::fmt::Display for VmId {
 
 /// The paper's three memory-footprint classes (§III-B): per-VM average
 /// memory usage on a 1 GB container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemClass {
     /// 70 MB average usage (7%).
     Low,
@@ -96,7 +95,7 @@ impl std::fmt::Display for MemClass {
 ///   `100/16 = 6.25`;
 /// * `mem` — a 1 GB container on a 16 GB server contributes its
 ///   utilization × `1/16`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identity within the fleet.
     pub id: VmId,

@@ -1,6 +1,9 @@
 //! Cross-crate property-based tests: allocation-policy and power-model
-//! invariants over randomized fleets and loads, plus the spec_json
-//! round trip over randomized experiment specs.
+//! invariants over randomized fleets and loads, the day-window fast
+//! path against the per-slot rebuild, plus the spec_json round trip
+//! over randomized experiment specs.
+
+use std::ops::Range;
 
 use ntc_dc::datacenter::{
     spec_json, BackendSpec, ExperimentSpec, FailurePolicy, FleetSpec, PolicySpec, PredictorSpec,
@@ -8,8 +11,9 @@ use ntc_dc::datacenter::{
 };
 use ntc_dc::policy::{AllocationPolicy, Coat, CoatOpt, Epact, SlotContext};
 use ntc_dc::power::ServerPowerModel;
-use ntc_dc::trace::TimeSeries;
+use ntc_dc::trace::{DayCache, TimeSeries};
 use ntc_dc::units::{Frequency, Percent};
+use ntc_dc::workload::{ClusterTraceGenerator, Fleet};
 use proptest::prelude::*;
 
 /// A strategy over arbitrary multi-axis experiment specs: random fleet
@@ -17,7 +21,7 @@ use proptest::prelude::*;
 /// accounting-backend sets, failure policies and axis subsets.
 fn arb_spec() -> impl Strategy<Value = ExperimentSpec> {
     let fleets = prop::collection::vec(
-        (1usize..200, 0u64..10_000, 2usize..5).prop_map(|(num_vms, seed, weeks)| FleetSpec {
+        (1usize..200, 0u64..=u64::MAX, 2usize..5).prop_map(|(num_vms, seed, weeks)| FleetSpec {
             num_vms,
             seed,
             weeks,
@@ -77,6 +81,22 @@ fn vm_series(n_vms: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 
 fn mem_series(n_vms: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.1f64..3.0, len), n_vms)
+}
+
+/// Per-VM CPU and memory windows of `fleet`'s traces over `range`.
+fn windows(fleet: &Fleet, range: Range<usize>) -> (Vec<TimeSeries>, Vec<TimeSeries>) {
+    (
+        fleet
+            .vms()
+            .iter()
+            .map(|v| v.cpu.window(range.clone()))
+            .collect(),
+        fleet
+            .vms()
+            .iter()
+            .map(|v| v.mem.window(range.clone()))
+            .collect(),
+    )
 }
 
 proptest! {
@@ -166,15 +186,67 @@ proptest! {
 
     #[test]
     fn spec_json_round_trips_every_spec(spec in arb_spec()) {
-        // The codec must preserve every axis exactly — fleet sets,
-        // static-power scales (f64-exact), QoS floors, backend sets,
-        // predictor, ablation flags — through render + reparse.
+        // The codec must preserve every axis exactly — fleet sets
+        // (full-range u64 seeds), static-power scales (f64-exact), QoS
+        // floors, backend sets, predictor, ablation flags — through
+        // render + reparse.
         let text = spec_json::to_json(&spec);
         let back = match spec_json::from_json(&text) {
             Ok(back) => back,
             Err(e) => panic!("reparse failed: {e}\n{text}"),
         };
         prop_assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn day_window_plans_equal_the_per_slot_rebuild(
+        num_vms in 2usize..32,
+        seed in 0u64..=u64::MAX,
+        day in 0usize..7,
+    ) {
+        // The fast path answers a window's covariances from a day's
+        // DayCache pair instead of rebuilding them from the window. The
+        // two agree only to ulps, yet every plan must be identical:
+        // EPACT on each hourly slot, COAT and COAT-OPT on the whole day.
+        // Below ~16 VMs every plan fits one server and covariances
+        // decide nothing; from ~32 VMs on, EPACT meets score near-ties
+        // that ulp-level differences resolve either way (about one
+        // plan in 2,000), so the sizes in between test the fast path.
+        let fleet = ClusterTraceGenerator::google_like(num_vms, seed).generate();
+        let grid = fleet.grid();
+        let (sps, per_day) = (grid.samples_per_slot(), grid.samples_per_day());
+        let day_start = grid.len() - (7 - day) * per_day;
+        let (day_cpu, day_mem) = windows(&fleet, day_start..day_start + per_day);
+        let dc_cpu = DayCache::with_block_size(&day_cpu, sps);
+        let dc_mem = DayCache::with_block_size(&day_mem, sps);
+        let (epact, coat, coat_opt) = (Epact::new(), Coat::new(), CoatOpt::new());
+        let mut runs: Vec<(&dyn AllocationPolicy, Range<usize>)> = (0..per_day)
+            .step_by(sps)
+            .map(|offset| (&epact as &dyn AllocationPolicy, offset..offset + sps))
+            .collect();
+        runs.push((&coat, 0..per_day));
+        runs.push((&coat_opt, 0..per_day));
+        for server in [ServerPowerModel::ntc(), ServerPowerModel::conventional_e5_2620()] {
+            for (policy, window) in &runs {
+                let (cpu, mem) =
+                    windows(&fleet, day_start + window.start..day_start + window.end);
+                let rebuilt = policy.allocate(&SlotContext::new(&cpu, &mem, &server, 600));
+                let cached = policy.allocate(
+                    &SlotContext::new(&cpu, &mem, &server, 600)
+                        .with_day_window(&dc_cpu, &dc_mem, window.start),
+                );
+                let at = format!("{} on {window:?} of day {day}, seed {seed}", policy.name());
+                prop_assert_eq!(rebuilt.assignments(), cached.assignments(), "{}", at);
+                prop_assert_eq!(rebuilt.num_servers(), cached.num_servers(), "{}", at);
+                prop_assert_eq!(rebuilt.planned_freq(), cached.planned_freq(), "{}", at);
+                prop_assert_eq!(
+                    (rebuilt.dvfs_floor(), rebuilt.dvfs_ceiling()),
+                    (cached.dvfs_floor(), cached.dvfs_ceiling()),
+                    "{}",
+                    at
+                );
+            }
+        }
     }
 
     #[test]
