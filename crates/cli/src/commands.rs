@@ -8,50 +8,101 @@ use ntc_power::ServerPowerModel;
 use ntc_units::Percent;
 use ntc_workload::{ClusterTraceGenerator, FleetStats};
 
-/// Parses `--name value` style options from `args`.
-fn opt_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(default),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{name} requires a value"))?
-            .parse()
-            .map_err(|e| format!("{name}: {e}")),
+/// Whether a flag stands alone or takes the next argument as its value.
+#[derive(Debug, Clone, Copy)]
+enum Arity {
+    Switch,
+    Value,
+}
+
+/// The flags one subcommand accepts; anything else is an error.
+type FlagTable = &'static [(&'static str, Arity)];
+
+/// A subcommand's arguments checked against its [`FlagTable`]: every
+/// argument is a known flag (followed by its value, if it takes one),
+/// and no flag is given twice.
+#[derive(Debug)]
+struct Flags<'a> {
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Checks `args` of subcommand `command` against `table`.
+    fn parse(command: &str, args: &'a [String], table: FlagTable) -> Result<Self, String> {
+        let mut given: Vec<(&'static str, Option<&'a str>)> = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(name, arity)) = table.iter().find(|(name, _)| name == arg) else {
+                return Err(format!(
+                    "unknown flag {arg:?} for {command} (see ntcdc --help)"
+                ));
+            };
+            if given.iter().any(|&(seen, _)| seen == name) {
+                return Err(format!("{name} given more than once"));
+            }
+            let value = match arity {
+                Arity::Switch => None,
+                Arity::Value => Some(
+                    rest.next()
+                        .ok_or_else(|| format!("{name} requires a value"))?
+                        .as_str(),
+                ),
+            };
+            given.push((name, value));
+        }
+        Ok(Self { given })
+    }
+
+    /// Whether switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|&(seen, _)| seen == name)
+    }
+
+    /// The raw value of `name`, `None` when absent.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.given
+            .iter()
+            .find(|&&(seen, _)| seen == name)
+            .and_then(|&(_, value)| value)
+    }
+
+    /// The value of `name` parsed as `T`, `None` when absent.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name)
+            .map(|raw| raw.parse().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+
+    /// The value of `name` as a comma-separated list, `None` when absent.
+    fn list<T: std::str::FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let Some(raw) = self.value(name) else {
+            return Ok(None);
+        };
+        raw.split(',')
+            .map(|item| {
+                let item = item.trim();
+                // Catch `1,2,` and `1,,2` here: an empty item would reach
+                // `parse` and report an opaque type-specific error.
+                if item.is_empty() {
+                    return Err(format!("{name}: empty entry in list {raw:?}"));
+                }
+                item.parse::<T>()
+                    .map_err(|e| format!("{name}: {item:?}: {e}"))
+            })
+            .collect::<Result<Vec<T>, String>>()
+            .map(Some)
     }
 }
 
-/// Parses a `--name a,b,c` comma-separated list, `None` when absent.
-fn opt_list<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<Vec<T>>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let raw = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{name} requires a comma-separated list"))?;
-    raw.split(',')
-        .map(|item| {
-            let item = item.trim();
-            // Catch `1,2,` and `1,,2` here: an empty item would reach
-            // `parse` and report an opaque type-specific error.
-            if item.is_empty() {
-                return Err(format!("{name}: empty entry in list {raw:?}"));
-            }
-            item.parse::<T>()
-                .map_err(|e| format!("{name}: {item:?}: {e}"))
-        })
-        .collect::<Result<Vec<T>, String>>()
-        .map(Some)
-}
-
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 /// `ntc-dc table1`
-pub fn table1() -> Result<(), String> {
+pub fn table1(args: &[String]) -> Result<(), String> {
+    Flags::parse("table1", args, &[])?;
     println!(
         "{:<10} {:>13} {:>15} {:>13} {:>13}",
         "workload", "x86@2.66 (s)", "QoS limit (s)", "Cavium@2 (s)", "NTC@2 (s)"
@@ -67,14 +118,16 @@ pub fn table1() -> Result<(), String> {
 
 /// `ntc-dc fig1 [--servers N]`
 pub fn fig1(args: &[String]) -> Result<(), String> {
-    let servers = opt_usize(args, "--servers", 80)?;
+    const FLAGS: FlagTable = &[("--servers", Arity::Value), ("--csv", Arity::Switch)];
+    let flags = Flags::parse("fig1", args, FLAGS)?;
+    let servers = flags.parsed("--servers")?.unwrap_or(80);
     for (label, model) in [
         ("(a) NTC", ServerPowerModel::ntc()),
         ("(b) E5-2620", ServerPowerModel::conventional_e5_2620()),
     ] {
         println!("== Fig. 1{label}, {servers} servers ==");
         let curves = experiments::fig1(model, servers);
-        if flag(args, "--csv") {
+        if flags.switch("--csv") {
             print!("{}", export::fig1_csv(&curves));
         } else {
             for c in &curves {
@@ -94,23 +147,27 @@ pub fn fig1(args: &[String]) -> Result<(), String> {
 }
 
 /// `ntc-dc fig2`
-pub fn fig2() -> Result<(), String> {
+pub fn fig2(args: &[String]) -> Result<(), String> {
+    Flags::parse("fig2", args, &[])?;
     print!("{}", export::fig2_csv(&experiments::fig2()));
     Ok(())
 }
 
 /// `ntc-dc fig3`
-pub fn fig3() -> Result<(), String> {
+pub fn fig3(args: &[String]) -> Result<(), String> {
+    Flags::parse("fig3", args, &[])?;
     print!("{}", export::fig3_csv(&experiments::fig3()));
     Ok(())
 }
 
 /// `ntc-dc week [--vms N] [--csv]`
 pub fn week(args: &[String]) -> Result<(), String> {
-    let vms = opt_usize(args, "--vms", 120)?;
+    const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
+    let flags = Flags::parse("week", args, FLAGS)?;
+    let vms = flags.parsed("--vms")?.unwrap_or(120);
     let fleet = ClusterTraceGenerator::google_like(vms, 2018).generate();
     let outcomes = experiments::fig4_5_6(&fleet, 600);
-    if flag(args, "--csv") {
+    if flags.switch("--csv") {
         print!("{}", export::week_csv(&outcomes));
         return Ok(());
     }
@@ -148,20 +205,34 @@ pub fn week(args: &[String]) -> Result<(), String> {
 /// per-cell failures and returns an error, so the process exits
 /// non-zero while the completed cells' results are still reported.
 pub fn sweep(args: &[String]) -> Result<(), String> {
-    let mut spec = match args.iter().position(|a| a == "--spec") {
-        Some(i) => {
-            let path = args
-                .get(i + 1)
-                .ok_or_else(|| "--spec requires a file path".to_string())?;
+    const FLAGS: FlagTable = &[
+        ("--spec", Arity::Value),
+        ("--vms", Arity::Value),
+        ("--seed", Arity::Value),
+        ("--seeds", Arity::Value),
+        ("--static-power-scales", Arity::Value),
+        ("--max-servers", Arity::Value),
+        ("--backends", Arity::Value),
+        ("--threads", Arity::Value),
+        ("--arima", Arity::Switch),
+        ("--fail-fast", Arity::Switch),
+        ("--emit-spec", Arity::Switch),
+        ("--json", Arity::Switch),
+        ("--no-cache", Arity::Switch),
+        ("--cache-stats", Arity::Switch),
+    ];
+    let flags = Flags::parse("sweep", args, FLAGS)?;
+    let mut spec = match flags.value("--spec") {
+        Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             spec_json::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?
         }
         None => ExperimentSpec::default_sweep(),
     };
-    if let Some(seeds) = opt_list::<u64>(args, "--seeds")? {
+    if let Some(seeds) = flags.list::<u64>("--seeds")? {
         spec = spec.with_seeds(&seeds);
     }
-    if let Some(scales) = opt_list::<f64>(args, "--static-power-scales")? {
+    if let Some(scales) = flags.list::<f64>("--static-power-scales")? {
         // `f64::from_str` accepts "nan" and "inf", which no spec can
         // carry: JSON has no such numbers.
         if let Some(bad) = scales.iter().find(|s| !s.is_finite()) {
@@ -171,38 +242,38 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         }
         spec.static_power_scales = scales;
     }
-    if let Some(backends) = opt_list::<BackendSpec>(args, "--backends")? {
+    if let Some(backends) = flags.list::<BackendSpec>("--backends")? {
         spec.backends = backends;
     }
     // --vms and --seed apply across the whole fleet set.
-    if let Some(i) = args.iter().position(|a| a == "--vms") {
-        let vms = opt_usize(&args[i..], "--vms", 0)?;
+    if let Some(vms) = flags.parsed("--vms")? {
         spec.fleets.iter_mut().for_each(|f| f.num_vms = vms);
     }
-    if let Some(i) = args.iter().position(|a| a == "--seed") {
-        let seed = opt_usize(&args[i..], "--seed", 0)? as u64;
+    if let Some(seed) = flags.parsed("--seed")? {
         spec.fleets.iter_mut().for_each(|f| f.seed = seed);
     }
-    spec.max_servers = opt_usize(args, "--max-servers", spec.max_servers)?;
-    if flag(args, "--arima") {
+    if let Some(max_servers) = flags.parsed("--max-servers")? {
+        spec.max_servers = max_servers;
+    }
+    if flags.switch("--arima") {
         spec.predictor = PredictorSpec::Arima;
     }
-    if flag(args, "--fail-fast") {
+    if flags.switch("--fail-fast") {
         spec.failure_policy = FailurePolicy::FailFast;
     }
-    if flag(args, "--emit-spec") {
+    if flags.switch("--emit-spec") {
         print!("{}", spec_json::to_json(&spec));
         return Ok(());
     }
 
-    let engine = match args.iter().position(|a| a == "--threads") {
-        Some(_) => Engine::with_threads(opt_usize(args, "--threads", 1)?),
+    let engine = match flags.parsed("--threads")? {
+        Some(threads) => Engine::with_threads(threads),
         None => Engine::new(),
     }
-    .caching(!flag(args, "--no-cache"));
+    .caching(!flags.switch("--no-cache"));
     let sweep = engine.run(&spec).map_err(|e| e.to_string())?;
 
-    if flag(args, "--json") {
+    if flags.switch("--json") {
         print!("{}", export::sweep_json(&sweep, spec.ablation));
         return fail_summary(&sweep);
     }
@@ -250,7 +321,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if flag(args, "--cache-stats") {
+    if flags.switch("--cache-stats") {
         let t = sweep.cache_totals();
         println!(
             "cache: plans {} hit / {} miss, forecasts {} hit / {} miss",
@@ -307,13 +378,15 @@ fn fail_summary(sweep: &SweepResult) -> Result<(), String> {
 
 /// `ntc-dc fig7 [--vms N] [--csv]`
 pub fn fig7(args: &[String]) -> Result<(), String> {
+    const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
+    let flags = Flags::parse("fig7", args, FLAGS)?;
     let fleet = FleetSpec {
-        num_vms: opt_usize(args, "--vms", 120)?,
+        num_vms: flags.parsed("--vms")?.unwrap_or(120),
         seed: 7,
         weeks: 2,
     };
     let pts = experiments::fig7(fleet, 600, &[5.0, 15.0, 25.0, 35.0, 45.0]);
-    if flag(args, "--csv") {
+    if flags.switch("--csv") {
         print!("{}", export::fig7_csv(&pts));
         return Ok(());
     }
@@ -334,7 +407,8 @@ pub fn fig7(args: &[String]) -> Result<(), String> {
 }
 
 /// `ntc-dc validate`
-pub fn validate() -> Result<(), String> {
+pub fn validate(args: &[String]) -> Result<(), String> {
+    Flags::parse("validate", args, &[])?;
     println!("{}", ntc_power::validation::report());
     println!(
         "600-server DC peak at Fmax: {}",
@@ -348,7 +422,10 @@ pub fn validate() -> Result<(), String> {
 
 /// `ntc-dc fleet-stats [--vms N]`
 pub fn fleet_stats(args: &[String]) -> Result<(), String> {
-    let vms = opt_usize(args, "--vms", 600)?;
+    const FLAGS: FlagTable = &[("--vms", Arity::Value)];
+    let vms = Flags::parse("fleet-stats", args, FLAGS)?
+        .parsed("--vms")?
+        .unwrap_or(600);
     let fleet = ClusterTraceGenerator::google_like(vms, 2018).generate();
     let s = FleetStats::compute(&fleet);
     println!("VMs:                     {}", s.num_vms);
@@ -380,37 +457,48 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    const TABLE: FlagTable = &[
+        ("--vms", Arity::Value),
+        ("--seeds", Arity::Value),
+        ("--static-power-scales", Arity::Value),
+        ("--backends", Arity::Value),
+        ("--csv", Arity::Switch),
+    ];
+
+    fn parse(args: &[String]) -> Result<Flags<'_>, String> {
+        Flags::parse("test", args, TABLE)
+    }
+
     #[test]
     fn opt_parsing() {
-        assert_eq!(opt_usize(&s(&["--vms", "42"]), "--vms", 7).unwrap(), 42);
-        assert_eq!(opt_usize(&s(&[]), "--vms", 7).unwrap(), 7);
-        assert!(opt_usize(&s(&["--vms"]), "--vms", 7).is_err());
-        assert!(opt_usize(&s(&["--vms", "x"]), "--vms", 7).is_err());
+        let vms = |args: &[&str]| parse(&s(args))?.parsed::<usize>("--vms");
+        assert_eq!(vms(&["--vms", "42"]).unwrap(), Some(42));
+        assert_eq!(vms(&[]).unwrap(), None);
+        assert!(vms(&["--vms"]).unwrap_err().contains("requires a value"));
+        assert!(vms(&["--vms", "x"]).unwrap_err().starts_with("--vms"));
     }
 
     #[test]
     fn list_parsing() {
+        let seeds = |args: &[&str]| parse(&s(args))?.list::<u64>("--seeds");
+        assert_eq!(seeds(&["--seeds", "1,2, 3"]).unwrap(), Some(vec![1, 2, 3]));
+        let args = s(&["--static-power-scales", "0.5,1.5"]);
         assert_eq!(
-            opt_list::<u64>(&s(&["--seeds", "1,2, 3"]), "--seeds").unwrap(),
-            Some(vec![1, 2, 3])
-        );
-        assert_eq!(
-            opt_list::<f64>(
-                &s(&["--static-power-scales", "0.5,1.5"]),
-                "--static-power-scales"
-            )
-            .unwrap(),
+            parse(&args)
+                .unwrap()
+                .list::<f64>("--static-power-scales")
+                .unwrap(),
             Some(vec![0.5, 1.5])
         );
+        let backends = |args: &[&str]| parse(&s(args))?.list::<BackendSpec>("--backends");
         assert_eq!(
-            opt_list::<BackendSpec>(&s(&["--backends", "analytic, archsim"]), "--backends")
-                .unwrap(),
+            backends(&["--backends", "analytic, archsim"]).unwrap(),
             Some(vec![BackendSpec::Analytic, BackendSpec::Archsim])
         );
-        assert!(opt_list::<BackendSpec>(&s(&["--backends", "gem5"]), "--backends").is_err());
-        assert_eq!(opt_list::<u64>(&s(&[]), "--seeds").unwrap(), None);
-        assert!(opt_list::<u64>(&s(&["--seeds"]), "--seeds").is_err());
-        assert!(opt_list::<u64>(&s(&["--seeds", "1,x"]), "--seeds").is_err());
+        assert!(backends(&["--backends", "gem5"]).is_err());
+        assert_eq!(seeds(&[]).unwrap(), None);
+        assert!(seeds(&["--seeds"]).is_err());
+        assert!(seeds(&["--seeds", "1,x"]).is_err());
     }
 
     #[test]
@@ -418,7 +506,8 @@ mod tests {
         // `1,2,` and `1,,2` used to flow into parse::<u64> and report
         // an opaque "cannot parse integer from empty string".
         for bad in ["1,2,", "1,,2", ",1,2", " , "] {
-            let err = opt_list::<u64>(&s(&["--seeds", bad]), "--seeds").unwrap_err();
+            let args = s(&["--seeds", bad]);
+            let err = parse(&args).unwrap().list::<u64>("--seeds").unwrap_err();
             assert!(
                 err.contains("empty entry") && err.contains("--seeds"),
                 "{bad:?} must report a clear error, got {err:?}"
@@ -428,14 +517,27 @@ mod tests {
 
     #[test]
     fn flags() {
-        assert!(flag(&s(&["--csv"]), "--csv"));
-        assert!(!flag(&s(&["--vms", "3"]), "--csv"));
+        let args = s(&["--csv", "--vms", "3"]);
+        let flags = parse(&args).unwrap();
+        assert!(flags.switch("--csv"));
+        assert_eq!(flags.value("--vms"), Some("3"));
+        let args = s(&["--vms", "3"]);
+        assert!(!parse(&args).unwrap().switch("--csv"));
+        // A misspelt, unknown or positional argument is an error, never
+        // silently ignored; so is a flag given twice.
+        for bad in [&["--vms", "3", "--vm", "4"][..], &["--sed", "5"], &["24"]] {
+            let err = parse(&s(bad)).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{bad:?}: {err}");
+        }
+        let err = parse(&s(&["--csv", "--vms", "3", "--csv"])).unwrap_err();
+        assert_eq!(err, "--csv given more than once");
+        assert!(Flags::parse("table1", &s(&["--csv"]), &[]).is_err());
     }
 
     #[test]
     fn cheap_commands_succeed() {
-        assert!(table1().is_ok());
-        assert!(validate().is_ok());
-        assert!(fig2().is_ok());
+        assert!(table1(&[]).is_ok());
+        assert!(validate(&[]).is_ok());
+        assert!(fig2(&[]).is_ok());
     }
 }

@@ -25,14 +25,14 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result = match cmd.as_str() {
-        "table1" => commands::table1(),
+        "table1" => commands::table1(rest),
         "fig1" => commands::fig1(rest),
-        "fig2" => commands::fig2(),
-        "fig3" => commands::fig3(),
+        "fig2" => commands::fig2(rest),
+        "fig3" => commands::fig3(rest),
         "week" => commands::week(rest),
         "sweep" => commands::sweep(rest),
         "fig7" => commands::fig7(rest),
-        "validate" => commands::validate(),
+        "validate" => commands::validate(rest),
         "fleet-stats" => commands::fleet_stats(rest),
         "--help" | "-h" | "help" => {
             println!("{}", usage());

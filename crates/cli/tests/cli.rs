@@ -182,3 +182,40 @@ fn legacy_single_fleet_spec_file_still_runs() {
     assert!(out.contains("1 cells"), "{out}");
     assert!(out.contains("EPACT/NTC"), "{out}");
 }
+
+#[test]
+fn unknown_flags_fail_instead_of_running_defaults() {
+    // `--backend` (for `--backends`) and `--sed` (for `--seed`) used to
+    // be ignored: the sweep ran the analytic backend on the default
+    // seed and exited 0.
+    let (ok, out, err) = run(&[
+        "sweep",
+        "--vms",
+        "8",
+        "--max-servers",
+        "50",
+        "--backend",
+        "archsim",
+        "--sed",
+        "5",
+    ]);
+    assert!(!ok, "{out}");
+    assert!(out.is_empty(), "nothing may run: {out}");
+    assert!(
+        err.starts_with("error: unknown flag \"--backend\""),
+        "{err}"
+    );
+    assert_eq!(err.lines().count(), 1, "{err}");
+    // Subcommands without flags take none.
+    let (ok, out, err) = run(&["table1", "--csv"]);
+    assert!(!ok, "{out}");
+    assert!(err.starts_with("error: unknown flag \"--csv\""), "{err}");
+}
+
+#[test]
+fn repeated_flags_fail() {
+    let (ok, out, err) = run(&["sweep", "--vms", "8", "--vms", "9", "--emit-spec"]);
+    assert!(!ok, "{out}");
+    assert!(out.is_empty(), "no spec may be emitted: {out}");
+    assert_eq!(err, "error: --vms given more than once\n");
+}

@@ -110,18 +110,20 @@ impl OneDimAllocator {
         );
         let cap = self.cap_cpu();
 
+        let peaks: Vec<f64> = predicted_cpu.iter().map(TimeSeries::peak).collect();
         // First-fit-decreasing pool: indices sorted by descending peak.
         let mut pool: Vec<usize> = (0..predicted_cpu.len()).collect();
         pool.sort_by(|&a, &b| {
-            predicted_cpu[b]
-                .peak()
-                .partial_cmp(&predicted_cpu[a].peak())
+            peaks[b]
+                .partial_cmp(&peaks[a])
                 .expect("finite utilizations")
         });
 
         let mut assignment = vec![usize::MAX; predicted_cpu.len()];
         let mut server = 0usize;
         let mut pattern = TimeSeries::zeros(slot_len);
+        // `pattern.peak()`, kept in step with `pattern`.
+        let mut pattern_peak = 0.0;
         // Pairwise Pearson terms are shared by every candidate scan of
         // the slot; the running accumulator turns each φ query into
         // O(1) instead of an O(len) pass over a materialized
@@ -134,6 +136,7 @@ impl OneDimAllocator {
                 // Line 4-6: first unallocated VM goes in unconditionally.
                 let vm = pool.remove(0);
                 pattern.add_in_place(&predicted_cpu[vm]);
+                pattern_peak = pattern.peak();
                 stats.admit(cache, vm);
                 assignment[vm] = server;
                 server_empty = false;
@@ -143,7 +146,12 @@ impl OneDimAllocator {
             // complementary pattern, subject to the frequency cap.
             let mut best: Option<(usize, f64)> = None;
             for (pos, &vm) in pool.iter().enumerate() {
-                if pattern.peak_of_sum(&predicted_cpu[vm]) > cap + 1e-9 {
+                // `max(Patt + Ũ) > cap`. Rounding is monotone, so peaks
+                // that sum within the cap prove every sample does, and
+                // the per-sample check runs only when they do not.
+                if pattern_peak + peaks[vm] > cap + 1e-9
+                    && pattern.sum_exceeds(&predicted_cpu[vm], cap, 1e-9)
+                {
                     continue;
                 }
                 let phi = stats.complement_correlation(cache, vm);
@@ -155,6 +163,7 @@ impl OneDimAllocator {
                 Some((pos, _)) => {
                     let vm = pool.remove(pos);
                     pattern.add_in_place(&predicted_cpu[vm]);
+                    pattern_peak = pattern.peak();
                     stats.admit(cache, vm);
                     assignment[vm] = server;
                 }
@@ -162,6 +171,7 @@ impl OneDimAllocator {
                     // Line 14: open the next server.
                     server += 1;
                     pattern.reset_zeros(slot_len);
+                    pattern_peak = 0.0;
                     stats.reset();
                     server_empty = true;
                 }
@@ -213,6 +223,17 @@ mod tests {
         assert_eq!(a[0], a[2], "day+night must co-locate: {a:?}");
         assert_eq!(a[1], a[3], "the other pair likewise: {a:?}");
         assert_ne!(a[0], a[1]);
+    }
+
+    #[test]
+    fn cap_is_checked_per_sample_not_per_peak() {
+        // Peaks sum to 100 % but the samples to 55 %, under the 61.29 %
+        // cap: the pair fits, and a third VM does not.
+        let day = TimeSeries::from_values(vec![50.0, 50.0, 5.0, 5.0]);
+        let night = TimeSeries::from_values(vec![5.0, 5.0, 50.0, 50.0]);
+        let a = alloc().allocate(&[day.clone(), night, day]);
+        assert_eq!(a[0], a[1], "day+night fit together: {a:?}");
+        assert_ne!(a[0], a[2], "a second day VM would reach 100 %: {a:?}");
     }
 
     #[test]

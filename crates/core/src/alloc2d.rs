@@ -1,4 +1,4 @@
-use ntc_trace::{CorrelationCache, TimeSeries};
+use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries};
 
 use crate::Error;
 
@@ -235,9 +235,10 @@ impl TwoDimAllocator {
 
         // Memoized Pearson terms shared by every candidate scan of the
         // slot, one accumulator per server and dimension: the φ queries
-        // of Eq. 2 drop from O(len) each to O(1).
-        let mut stats_cpu: Vec<_> = (0..self.num_servers).map(|_| cache_cpu.pattern()).collect();
-        let mut stats_mem: Vec<_> = (0..self.num_servers).map(|_| cache_mem.pattern()).collect();
+        // of Eq. 2 drop from O(len) each to O(|S|) cached terms, summed
+        // only for the servers that pass the cap check.
+        let mut stats_cpu = vec![LazyPatternStats::new(); self.num_servers];
+        let mut stats_mem = vec![LazyPatternStats::new(); self.num_servers];
 
         // Visit VMs in decreasing combined-footprint order so large VMs
         // see the emptiest servers (the 1-D FFD rationale, extended).
@@ -249,7 +250,8 @@ impl TwoDimAllocator {
         });
 
         for vm in order {
-            let mut best: Option<(usize, f64)> = None;
+            // (server, merit, cov(S_cpu, vm), cov(S_mem, vm))
+            let mut best: Option<(usize, f64, f64, f64)> = None;
             for j in 0..srv_cpu.len() {
                 // Line 3: per-sample feasibility on both dimensions,
                 // without materializing the candidate sums.
@@ -260,8 +262,10 @@ impl TwoDimAllocator {
                 }
                 // Eq. 2 from cached terms: φ via the running pattern
                 // accumulators, Dist against the headroom in place.
-                let phi_cpu = stats_cpu[j].complement_correlation(cache_cpu, vm);
-                let phi_mem = stats_mem[j].complement_correlation(cache_mem, vm);
+                let cov_cpu = stats_cpu[j].covariance_with(cache_cpu, vm);
+                let cov_mem = stats_mem[j].covariance_with(cache_mem, vm);
+                let phi_cpu = stats_cpu[j].complement_correlation(cache_cpu, vm, cov_cpu);
+                let phi_mem = stats_mem[j].complement_correlation(cache_mem, vm, cov_mem);
                 let m = if self.use_distance {
                     let dist_cpu = srv_cpu[j].headroom_distance(self.cap_cpu, &cpu[vm]) + EPS;
                     let dist_mem = srv_mem[j].headroom_distance(self.cap_mem, &mem[vm]) + EPS;
@@ -269,25 +273,25 @@ impl TwoDimAllocator {
                 } else {
                     self.weight_cpu() * phi_cpu + self.weight_mem() * phi_mem
                 };
-                if best.is_none_or(|(_, bm)| m > bm) {
-                    best = Some((j, m));
+                if best.is_none_or(|(_, bm, _, _)| m > bm) {
+                    best = Some((j, m, cov_cpu, cov_mem));
                 }
             }
-            let j = match best {
-                Some((j, _)) => j,
+            let (j, cov_cpu, cov_mem) = match best {
+                Some((j, _, cov_cpu, cov_mem)) => (j, cov_cpu, cov_mem),
                 None => {
                     // Overflow server (misprediction headroom): open one.
                     srv_cpu.push(TimeSeries::zeros(slot_len));
                     srv_mem.push(TimeSeries::zeros(slot_len));
-                    stats_cpu.push(cache_cpu.pattern());
-                    stats_mem.push(cache_mem.pattern());
-                    srv_cpu.len() - 1
+                    stats_cpu.push(LazyPatternStats::new());
+                    stats_mem.push(LazyPatternStats::new());
+                    (srv_cpu.len() - 1, 0.0, 0.0)
                 }
             };
             srv_cpu[j].add_in_place(&cpu[vm]);
             srv_mem[j].add_in_place(&mem[vm]);
-            stats_cpu[j].admit(cache_cpu, vm);
-            stats_mem[j].admit(cache_mem, vm);
+            stats_cpu[j].admit(cache_cpu, vm, cov_cpu);
+            stats_mem[j].admit(cache_mem, vm, cov_mem);
             assignment[vm] = j;
         }
         assignment

@@ -1,6 +1,6 @@
 use ntc_power::DataCenterPowerModel;
-use ntc_trace::{CorrelationCache, PatternStats, TimeSeries};
-use ntc_units::{Frequency, Percent};
+use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries};
+use ntc_units::Frequency;
 
 use crate::{AllocationPolicy, SlotContext, SlotPlan};
 
@@ -30,12 +30,13 @@ fn consolidate(
 
     let mut srv_cpu: Vec<TimeSeries> = Vec::new();
     let mut srv_mem: Vec<TimeSeries> = Vec::new();
-    let mut stats: Vec<PatternStats> = Vec::new();
+    let mut stats: Vec<LazyPatternStats> = Vec::new();
     let mut assignment = vec![usize::MAX; cpu.len()];
     for vm in order {
         // Among servers that fit, pick the one with the most
-        // complementary (least correlated) load.
-        let mut best: Option<(usize, f64)> = None;
+        // complementary (least correlated) load. Only a server that
+        // fits sums cov(S, vm); the winner's sum feeds its admission.
+        let mut best: Option<(usize, f64, f64)> = None;
         for j in 0..srv_cpu.len() {
             // Short-circuit: a CPU-infeasible server skips the memory scan.
             if srv_cpu[j].sum_exceeds(&cpu[vm], cap_cpu, 1e-9)
@@ -43,23 +44,24 @@ fn consolidate(
             {
                 continue;
             }
-            let phi = stats[j].complement_correlation(&cache, vm);
-            if best.is_none_or(|(_, b)| phi > b) {
-                best = Some((j, phi));
+            let cov = stats[j].covariance_with(&mut cache, vm);
+            let phi = stats[j].complement_correlation(&cache, vm, cov);
+            if best.is_none_or(|(_, b, _)| phi > b) {
+                best = Some((j, phi, cov));
             }
         }
-        let j = match best {
-            Some((j, _)) => j,
+        let (j, cov) = match best {
+            Some((j, _, cov)) => (j, cov),
             None => {
                 srv_cpu.push(TimeSeries::zeros(slot_len));
                 srv_mem.push(TimeSeries::zeros(slot_len));
-                stats.push(cache.pattern());
-                srv_cpu.len() - 1
+                stats.push(LazyPatternStats::new());
+                (srv_cpu.len() - 1, 0.0)
             }
         };
         srv_cpu[j].add_in_place(&cpu[vm]);
         srv_mem[j].add_in_place(&mem[vm]);
-        stats[j].admit(&mut cache, vm);
+        stats[j].admit(&cache, vm, cov);
         assignment[vm] = j;
     }
     assignment
@@ -173,13 +175,6 @@ impl AllocationPolicy for CoatOpt {
             fopt, // no online slack below or above it
         )
     }
-}
-
-/// Worst-case data-center power of running `n` servers flat out at `f` —
-/// a helper the benches use to compare policies' planned operating
-/// points.
-pub fn worst_case_power(ctx: &SlotContext<'_>, n: usize, f: Frequency) -> ntc_units::Power {
-    ctx.server().power(f, Percent::FULL, Percent::ZERO) * n as f64
 }
 
 #[cfg(test)]

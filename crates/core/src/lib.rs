@@ -50,7 +50,7 @@ mod plan;
 
 pub use alloc1d::OneDimAllocator;
 pub use alloc2d::{TwoDimAllocator, TwoDimAllocatorBuilder};
-pub use coat::{worst_case_power, Coat, CoatOpt};
+pub use coat::{Coat, CoatOpt};
 pub use epact::Epact;
 pub use error::{Error, Result};
 pub use governor::{DvfsGovernor, GovernedSample};

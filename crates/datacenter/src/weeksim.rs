@@ -421,18 +421,19 @@ impl<'a> WeekSim<'a> {
             fault::enter(CellStage::Plan);
         }
 
-        // Day-level moment caches: one prefix-sum and block-plane build
-        // per day serves every re-plan of that day with O(1) windowed
-        // covariances. Only a policy that re-plans within the day reads
-        // more than one window of them; a once-a-day consolidator reads
-        // a single window, which the per-slot rebuild serves for less
-        // than the O(V²·blocks) plane fill.
+        // Day-level moment caches: one build per day serves every
+        // re-plan of that day with O(1) windowed covariances, each slot
+        // filling its window's block plane once. Only a policy that
+        // re-plans within the day reads more than one window of them; a
+        // once-a-day consolidator reads a single window, whose lazy
+        // scoring the per-slot rebuild serves for less than a full
+        // O(V²·len) plane.
         if period < slots_per_day {
             let day_start = self.eval_start + day * per_day;
             let forecast = &state.forecast;
             let fleet = self.fleet;
             // Every plan window is aligned to the slot grid, so the
-            // caches keep slot-major block planes of pair products.
+            // caches answer it from a block plane of pair products.
             DayState::refresh(&mut state.moments, &mut state.moments_day, day, || {
                 match (forecast, predictor) {
                     (Some(fc), Some(_)) => (

@@ -15,16 +15,38 @@
 //!   updates in O(1) from terms already on hand.
 //!
 //! [`CorrelationCache`] precomputes the per-series moments once per slot
-//! and memoizes pairwise covariances on first use; [`PatternStats`]
-//! carries the running `cov(S, ·)` vector and `var(S)` for one server
-//! pattern. Together they reduce a candidate scan from O(len) per
-//! candidate to O(1), with each pairwise covariance computed at most
-//! once per slot — the redundancy hoist the `ntc_datacenter::Engine`
-//! sweep relies on.
+//! and memoizes pairwise covariances on first use; [`PatternStats`] and
+//! [`LazyPatternStats`] carry `var(S)` and the `cov(S, ·)` terms for one
+//! server pattern. Together they reduce a candidate scan from O(len)
+//! per candidate to O(1) (O(|S|) for the lazy form), with each pairwise
+//! covariance computed at most once per slot — the redundancy hoist the
+//! `ntc_datacenter::Engine` sweep relies on.
 //!
 //! The numerical contract mirrors [`stats`](crate::stats) exactly:
 //! population moments, a `1e-12` degenerate-σ floor mapping to φ = 0,
 //! and clamping into `[-1, 1]`.
+//!
+//! # Eager rows and lazy member sums
+//!
+//! The allocators scan in two shapes, and each takes the accumulator
+//! that computes the fewest covariances no decision reads:
+//!
+//! * **Algorithm 1** fills one server at a time and scores *every*
+//!   unallocated VM against it. [`PatternStats`] keeps the eager row
+//!   `cov(S, ·)` over all series, updated by one bulk covariance row per
+//!   admission, and `σ(S)`, so each candidate costs one load. Most
+//!   candidates pass the cap check (84 % at paper scale), so most of
+//!   the row is read and laziness would not pay.
+//! * **COAT/COAT-OPT and Algorithm 2** score *one* VM against every open
+//!   server, and only servers that pass the per-sample cap check are
+//!   scored at all. [`LazyPatternStats`] keeps just the members in
+//!   admission order and `var(S)`, and sums `cov(S, v)` over the members
+//!   of a server that fits. An eager row would fold each admitted VM's
+//!   full covariance row into its server's, and a 600-VM COAT day reads
+//!   only 4.4 % of those covariances.
+//!
+//! Both sum the same `cov(u, v)` terms in admission order starting from
+//! `+0.0` and score through one φ formula, so they agree bit for bit.
 //!
 //! # Day-level windows and the prefix-sum algebra
 //!
@@ -77,15 +99,15 @@ use crate::{stats, DayCache, TimeSeries};
 /// are asserted finite, so a genuine covariance can never be NaN.
 const UNSET: f64 = f64::NAN;
 
-/// Per-slot cache of the Pearson terms shared by every candidate scan:
-/// per-series population moments (eager) and pairwise covariances
-/// (memoized on first use).
-///
-/// Create one per allocation call and thread it through
-/// [`PatternStats`]; see the [module docs](self) for the algebra.
+/// The eager accumulator for one server pattern `S`: `var(S)`, `σ(S)`
+/// and the running `cov(S, ·)` row over every series, for scans that
+/// score many candidates against one pattern (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PatternStats {
     var: f64,
+    /// `σ(S)`, taken once per admission rather than once per candidate.
+    std: f64,
     cov_with: Vec<f64>,
 }
 
@@ -108,7 +130,13 @@ enum Backing<'d> {
     },
 }
 
-/// See the [module docs](self).
+/// Per-slot cache of the Pearson terms shared by every candidate scan:
+/// per-series population moments (eager) and pairwise covariances
+/// (memoized on first use).
+///
+/// Create one per allocation call and thread it through
+/// [`PatternStats`] or [`LazyPatternStats`]; see the
+/// [module docs](self) for the algebra.
 #[derive(Debug, Clone)]
 pub struct CorrelationCache<'d> {
     num_series: usize,
@@ -287,15 +315,30 @@ impl<'d> CorrelationCache<'d> {
     pub fn pattern(&self) -> PatternStats {
         PatternStats {
             var: 0.0,
+            std: 0.0,
             cov_with: vec![0.0; self.num_series],
         }
     }
+}
+
+/// φ, the Pearson correlation of a candidate with a pattern's
+/// complementary series `max(S) − S`, from `σ(S)`, `σ(v)` and
+/// `cov(S, v)`: `−cov(S, v) / (σ(S)·σ(v))`, 0 when either σ is below
+/// `1e-12` (as [`stats::pearson_correlation`] on the materialized
+/// complement), clamped into `[-1, 1]`. Every scan scores through here.
+#[inline]
+fn complement_phi(std_s: f64, std_v: f64, cov_sv: f64) -> f64 {
+    if std_s < 1e-12 || std_v < 1e-12 {
+        return 0.0;
+    }
+    (-cov_sv / (std_s * std_v)).clamp(-1.0, 1.0)
 }
 
 impl PatternStats {
     /// Clears the accumulator back to the empty pattern (a new server).
     pub fn reset(&mut self) {
         self.var = 0.0;
+        self.std = 0.0;
         self.cov_with.fill(0.0);
     }
 
@@ -305,6 +348,7 @@ impl PatternStats {
         // Read cov(S, u) *before* the cov_with update below folds
         // cov(u, u) into it.
         self.var += cache.variance(u) + 2.0 * self.cov_with[u];
+        self.std = self.variance().sqrt();
         cache.accumulate_covariance_row(u, &mut self.cov_with);
     }
 
@@ -321,12 +365,63 @@ impl PatternStats {
     /// Degenerate σ (below `1e-12`) on either side yields 0, matching
     /// [`stats::pearson_correlation`] on the materialized complement.
     pub fn complement_correlation(&self, cache: &CorrelationCache<'_>, v: usize) -> f64 {
-        let std_s = self.variance().sqrt();
-        let std_v = cache.std_dev(v);
-        if std_s < 1e-12 || std_v < 1e-12 {
-            return 0.0;
-        }
-        (-self.cov_with[v] / (std_s * std_v)).clamp(-1.0, 1.0)
+        complement_phi(self.std, cache.std_dev(v), self.cov_with[v])
+    }
+}
+
+/// The lazy counterpart of [`PatternStats`] for scans that score one VM
+/// against many servers: it holds the pattern's members in admission
+/// order and `var(S)`, and sums `cov(S, v)` only for a candidate that is
+/// actually scored (see the [module docs](self)).
+#[derive(Debug, Clone, Default)]
+pub struct LazyPatternStats {
+    members: Vec<usize>,
+    var: f64,
+}
+
+impl LazyPatternStats {
+    /// An empty pattern (a new server).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `cov(S, v) = Σ_{u ∈ S} cov(u, v)`, summed from `+0.0` over the
+    /// members in admission order: the very additions the eager
+    /// [`PatternStats`] row makes, so the two agree bit for bit.
+    pub fn covariance_with(&self, cache: &mut CorrelationCache<'_>, v: usize) -> f64 {
+        // Not `Iterator::sum`: its float identity is −0.0, and the
+        // eager row starts from +0.0.
+        self.members
+            .iter()
+            .fold(0.0, |acc, &u| acc + cache.covariance(u, v))
+    }
+
+    /// Pearson correlation of candidate `v` with the pattern's
+    /// complementary series, given `cov_sv` from
+    /// [`covariance_with`](Self::covariance_with); the same formula as
+    /// [`PatternStats::complement_correlation`].
+    pub fn complement_correlation(
+        &self,
+        cache: &CorrelationCache<'_>,
+        v: usize,
+        cov_sv: f64,
+    ) -> f64 {
+        complement_phi(self.variance().sqrt(), cache.std_dev(v), cov_sv)
+    }
+
+    /// Folds series `u` into the pattern sum. `cov_su` is
+    /// [`covariance_with`](Self::covariance_with)`(cache, u)` taken
+    /// before this admission, which the scan that chose this pattern
+    /// already computed.
+    pub fn admit(&mut self, cache: &CorrelationCache<'_>, u: usize, cov_su: f64) {
+        self.var += cache.variance(u) + 2.0 * cov_su;
+        self.members.push(u);
+    }
+
+    /// Population variance of the pattern sum, clamped at zero as in
+    /// [`PatternStats::variance`].
+    pub fn variance(&self) -> f64 {
+        self.var.max(0.0)
     }
 }
 
@@ -546,6 +641,67 @@ mod tests {
         let mut pattern = windowed.pattern();
         pattern.admit(&mut windowed, 0);
         assert_eq!(pattern.complement_correlation(&windowed, 1), 0.0);
+    }
+
+    /// Admits `order` into an eager and a lazy pattern over `cache` and
+    /// checks, before every admission, that the two agree bit for bit
+    /// on `cov(S, v)` and φ for every candidate and on `var(S)` after it.
+    fn assert_lazy_matches_eager(mut cache: CorrelationCache<'_>, order: &[usize]) {
+        let mut eager = cache.pattern();
+        let mut lazy = LazyPatternStats::new();
+        for &u in order {
+            for v in 0..cache.num_series() {
+                let cov = lazy.covariance_with(&mut cache, v);
+                assert_eq!(cov.to_bits(), eager.cov_with[v].to_bits(), "cov(S, {v})");
+                assert_eq!(
+                    lazy.complement_correlation(&cache, v, cov).to_bits(),
+                    eager.complement_correlation(&cache, v).to_bits(),
+                    "φ of {v}"
+                );
+            }
+            let cov_u = lazy.covariance_with(&mut cache, u);
+            eager.admit(&mut cache, u);
+            lazy.admit(&cache, u, cov_u);
+            assert_eq!(lazy.variance().to_bits(), eager.variance().to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random series sets (one series flat, to cross the σ floor)
+        /// and random admission orders, through an owning cache over
+        /// the window copies and through day caches over the same
+        /// window: block-aligned (the block plane) and prefix rows.
+        #[test]
+        fn lazy_pattern_matches_eager_row_bitwise(
+            (n, block, blocks) in (2usize..12, 1usize..7, 2usize..5),
+            values in proptest::collection::vec(0.0f64..100.0, 11 * 6 * 4),
+            keys in proptest::collection::vec(0u64..1 << 32, 11),
+            (flat, first, width) in (0usize..16, 0usize..4, 1usize..5),
+        ) {
+            let len = block * blocks;
+            let series: Vec<TimeSeries> = (0..n)
+                .map(|i| {
+                    let row = &values[i * len..(i + 1) * len];
+                    if i == flat {
+                        TimeSeries::constant(len, row[0])
+                    } else {
+                        TimeSeries::from_values(row.to_vec())
+                    }
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let k0 = first.min(blocks - 1);
+            let window = k0 * block..(k0 + width).min(blocks) * block;
+            let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
+            assert_lazy_matches_eager(CorrelationCache::new(&copies), &order);
+            let aligned = DayCache::with_block_size(&series, block);
+            assert_lazy_matches_eager(CorrelationCache::from_day_window(&aligned, window.clone()), &order);
+            let prefix = DayCache::new(&series);
+            assert_lazy_matches_eager(CorrelationCache::from_day_window(&prefix, window), &order);
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   Algorithms 1 and 2;
 //! * [`stats`] — Pearson correlation (the φ similarity of Eq. 2),
 //!   Euclidean distance (the Dist term of Eq. 2) and supporting moments;
-//! * [`CorrelationCache`] / [`PatternStats`] — memoized pairwise Pearson
-//!   terms and O(1) running-pattern correlations for the allocator
-//!   candidate scans of Algorithms 1 and 2;
+//! * [`CorrelationCache`] / [`PatternStats`] / [`LazyPatternStats`] —
+//!   memoized pairwise Pearson terms and running-pattern correlations
+//!   for the allocator candidate scans of Algorithms 1 and 2 and COAT;
 //! * [`DayCache`] — day-level prefix sums answering windowed
 //!   mean/variance/covariance queries in O(1), so one cache serves all
 //!   hourly re-plans of a day.
@@ -39,7 +39,7 @@ mod series;
 pub mod stats;
 mod windowed;
 
-pub use corr::{CorrelationCache, PatternStats};
+pub use corr::{CorrelationCache, LazyPatternStats, PatternStats};
 pub use grid::SampleGrid;
 pub use series::TimeSeries;
 pub use windowed::{DayCache, Error};

@@ -204,32 +204,10 @@ impl TimeSeries {
         self.values.iter().any(|&v| v > cap + eps)
     }
 
-    /// Peak of the element-wise sum with `other`, without materializing
-    /// the sum — performs the same floating-point operations as
-    /// `self.add(other).peak()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn peak_of_sum(&self, other: &TimeSeries) -> f64 {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "series length mismatch: {} vs {}",
-            self.len(),
-            other.len()
-        );
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| a + b)
-            .fold(0.0, f64::max)
-    }
-
     /// `true` if any sample of the element-wise sum with `other` exceeds
     /// `cap` by more than `eps` — the allocation-free form of
     /// `self.add(other).exceeds(cap, eps)` used by the per-candidate
-    /// feasibility checks of Algorithms 1 and 2.
+    /// feasibility checks of Algorithm 2 and COAT.
     ///
     /// # Panics
     ///
@@ -378,7 +356,6 @@ mod tests {
     fn sum_helpers_match_materialized_sum() {
         let a = ts(&[10.0, 40.0, 25.0, 5.0]);
         let b = ts(&[30.0, 10.0, 25.0, 50.0]);
-        assert_eq!(a.peak_of_sum(&b), a.add(&b).peak());
         for cap in [40.0, 50.0, 55.0, 60.0] {
             assert_eq!(a.sum_exceeds(&b, cap, 1e-9), a.add(&b).exceeds(cap, 1e-9));
         }

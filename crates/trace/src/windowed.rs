@@ -25,17 +25,21 @@
 //! (triangular storage, one row per unordered pair), so a day in which
 //! the allocator never compares VMs `i` and `j` never pays for them.
 //!
-//! # Block planes
+//! # The block plane
 //!
 //! The week simulation only ever asks for windows aligned to slot
 //! boundaries (each window starts and ends on a multiple of the
-//! samples-per-slot grid). [`DayCache::with_block_size`] exploits
-//! that: per-pair product sums are kept as *per-block* partial sums in
-//! slot-major planes — one contiguous `num_pairs`-wide plane per
-//! block — so a slot's admit loop streams through one compact plane
-//! (L1/L2-resident and reused by all re-plans of the day) instead of
-//! hopping across one 8·(len+1)-byte prefix row per pair. Unaligned
-//! windows transparently fall back to the full prefix rows.
+//! samples-per-slot grid), and a per-slot re-planner asks for one such
+//! window per slot, many times over while it packs.
+//! [`DayCache::with_block_size`] exploits that: the first query of an
+//! aligned window computes every pair's product sum over that window
+//! into *one* contiguous `num_pairs`-wide plane, which serves all later
+//! queries of the same window. The admit loop then streams through one
+//! compact plane (1.4 MB at 600 VMs) instead of hopping across one
+//! 8·(len+1)-byte prefix row per pair. A query of another aligned
+//! window recomputes the plane in place, so the cache holds one plane
+//! however many slots the day has. Unaligned windows transparently fall
+//! back to the full prefix rows.
 //!
 //! The uncentered forms trade a little precision for the O(1) window
 //! query: on near-constant windows the subtraction can cancel
@@ -87,7 +91,7 @@ impl std::error::Error for Error {}
 
 /// Lazily-filled prefix sums and pairwise product sums. Everything in
 /// here is built on first use: the simulation hot path only ever
-/// touches the block planes, so it never pays for the per-series
+/// touches the block plane, so it never pays for the per-series
 /// prefixes, and vice versa for the generic windowed-moment API.
 #[derive(Debug)]
 struct PairStore {
@@ -100,16 +104,18 @@ struct PairStore {
     /// `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is empty until first use,
     /// then a `len + 1` prefix row. Serves arbitrary windows.
     rows: Vec<Vec<f64>>,
-    /// Slot-major block-sum planes, `blocks × num_pairs`: entry
-    /// `k·num_pairs + pair` is `Σ x·y` over block `k`. One plane is
-    /// contiguous across pairs, so a block-aligned window's admit loop
-    /// streams rather than gathers. Empty until the first aligned
-    /// query; the fill is wholesale — the week simulation builds a day
-    /// cache only for a per-slot re-planner, whose 24 windows over the
-    /// day compare every pair anyway, and a plane-major batch fill
-    /// writes each plane sequentially instead of scattering one store
-    /// per plane per pair.
-    block_sums: Vec<f64>,
+    /// The aligned window `plane` holds, as the block range
+    /// `(first, end)`; `None` until the first aligned query.
+    plane_blocks: Option<(usize, usize)>,
+    /// `Σ x·y` over `plane_blocks` for every pair, at the same
+    /// triangular index as `rows`: `0.0 + Σ_k block_dot` in block
+    /// order (for one block, exactly that block's `block_dot`). The
+    /// plane is contiguous across pairs, so an aligned window's admit
+    /// loop streams rather than gathers. The whole plane is filled on
+    /// the window's first query: the week simulation builds a day cache
+    /// only for a per-slot re-planner, whose packing of a slot compares
+    /// nearly every pair anyway.
+    plane: Vec<f64>,
 }
 
 /// See the [module docs](self).
@@ -118,7 +124,7 @@ pub struct DayCache {
     num_series: usize,
     len: usize,
     /// Block granularity for slot-aligned product sums; 0 disables the
-    /// block planes and every window uses the prefix rows.
+    /// block plane and every window uses the prefix rows.
     block: usize,
     /// Row-major `num_series × len` raw values.
     values: Vec<f64>,
@@ -135,10 +141,10 @@ impl DayCache {
         Self::try_with_block_size(series, 0)
     }
 
-    /// [`try_new`](Self::try_new) with slot-major block planes of
-    /// granularity `block` (see the [module docs](self)). A `block`
-    /// that is zero or does not divide the day length disables the
-    /// planes; the cache then behaves exactly like [`try_new`].
+    /// [`try_new`](Self::try_new) with a block plane of granularity
+    /// `block` (see the [module docs](self)). A `block` that is zero or
+    /// does not divide the day length disables the plane; the cache
+    /// then behaves exactly like [`try_new`](Self::try_new).
     pub fn try_with_block_size(series: &[TimeSeries], block: usize) -> Result<Self, Error> {
         if series.is_empty() {
             return Err(Error::EmptySeriesSet);
@@ -167,7 +173,8 @@ impl DayCache {
                 prefix: Vec::new(),
                 sq_prefix: Vec::new(),
                 rows: vec![Vec::new(); num_pairs],
-                block_sums: Vec::new(),
+                plane_blocks: None,
+                plane: Vec::new(),
             }),
         })
     }
@@ -337,36 +344,18 @@ impl DayCache {
         let mean_u = means[u];
         let store = &mut *self.pairs.borrow_mut();
         if self.aligned(&window) {
-            if store.block_sums.is_empty() {
-                self.fill_all_blocks(store);
+            let plane = self.plane_for(store, &window);
+            // Split at `u`: the `v ≤ u` half of the triangular row is
+            // contiguous in the plane and vectorizes.
+            let base = u * (u + 1) / 2;
+            for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
+                *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
             }
-            let num_pairs = self.num_series * (self.num_series + 1) / 2;
-            let (k0, k1) = (window.start / self.block, window.end / self.block);
-            if k1 == k0 + 1 {
-                // The hot shape: a one-slot window reads one plane.
-                // Split at `u`: the `v ≤ u` half of the triangular row
-                // is contiguous in the plane and vectorizes.
-                let plane = &store.block_sums[k0 * num_pairs..(k0 + 1) * num_pairs];
-                let base = u * (u + 1) / 2;
-                for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
-                    *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
-                }
-                for (acc_v, (v, &mean_v)) in acc[u + 1..]
-                    .iter_mut()
-                    .zip(means.iter().enumerate().skip(u + 1))
-                {
-                    *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
-                }
-            } else {
-                for (v, (acc_v, &mean_v)) in acc.iter_mut().zip(means).enumerate() {
-                    let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-                    let idx = hi * (hi + 1) / 2 + lo;
-                    let mut products = 0.0;
-                    for k in k0..k1 {
-                        products += store.block_sums[k * num_pairs + idx];
-                    }
-                    *acc_v += products * inv_w - mean_u * mean_v;
-                }
+            for (acc_v, (v, &mean_v)) in acc[u + 1..]
+                .iter_mut()
+                .zip(means.iter().enumerate().skip(u + 1))
+            {
+                *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
             }
             return;
         }
@@ -382,25 +371,17 @@ impl DayCache {
         }
     }
 
-    /// `Σ x_i·x_j` over the window, from the block planes when the
+    /// `Σ x_i·x_j` over the window, from the block plane when the
     /// window is block-aligned and the memoized prefix rows otherwise
     /// (either representation is built on first use). Aligned windows
-    /// always take the block path so the scalar and bulk queries agree
+    /// always read the plane so the scalar and bulk queries agree
     /// bitwise.
     fn window_product_sum(&self, i: usize, j: usize, window: &Range<usize>) -> f64 {
         let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
         let idx = hi * (hi + 1) / 2 + lo;
         let store = &mut *self.pairs.borrow_mut();
         if self.aligned(window) {
-            if store.block_sums.is_empty() {
-                self.fill_all_blocks(store);
-            }
-            let num_pairs = self.num_series * (self.num_series + 1) / 2;
-            let mut products = 0.0;
-            for k in window.start / self.block..window.end / self.block {
-                products += store.block_sums[k * num_pairs + idx];
-            }
-            return products;
+            return self.plane_for(store, window)[idx];
         }
         let row = &mut store.rows[idx];
         if row.is_empty() {
@@ -410,7 +391,7 @@ impl DayCache {
     }
 
     /// Whether `window` starts and ends on block boundaries (and the
-    /// block planes exist at all).
+    /// block plane exists at all).
     #[inline]
     fn aligned(&self, window: &Range<usize>) -> bool {
         self.block != 0
@@ -418,27 +399,36 @@ impl DayCache {
             && window.end.is_multiple_of(self.block)
     }
 
-    /// Computes every pair's per-block product sums, plane-major so
-    /// each plane is written sequentially (a per-pair fill would
-    /// scatter one store per plane per pair). The four-lane dot breaks
-    /// the loop-carried fma chain of the naive running sum; the
-    /// summation order differs from
+    /// The block plane of the aligned `window`, recomputed in place
+    /// unless it already holds that window. Each pair's entry is
+    /// `0.0 + Σ_k block_dot` over the window's blocks in block order,
+    /// so a window's plane has the same bits whenever it is computed.
+    /// The four-lane dot breaks the loop-carried fma chain of the naive
+    /// running sum; the summation order differs from
     /// [`stats::covariance`](crate::stats::covariance) by design (the
     /// windowed covariances are ulp-tolerant, see the module docs).
-    fn fill_all_blocks(&self, store: &mut PairStore) {
+    fn plane_for<'s>(&self, store: &'s mut PairStore, window: &Range<usize>) -> &'s [f64] {
         let g = self.block;
-        let num_pairs = self.num_series * (self.num_series + 1) / 2;
-        store.block_sums.reserve_exact((self.len / g) * num_pairs);
-        for k in 0..self.len / g {
-            let span = k * g..(k + 1) * g;
+        let blocks = (window.start / g, window.end / g);
+        if store.plane_blocks != Some(blocks) {
+            store.plane.clear();
+            store
+                .plane
+                .reserve_exact(self.num_series * (self.num_series + 1) / 2);
             for hi in 0..self.num_series {
-                let xb = &self.series(hi)[span.clone()];
+                let xb = self.series(hi);
                 for lo in 0..=hi {
-                    let xa = &self.series(lo)[span.clone()];
-                    store.block_sums.push(block_dot(xa, xb));
+                    let xa = self.series(lo);
+                    let products = (blocks.0..blocks.1).fold(0.0, |sum, k| {
+                        let span = k * g..(k + 1) * g;
+                        sum + block_dot(&xa[span.clone()], &xb[span])
+                    });
+                    store.plane.push(products);
                 }
             }
+            store.plane_blocks = Some(blocks);
         }
+        &store.plane
     }
 
     fn check_window(&self, window: &Range<usize>) {
@@ -550,6 +540,69 @@ mod tests {
         let ab = day.window_covariance(0, 2, 1..9);
         let ba = day.window_covariance(2, 0, 1..9);
         assert_eq!(ab, ba);
+    }
+
+    /// Aligned windows read the block plane: scalar and bulk
+    /// covariances must equal `0.0 + Σ_k block_dot` over the window's
+    /// blocks bit for bit, for one-block and wider windows alike, in
+    /// whatever order the windows are queried (each query of another
+    /// window recomputes the one plane).
+    #[test]
+    fn aligned_windows_match_block_dot_sums_in_any_order() {
+        let series = fixtures(5, 48);
+        for g in [6, 12] {
+            let day = DayCache::with_block_size(&series, g);
+            let blocks = 48 / g;
+            let windows: Vec<Range<usize>> = (0..blocks)
+                .flat_map(|k0| (k0 + 1..=blocks).map(move |k1| k0 * g..k1 * g))
+                .collect();
+            let reference = |i: usize, j: usize, window: &Range<usize>| {
+                let (a, b) = (series[i].values(), series[j].values());
+                let products = (window.start / g..window.end / g).fold(0.0, |sum, k| {
+                    sum + block_dot(&a[k * g..(k + 1) * g], &b[k * g..(k + 1) * g])
+                });
+                let mean = |x: &[f64]| stats::mean(&x[window.clone()]);
+                products * (1.0 / window.len() as f64) - mean(a) * mean(b)
+            };
+            let n = windows.len();
+            let orders: [Vec<usize>; 3] = [
+                (0..n).collect(),
+                (0..n).rev().collect(),
+                (0..n).map(|q| (q * 7) % n).collect(),
+            ];
+            for order in orders {
+                for &q in &order {
+                    let window = &windows[q];
+                    let means: Vec<f64> = (0..5)
+                        .map(|i| stats::mean(&series[i].values()[window.clone()]))
+                        .collect();
+                    for u in 0..5 {
+                        let mut acc = vec![0.0; 5];
+                        day.accumulate_window_covariances(u, window.clone(), &means, &mut acc);
+                        for v in 0..5 {
+                            let expected = reference(u, v, window);
+                            let scalar = day.window_covariance_with_means(
+                                u,
+                                v,
+                                window.clone(),
+                                means[u],
+                                means[v],
+                            );
+                            assert_eq!(
+                                scalar.to_bits(),
+                                expected.to_bits(),
+                                "({u}, {v}) {window:?}"
+                            );
+                            assert_eq!(
+                                acc[v].to_bits(),
+                                (0.0 + expected).to_bits(),
+                                "bulk ({u}, {v}) {window:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

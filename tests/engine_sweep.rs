@@ -140,6 +140,44 @@ fn analytic_backend_is_bit_identical_to_pre_pipeline_weeksim() {
 }
 
 #[test]
+fn multi_server_packing_is_bit_identical_to_golden() {
+    // Golden fingerprints of a fleet large enough that every policy
+    // packs onto several servers (COAT 4, COAT-OPT ~7, EPACT 3.5-5), so
+    // the correlation scores decide real placements: one 96-VM oracle
+    // fleet x {EPACT, COAT, COAT-OPT} x {NTC, conv}. Captured before
+    // the packers' covariance terms went lazy; any drift in a packer's
+    // arithmetic moves a placement and with it these bits.
+    const GOLDEN: [(u64, usize, usize, u64); 6] = [
+        (0x41a5f784c7198261, 0, 11075, 0x401430c30c30c30c), // EPACT/NTC
+        (0x41afedf9ade24f18, 0, 137, 0x4010000000000000),   // COAT/NTC
+        (0x41aaa74fdbb4ab74, 0, 203, 0x401b6db6db6db6db),   // COAT-OPT/NTC
+        (0x41ade0382ed82e8d, 0, 9953, 0x400c3cf3cf3cf3cf),  // EPACT/conv
+        (0x41b14fba1c6dd3c2, 0, 137, 0x4010000000000000),   // COAT/conv
+        (0x41b14fba1c6dd3c2, 0, 137, 0x4010000000000000),   // COAT-OPT/conv
+    ];
+    let mut spec = ExperimentSpec::default_sweep().with_seeds(&[11]);
+    spec.fleets[0].num_vms = 96;
+    spec.max_servers = 600;
+    let sweep = Engine::with_threads(1).run(&spec).expect("golden sweep");
+    assert_eq!(sweep.cells.len(), GOLDEN.len());
+    for (cell, &(energy, violations, migrations, servers)) in sweep.cells.iter().zip(&GOLDEN) {
+        let label = cell.cell.label(spec.ablation);
+        assert_eq!(
+            cell.outcome.total_energy().as_joules().to_bits(),
+            energy,
+            "energy drifted in {label}"
+        );
+        assert_eq!(cell.outcome.total_violations(), violations, "{label}");
+        assert_eq!(cell.outcome.total_migrations(), migrations, "{label}");
+        assert_eq!(
+            cell.outcome.mean_active_servers().to_bits(),
+            servers,
+            "mean servers drifted in {label}"
+        );
+    }
+}
+
+#[test]
 fn cross_backend_sweep_shares_plans_and_groups_per_backend() {
     // The acceptance shape: `--backends analytic,archsim --seeds 1,2`
     // through one engine. Both backends share every upstream stage, so
