@@ -56,11 +56,6 @@ impl CacheConfig {
         }
     }
 
-    /// The NTC server's 64 KB L1 instruction cache.
-    pub fn ntc_l1i() -> Self {
-        Self::new(MemBytes::from_kib(64), 4, 64)
-    }
-
     /// The NTC server's 32 KB L1 data cache.
     pub fn ntc_l1d() -> Self {
         Self::new(MemBytes::from_kib(32), 4, 64)
@@ -69,12 +64,6 @@ impl CacheConfig {
     /// A 512 KB unified L2.
     pub fn ntc_l2() -> Self {
         Self::new(MemBytes::from_kib(512), 8, 64)
-    }
-
-    /// The 16 MB shared LLC (as one core's 1 MB slice use
-    /// [`CacheConfig::new`] directly).
-    pub fn ntc_llc() -> Self {
-        Self::new(MemBytes::from_mib(16), 16, 64)
     }
 
     /// Total capacity.

@@ -31,11 +31,6 @@ pub struct SimOutcome {
 }
 
 impl SimOutcome {
-    /// Total DRAM traffic (read + write) in bytes per second.
-    pub fn dram_bytes_per_sec(&self) -> f64 {
-        self.dram_read_bytes_per_sec + self.dram_write_bytes_per_sec
-    }
-
     /// UIPS in billions — the numerator of the paper's Fig. 3 efficiency
     /// metric (BUIPS/Watt).
     pub fn buips(&self) -> f64 {

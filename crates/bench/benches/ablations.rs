@@ -126,9 +126,8 @@ fn print_merit_ablation() {
         .collect();
     let servers_used = |a: &[usize]| a.iter().copied().max().unwrap() + 1;
     let full = TwoDimAllocator::new(61.3, 100.0, 8).allocate(&cpu, &mem);
-    let corr_only = TwoDimAllocator::builder(61.3, 100.0, 8)
+    let corr_only = TwoDimAllocator::new(61.3, 100.0, 8)
         .correlation_only()
-        .build_or_panic()
         .allocate(&cpu, &mem);
     println!("\n=== Ablation: Eq. 2 distance term (memory-dominated slot) ===");
     println!(

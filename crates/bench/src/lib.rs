@@ -10,7 +10,7 @@
 
 use ntc_datacenter::{FleetSpec, WeekOutcome};
 use ntc_units::Frequency;
-use ntc_workload::{ClusterTraceGenerator, Fleet};
+use ntc_workload::Fleet;
 
 /// The fleet used by the data-center benches. Smaller than the paper's
 /// 600 VMs so a bench iteration stays in seconds; the examples run the
@@ -27,11 +27,6 @@ pub fn bench_fleet_spec() -> FleetSpec {
         seed: 2018,
         weeks: 2,
     }
-}
-
-/// The full-size fleet of the paper (600 VMs).
-pub fn paper_fleet() -> Fleet {
-    ClusterTraceGenerator::google_like(600, 2018).generate()
 }
 
 /// Formats a frequency column header.

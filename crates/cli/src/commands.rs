@@ -76,6 +76,14 @@ impl<'a> Flags<'a> {
             .transpose()
     }
 
+    /// The value of `name` as a positive count, `default` when absent.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.parsed(name)? {
+            Some(0) => Err(format!("{name} must be at least 1")),
+            n => Ok(n.unwrap_or(default)),
+        }
+    }
+
     /// The value of `name` as a comma-separated list, `None` when absent.
     fn list<T: std::str::FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String>
     where
@@ -120,7 +128,7 @@ pub fn table1(args: &[String]) -> Result<(), String> {
 pub fn fig1(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--servers", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig1", args, FLAGS)?;
-    let servers = flags.parsed("--servers")?.unwrap_or(80);
+    let servers = flags.count("--servers", 80)?;
     for (label, model) in [
         ("(a) NTC", ServerPowerModel::ntc()),
         ("(b) E5-2620", ServerPowerModel::conventional_e5_2620()),
@@ -164,7 +172,7 @@ pub fn fig3(args: &[String]) -> Result<(), String> {
 pub fn week(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("week", args, FLAGS)?;
-    let vms = flags.parsed("--vms")?.unwrap_or(120);
+    let vms = flags.count("--vms", 120)?;
     let fleet = ClusterTraceGenerator::google_like(vms, 2018).generate();
     let outcomes = experiments::fig4_5_6(&fleet, 600);
     if flags.switch("--csv") {
@@ -230,6 +238,9 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         None => ExperimentSpec::default_sweep(),
     };
     if let Some(seeds) = flags.list::<u64>("--seeds")? {
+        if spec.fleets.is_empty() {
+            return Err("--seeds: the spec has no fleet to copy for each seed".to_string());
+        }
         spec = spec.with_seeds(&seeds);
     }
     if let Some(scales) = flags.list::<f64>("--static-power-scales")? {
@@ -381,7 +392,7 @@ pub fn fig7(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig7", args, FLAGS)?;
     let fleet = FleetSpec {
-        num_vms: flags.parsed("--vms")?.unwrap_or(120),
+        num_vms: flags.count("--vms", 120)?,
         seed: 7,
         weeks: 2,
     };
@@ -423,9 +434,7 @@ pub fn validate(args: &[String]) -> Result<(), String> {
 /// `ntc-dc fleet-stats [--vms N]`
 pub fn fleet_stats(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--vms", Arity::Value)];
-    let vms = Flags::parse("fleet-stats", args, FLAGS)?
-        .parsed("--vms")?
-        .unwrap_or(600);
+    let vms = Flags::parse("fleet-stats", args, FLAGS)?.count("--vms", 600)?;
     let fleet = ClusterTraceGenerator::google_like(vms, 2018).generate();
     let s = FleetStats::compute(&fleet);
     println!("VMs:                     {}", s.num_vms);
@@ -476,6 +485,10 @@ mod tests {
         assert_eq!(vms(&[]).unwrap(), None);
         assert!(vms(&["--vms"]).unwrap_err().contains("requires a value"));
         assert!(vms(&["--vms", "x"]).unwrap_err().starts_with("--vms"));
+        let count = |args: &[&str]| parse(&s(args))?.count("--vms", 7);
+        assert_eq!(count(&["--vms", "42"]).unwrap(), 42);
+        assert_eq!(count(&[]).unwrap(), 7);
+        assert!(count(&["--vms", "0"]).unwrap_err().starts_with("--vms"));
     }
 
     #[test]

@@ -219,3 +219,40 @@ fn repeated_flags_fail() {
     assert!(out.is_empty(), "no spec may be emitted: {out}");
     assert_eq!(err, "error: --vms given more than once\n");
 }
+
+#[test]
+fn zero_counts_and_fleetless_seed_lists_exit_1() {
+    // Each of these used to panic (exit 101 with a backtrace).
+    let path = std::env::temp_dir().join("ntcdc_fleetless_spec.json");
+    std::fs::write(
+        &path,
+        r#"{
+  "name": "fleetless",
+  "fleets": [],
+  "policies": ["epact"],
+  "servers": ["ntc"],
+  "max_servers": 100
+}"#,
+    )
+    .unwrap();
+    let spec = path.to_str().unwrap();
+    let cases: [&[&str]; 5] = [
+        &["sweep", "--spec", spec, "--seeds", "1,2"],
+        &["fig1", "--servers", "0"],
+        &["week", "--vms", "0"],
+        &["fig7", "--vms", "0"],
+        &["fleet-stats", "--vms", "0"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -1,8 +1,6 @@
 use ntc_trace::{CorrelationCache, TimeSeries};
 use ntc_units::Frequency;
 
-use crate::Error;
-
 /// Algorithm 1 of the paper: the 1-D (CPU-only) correlation-aware
 /// first-fit-decreasing allocator used when CPU dominates.
 ///
@@ -38,29 +36,20 @@ impl OneDimAllocator {
     /// Creates the allocator for a slot whose target frequency is
     /// `fopt` on servers with maximum frequency `fmax`.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if `fopt` is zero or exceeds `fmax`.
-    pub fn try_new(fopt: Frequency, fmax: Frequency) -> Result<Self, Error> {
-        if fopt <= Frequency::ZERO || fopt > fmax {
-            return Err(Error::InvalidFrequencyTarget { fopt, fmax });
-        }
-        Ok(Self { fopt, fmax })
-    }
-
-    /// Creates the allocator, panicking on an invalid frequency pair.
-    ///
-    /// Thin wrapper over [`OneDimAllocator::try_new`].
-    ///
     /// # Panics
     ///
     /// Panics if `fopt` is zero or exceeds `fmax`.
     #[track_caller]
     pub fn new(fopt: Frequency, fmax: Frequency) -> Self {
-        match Self::try_new(fopt, fmax) {
-            Ok(alloc) => alloc,
-            Err(e) => panic!("{e}"),
+        if fopt <= Frequency::ZERO || fopt > fmax {
+            panic!(
+                "Fopt must be positive and cannot exceed Fmax \
+                 (got {} with Fmax {} MHz)",
+                fopt.as_mhz(),
+                fmax.as_mhz()
+            );
         }
+        Self { fopt, fmax }
     }
 
     /// The CPU cap implied by the frequency pair, percent of capacity at

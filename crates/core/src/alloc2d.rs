@@ -1,7 +1,5 @@
 use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries};
 
-use crate::Error;
-
 /// Guard against zero distance (a perfect fill) with a small epsilon;
 /// the merit then becomes very large, which is exactly the intended
 /// preference.
@@ -45,86 +43,20 @@ pub struct TwoDimAllocator {
     use_distance: bool,
 }
 
-/// Builder for [`TwoDimAllocator`], collecting the optional knobs
-/// (currently the Eq. 2 distance-term ablation) before validation.
-///
-/// Obtained from [`TwoDimAllocator::builder`]; finish with
-/// [`build`](TwoDimAllocatorBuilder::build) (fallible) or
-/// [`build_or_panic`](TwoDimAllocatorBuilder::build_or_panic).
-#[derive(Debug, Clone, Copy)]
-pub struct TwoDimAllocatorBuilder {
-    cap_cpu: f64,
-    cap_mem: f64,
-    num_servers: usize,
-    use_distance: bool,
-}
-
-impl TwoDimAllocatorBuilder {
-    /// Disables the Euclidean-distance term of Eq. 2, scoring servers
-    /// by correlation alone — the ablation the paper's Eq. 2 discussion
-    /// motivates ("the Pearson Correlation cannot reflect the closeness
-    /// … to the server cap").
-    pub fn correlation_only(mut self) -> Self {
-        self.use_distance = false;
-        self
-    }
-
-    /// Validates the configuration and builds the allocator.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either cap is non-positive or
-    /// `num_servers == 0`.
-    pub fn build(self) -> Result<TwoDimAllocator, Error> {
-        if self.cap_cpu <= 0.0 || self.cap_mem <= 0.0 {
-            return Err(Error::NonPositiveCaps {
-                cap_cpu: self.cap_cpu,
-                cap_mem: self.cap_mem,
-            });
-        }
-        if self.num_servers == 0 {
-            return Err(Error::NoServers);
-        }
-        Ok(TwoDimAllocator {
-            cap_cpu: self.cap_cpu,
-            cap_mem: self.cap_mem,
-            num_servers: self.num_servers,
-            use_distance: self.use_distance,
-        })
-    }
-
-    /// Builds the allocator, panicking on invalid configuration.
+impl TwoDimAllocator {
+    /// Creates the allocator with the slot's caps (percent) and the
+    /// number of servers chosen by Eq. 1.
     ///
     /// # Panics
     ///
     /// Panics if either cap is non-positive or `num_servers == 0`.
     #[track_caller]
-    pub fn build_or_panic(self) -> TwoDimAllocator {
-        match self.build() {
-            Ok(alloc) => alloc,
-            Err(e) => panic!("{e}"),
+    pub fn new(cap_cpu: f64, cap_mem: f64, num_servers: usize) -> Self {
+        if cap_cpu <= 0.0 || cap_mem <= 0.0 {
+            panic!("caps must be positive (got CPU {cap_cpu}, memory {cap_mem})");
         }
-    }
-}
-
-impl TwoDimAllocator {
-    /// Starts a builder with the slot's caps (percent) and the number of
-    /// servers chosen by Eq. 1; chain the optional knobs and finish with
-    /// [`TwoDimAllocatorBuilder::build`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ntc_core::TwoDimAllocator;
-    ///
-    /// let ablated = TwoDimAllocator::builder(61.3, 100.0, 4)
-    ///     .correlation_only()
-    ///     .build()
-    ///     .unwrap();
-    /// assert!((ablated.weight_cpu() + ablated.weight_mem() - 1.0).abs() < 1e-12);
-    /// ```
-    pub fn builder(cap_cpu: f64, cap_mem: f64, num_servers: usize) -> TwoDimAllocatorBuilder {
-        TwoDimAllocatorBuilder {
+        assert!(num_servers > 0, "data center needs at least one server");
+        Self {
             cap_cpu,
             cap_mem,
             num_servers,
@@ -132,28 +64,23 @@ impl TwoDimAllocator {
         }
     }
 
-    /// Creates the allocator with the slot's caps (percent) and the
-    /// number of servers chosen by Eq. 1.
+    /// Disables the Euclidean-distance term of Eq. 2, scoring servers
+    /// by correlation alone — the ablation the paper's Eq. 2 discussion
+    /// motivates ("the Pearson Correlation cannot reflect the closeness
+    /// … to the server cap").
     ///
-    /// # Errors
+    /// # Examples
     ///
-    /// Returns an error if either cap is non-positive or
-    /// `num_servers == 0`.
-    pub fn try_new(cap_cpu: f64, cap_mem: f64, num_servers: usize) -> Result<Self, Error> {
-        Self::builder(cap_cpu, cap_mem, num_servers).build()
-    }
-
-    /// Creates the allocator, panicking on invalid configuration.
+    /// ```
+    /// use ntc_core::TwoDimAllocator;
     ///
-    /// Thin wrapper over [`TwoDimAllocator::try_new`]; use
-    /// [`TwoDimAllocator::builder`] to reach the optional knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either cap is non-positive or `num_servers == 0`.
-    #[track_caller]
-    pub fn new(cap_cpu: f64, cap_mem: f64, num_servers: usize) -> Self {
-        Self::builder(cap_cpu, cap_mem, num_servers).build_or_panic()
+    /// let ablated = TwoDimAllocator::new(61.3, 100.0, 4).correlation_only();
+    /// assert!((ablated.weight_cpu() + ablated.weight_mem() - 1.0).abs() < 1e-12);
+    /// ```
+    #[must_use]
+    pub fn correlation_only(mut self) -> Self {
+        self.use_distance = false;
+        self
     }
 
     /// The CPU weight ωcpu of Eq. 2.
@@ -366,9 +293,7 @@ mod tests {
             "the tight fit must score higher: {m_full:.4} vs {m_empty:.4}"
         );
         // while the correlation-only ablation cannot tell them apart
-        let co = TwoDimAllocator::builder(61.3, 100.0, 2)
-            .correlation_only()
-            .build_or_panic();
+        let co = TwoDimAllocator::new(61.3, 100.0, 2).correlation_only();
         let c_full = co.merit(&vm, &flat_mem, &nearly_full, &flat_mem);
         let c_empty = co.merit(&vm, &flat_mem, &nearly_empty, &flat_mem);
         assert!((c_full - c_empty).abs() < 1e-9);

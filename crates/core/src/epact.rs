@@ -50,7 +50,7 @@ impl Epact {
     /// Creates the ablated policy whose memory-dominated Algorithm 2
     /// path scores servers by correlation alone, dropping the Eq. 2
     /// distance term (see
-    /// [`TwoDimAllocatorBuilder::correlation_only`](crate::TwoDimAllocatorBuilder::correlation_only)).
+    /// [`TwoDimAllocator::correlation_only`](crate::TwoDimAllocator::correlation_only)).
     pub fn correlation_only() -> Self {
         Self {
             correlation_only: true,
@@ -86,11 +86,10 @@ impl AllocationPolicy for Epact {
             let n = a.iter().max().map_or(1, |&m| m + 1);
             (a, n)
         } else {
-            let mut builder = TwoDimAllocator::builder(cap_cpu, 100.0, decision.num_servers);
+            let mut alloc = TwoDimAllocator::new(cap_cpu, 100.0, decision.num_servers);
             if self.correlation_only {
-                builder = builder.correlation_only();
+                alloc = alloc.correlation_only();
             }
-            let alloc = builder.build_or_panic();
             let mut cache_cpu = ctx.corr_cpu();
             let mut cache_mem = ctx.corr_mem();
             let a = alloc.allocate_with_caches(

@@ -1,71 +1,19 @@
-use ntc_units::Frequency;
-
-/// Errors shared by the fallible constructors across the policy and
-/// simulation layers (`SlotContext::try_new`, `SlotPlan::try_new`, the
-/// allocator builders, `ntc_datacenter::WeekSim::try_new`, and the
-/// experiment engine).
+/// Errors of the calls whose callers handle them: the experiment
+/// engine's spec validation and per-cell setup
+/// (`ntc_datacenter::WeekSimBuilder::build`,
+/// `ntc_datacenter::BackendSpec::try_build`).
 ///
-/// The `Display` text of each variant contains the exact wording the old
-/// panicking constructors used, so callers that matched on panic messages
-/// (and `#[should_panic(expected = ...)]` tests) keep working through the
-/// thin `new` wrappers.
+/// Every other constructor of the policy layer (`SlotContext::new`,
+/// `SlotPlan::new`, the allocators) treats bad input as a bug and
+/// asserts; where a check exists in both forms (no VMs, no servers) the
+/// panic message is this `Display` text.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// The CPU and memory prediction lists differ in length.
-    PredictionCountMismatch {
-        /// Number of CPU prediction series.
-        cpu: usize,
-        /// Number of memory prediction series.
-        mem: usize,
-    },
     /// A context or allocation request carries no VMs.
     NoVms,
     /// The data center was configured with zero servers.
     NoServers,
-    /// Prediction series of unequal length were passed for one slot.
-    RaggedSeries,
-    /// A plan was built over zero servers.
-    EmptyPlan,
-    /// An assignment refers to a server index outside the plan.
-    AssignmentOutOfRange {
-        /// The VM with the offending assignment.
-        vm: usize,
-        /// The server index it was assigned to.
-        server: usize,
-        /// The number of servers the plan declared.
-        num_servers: usize,
-    },
-    /// A packing cap (CPU or memory) was zero or negative.
-    NonPositiveCaps {
-        /// The CPU cap, percent of capacity at Fmax.
-        cap_cpu: f64,
-        /// The memory cap, percent of server memory.
-        cap_mem: f64,
-    },
-    /// The DVFS floor lies above the ceiling.
-    InvertedDvfsRange {
-        /// The requested floor.
-        floor: Frequency,
-        /// The requested ceiling.
-        ceiling: Frequency,
-    },
-    /// The planned frequency lies outside `[floor, ceiling]`.
-    FrequencyOutsideRange {
-        /// The planned frequency.
-        planned: Frequency,
-        /// The online floor.
-        floor: Frequency,
-        /// The online ceiling.
-        ceiling: Frequency,
-    },
-    /// An allocator frequency target is zero or above Fmax.
-    InvalidFrequencyTarget {
-        /// The requested target frequency.
-        fopt: Frequency,
-        /// The server's maximum frequency.
-        fmax: Frequency,
-    },
     /// A fleet's horizon is too short for training plus evaluation.
     HorizonTooShort {
         /// Samples the fleet carries.
@@ -101,55 +49,8 @@ pub enum Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::PredictionCountMismatch { cpu, mem } => write!(
-                f,
-                "need one CPU and one memory prediction per VM \
-                 (got {cpu} CPU vs {mem} memory series)"
-            ),
             Self::NoVms => write!(f, "context needs at least one VM"),
             Self::NoServers => write!(f, "data center needs at least one server"),
-            Self::RaggedSeries => {
-                write!(f, "all prediction series must cover the same slot")
-            }
-            Self::EmptyPlan => write!(f, "plan must use at least one server"),
-            Self::AssignmentOutOfRange {
-                vm,
-                server,
-                num_servers,
-            } => write!(
-                f,
-                "assignment to a server beyond num_servers \
-                 (VM {vm} on server {server} of {num_servers})"
-            ),
-            Self::NonPositiveCaps { cap_cpu, cap_mem } => write!(
-                f,
-                "caps must be positive (got CPU {cap_cpu}, memory {cap_mem})"
-            ),
-            Self::InvertedDvfsRange { floor, ceiling } => write!(
-                f,
-                "DVFS floor above the ceiling ({} > {})",
-                floor.as_mhz(),
-                ceiling.as_mhz()
-            ),
-            Self::FrequencyOutsideRange {
-                planned,
-                floor,
-                ceiling,
-            } => write!(
-                f,
-                "planned frequency outside the online range \
-                 ({} not in [{}, {}] MHz)",
-                planned.as_mhz(),
-                floor.as_mhz(),
-                ceiling.as_mhz()
-            ),
-            Self::InvalidFrequencyTarget { fopt, fmax } => write!(
-                f,
-                "Fopt must be positive and cannot exceed Fmax \
-                 (got {} with Fmax {} MHz)",
-                fopt.as_mhz(),
-                fmax.as_mhz()
-            ),
             Self::HorizonTooShort { have, need } => write!(
                 f,
                 "fleet must carry a training week plus the evaluation week \
@@ -172,73 +73,18 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Failures of the trace-level cache constructors
-/// (`ntc_trace::CorrelationCache::try_new`, `ntc_trace::DayCache::try_new`)
-/// map onto the shared policy-layer error so `?` composes across the
-/// crates.
-impl From<ntc_trace::Error> for Error {
-    fn from(e: ntc_trace::Error) -> Self {
-        match e {
-            ntc_trace::Error::EmptySeriesSet => Error::NoVms,
-            ntc_trace::Error::RaggedSeries => Error::RaggedSeries,
-        }
-    }
-}
-
-/// Convenience alias for results carrying [`Error`].
-pub type Result<T> = std::result::Result<T, Error>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The wrappers' panic messages are these Display strings; the
-    // substrings asserted here are the ones historical
+    // `WeekSimBuilder::build_or_panic` panics with these Display
+    // strings; the substrings asserted here are the ones
     // `#[should_panic(expected = ...)]` tests match on.
     #[test]
     fn display_preserves_legacy_panic_wording() {
         let cases: Vec<(Error, &str)> = vec![
-            (
-                Error::PredictionCountMismatch { cpu: 3, mem: 2 },
-                "need one CPU and one memory prediction per VM",
-            ),
             (Error::NoVms, "context needs at least one VM"),
             (Error::NoServers, "data center needs at least one server"),
-            (
-                Error::RaggedSeries,
-                "all prediction series must cover the same slot",
-            ),
-            (Error::EmptyPlan, "plan must use at least one server"),
-            (
-                Error::AssignmentOutOfRange {
-                    vm: 0,
-                    server: 5,
-                    num_servers: 4,
-                },
-                "beyond num_servers",
-            ),
-            (
-                Error::NonPositiveCaps {
-                    cap_cpu: 0.0,
-                    cap_mem: 1.0,
-                },
-                "caps must be positive",
-            ),
-            (
-                Error::InvertedDvfsRange {
-                    floor: Frequency::from_ghz(2.0),
-                    ceiling: Frequency::from_ghz(1.0),
-                },
-                "DVFS floor above the ceiling",
-            ),
-            (
-                Error::FrequencyOutsideRange {
-                    planned: Frequency::from_ghz(3.0),
-                    floor: Frequency::from_ghz(1.0),
-                    ceiling: Frequency::from_ghz(2.0),
-                },
-                "outside the online range",
-            ),
             (
                 Error::HorizonTooShort {
                     have: 100,
@@ -267,5 +113,83 @@ mod tests {
                 "{err:?} must display {needle:?}, got {text:?}"
             );
         }
+    }
+
+    /// The policy-layer constructors assert their invariants with the
+    /// wording their error variants used to display.
+    #[test]
+    fn constructor_panics_keep_the_legacy_wording() {
+        use crate::{OneDimAllocator, SlotContext, SlotPlan, TwoDimAllocator};
+        use ntc_power::ServerPowerModel;
+        use ntc_trace::TimeSeries;
+        use ntc_units::Frequency;
+
+        macro_rules! rejects {
+            ($construct:expr, $needle:literal) => {{
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = $construct;
+                }))
+                .expect_err($needle);
+                let text = match payload.downcast_ref::<&str>() {
+                    Some(text) => text.to_string(),
+                    None => payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default(),
+                };
+                assert!(text.contains($needle), "{:?} not in {text:?}", $needle);
+            }};
+        }
+
+        let server = ServerPowerModel::ntc();
+        let one = vec![TimeSeries::zeros(4)];
+        let two = vec![TimeSeries::zeros(4); 2];
+        let ragged = vec![TimeSeries::zeros(4), TimeSeries::zeros(5)];
+        let (lo, hi) = (Frequency::from_ghz(1.0), Frequency::from_ghz(2.0));
+        rejects!(
+            SlotContext::new(&two, &one, &server, 1),
+            "need one CPU and one memory prediction per VM"
+        );
+        rejects!(
+            SlotContext::new(&[], &[], &server, 1),
+            "context needs at least one VM"
+        );
+        rejects!(
+            SlotContext::new(&one, &one, &server, 0),
+            "data center needs at least one server"
+        );
+        rejects!(
+            SlotContext::new(&ragged, &two, &server, 1),
+            "all prediction series must cover the same slot"
+        );
+        rejects!(
+            SlotPlan::new(vec![], 0, 50.0, 50.0, hi, lo, hi),
+            "plan must use at least one server"
+        );
+        rejects!(
+            SlotPlan::new(vec![1], 1, 50.0, 50.0, hi, lo, hi),
+            "beyond num_servers"
+        );
+        rejects!(
+            SlotPlan::new(vec![0], 1, 0.0, 50.0, hi, lo, hi),
+            "caps must be positive"
+        );
+        rejects!(
+            SlotPlan::new(vec![0], 1, 50.0, 50.0, hi, hi, lo),
+            "DVFS floor above the ceiling"
+        );
+        rejects!(
+            SlotPlan::new(vec![0], 1, 50.0, 50.0, hi, lo, lo),
+            "outside the online range"
+        );
+        rejects!(
+            OneDimAllocator::new(hi, lo),
+            "Fopt must be positive and cannot exceed Fmax"
+        );
+        rejects!(TwoDimAllocator::new(0.0, 100.0, 1), "caps must be positive");
+        rejects!(
+            TwoDimAllocator::new(50.0, 100.0, 0),
+            "data center needs at least one server"
+        );
     }
 }

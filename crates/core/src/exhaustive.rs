@@ -111,8 +111,11 @@ pub fn optimal_allocation(server: &ServerPowerModel, cpu: &[TimeSeries]) -> Exha
 
 #[cfg(test)]
 mod tests {
+    use std::f64::consts::TAU;
+
     use super::*;
-    use crate::{AllocationPolicy, Epact, SlotContext};
+    use crate::{eq1, AllocationPolicy, Epact, SlotContext};
+    use ntc_power::DataCenterPowerModel;
 
     fn flat(v: f64) -> TimeSeries {
         TimeSeries::constant(4, v)
@@ -171,6 +174,84 @@ mod tests {
             gap,
             epact_power,
             opt.power
+        );
+    }
+
+    /// A 64-bit LCG (Knuth's MMIX constants): a fixed, seeded stream
+    /// of test inputs without a dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// Uniform in `[0, 1)`, from the top 53 bits of the state.
+        fn next_f64(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.next_f64()
+        }
+    }
+
+    /// EPACT's worst-case power against the brute-force optimum over a
+    /// fixed set of 400 random slots: 2–8 VMs, 12 diurnal samples each
+    /// (random base, amplitude and phase) and flat 1 % memory, kept only
+    /// when Eq. 1 calls the slot CPU-dominated, so every plan comes from
+    /// Algorithm 1. The mean and max power ratios and the share of slots
+    /// solved exactly are pinned a little past their values today: a
+    /// change that makes the greedy packing worse on typical slots fails
+    /// here, where a single hand-picked instance would not notice.
+    #[test]
+    fn epact_optimality_gap_stays_pinned() {
+        let server = ServerPowerModel::ntc();
+        let max_servers = 100;
+        let f_ntc_opt =
+            DataCenterPowerModel::new(server.clone(), max_servers).ntc_optimal_frequency();
+        let mut rng = Lcg(2018);
+        let mut ratios = Vec::new();
+        while ratios.len() < 400 {
+            let n = 2 + (rng.next_f64() * 7.0) as usize;
+            let cpu: Vec<TimeSeries> = (0..n)
+                .map(|_| {
+                    let base = rng.range(5.0, 20.0);
+                    let amplitude = rng.range(0.0, base);
+                    let phase = rng.next_f64();
+                    (0..12)
+                        .map(|t| base + amplitude * (TAU * (t as f64 / 12.0 + phase)).sin())
+                        .collect()
+                })
+                .collect();
+            let mem = vec![TimeSeries::constant(12, 1.0); n];
+            let ctx = SlotContext::new(&cpu, &mem, &server, max_servers);
+            if !eq1::decide(&ctx, f_ntc_opt).cpu_dominated {
+                continue;
+            }
+            let plan = Epact::new().allocate(&ctx);
+            let epact = partition_power(&server, &cpu, plan.assignments(), plan.num_servers())
+                .expect("EPACT plans are feasible");
+            let optimum = optimal_allocation(&server, &cpu).power;
+            ratios.push(epact.as_watts() / optimum.as_watts());
+        }
+        // The two sums add the same servers' powers in different orders,
+        // so an exact solution can land an ulp either side of 1.
+        assert!(
+            ratios.iter().all(|&r| r > 1.0 - 1e-12),
+            "nothing beats the optimum"
+        );
+        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        let max = ratios.iter().copied().fold(1.0, f64::max);
+        let exact =
+            ratios.iter().filter(|&&r| r < 1.0 + 1e-12).count() as f64 / ratios.len() as f64;
+        // Today: mean 1.0820, max 1.3979, 163 of 400 slots exact.
+        assert!(mean <= 1.085, "mean EPACT/optimum power ratio {mean:.4}");
+        assert!(max <= 1.42, "worst EPACT/optimum power ratio {max:.4}");
+        assert!(
+            exact >= 0.395,
+            "share of slots EPACT solves exactly {exact:.3}"
         );
     }
 

@@ -49,10 +49,10 @@ mod migration;
 mod plan;
 
 pub use alloc1d::OneDimAllocator;
-pub use alloc2d::{TwoDimAllocator, TwoDimAllocatorBuilder};
+pub use alloc2d::TwoDimAllocator;
 pub use coat::{Coat, CoatOpt};
 pub use epact::Epact;
-pub use error::{Error, Result};
+pub use error::Error;
 pub use governor::{DvfsGovernor, GovernedSample};
 pub use loadbalance::LoadBalance;
 pub use migration::migration_count;

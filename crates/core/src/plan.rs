@@ -2,9 +2,7 @@ use ntc_power::ServerPowerModel;
 use ntc_trace::{CorrelationCache, DayCache, TimeSeries};
 use ntc_units::Frequency;
 
-use crate::Error;
-
-/// Day-level prefix-sum caches backing a slot's correlation queries:
+/// Day-level block-plane caches backing a slot's correlation queries:
 /// the CPU and memory [`DayCache`]s plus the offset of the slot window
 /// within the day. Attached to a [`SlotContext`] via
 /// [`with_day_window`](SlotContext::with_day_window).
@@ -30,52 +28,7 @@ pub struct SlotContext<'a> {
 }
 
 impl<'a> SlotContext<'a> {
-    /// Builds a context, validating the prediction lists.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the CPU and memory prediction lists differ in
-    /// length, are empty, contain series of unequal length, or
-    /// `max_servers` is zero.
-    pub fn try_new(
-        predicted_cpu: &'a [TimeSeries],
-        predicted_mem: &'a [TimeSeries],
-        server: &'a ServerPowerModel,
-        max_servers: usize,
-    ) -> Result<Self, Error> {
-        if predicted_cpu.len() != predicted_mem.len() {
-            return Err(Error::PredictionCountMismatch {
-                cpu: predicted_cpu.len(),
-                mem: predicted_mem.len(),
-            });
-        }
-        if predicted_cpu.is_empty() {
-            return Err(Error::NoVms);
-        }
-        if max_servers == 0 {
-            return Err(Error::NoServers);
-        }
-        let len = predicted_cpu[0].len();
-        if !predicted_cpu
-            .iter()
-            .chain(predicted_mem.iter())
-            .all(|s| s.len() == len)
-        {
-            return Err(Error::RaggedSeries);
-        }
-        Ok(Self {
-            predicted_cpu,
-            predicted_mem,
-            server,
-            max_servers,
-            day: None,
-        })
-    }
-
-    /// Builds a context, panicking on invalid input.
-    ///
-    /// Thin wrapper over [`SlotContext::try_new`] for call sites (tests,
-    /// examples, experiment runners) where invalid input is a bug.
+    /// Builds a context over a slot's predicted per-VM series.
     ///
     /// # Panics
     ///
@@ -89,25 +42,47 @@ impl<'a> SlotContext<'a> {
         server: &'a ServerPowerModel,
         max_servers: usize,
     ) -> Self {
-        match Self::try_new(predicted_cpu, predicted_mem, server, max_servers) {
-            Ok(ctx) => ctx,
-            Err(e) => panic!("{e}"),
+        assert!(
+            predicted_cpu.len() == predicted_mem.len(),
+            "need one CPU and one memory prediction per VM \
+             (got {} CPU vs {} memory series)",
+            predicted_cpu.len(),
+            predicted_mem.len()
+        );
+        assert!(!predicted_cpu.is_empty(), "context needs at least one VM");
+        assert!(max_servers > 0, "data center needs at least one server");
+        let len = predicted_cpu[0].len();
+        assert!(
+            predicted_cpu
+                .iter()
+                .chain(predicted_mem.iter())
+                .all(|s| s.len() == len),
+            "all prediction series must cover the same slot"
+        );
+        Self {
+            predicted_cpu,
+            predicted_mem,
+            server,
+            max_servers,
+            day: None,
         }
     }
 
-    /// Attaches day-level prefix-sum caches whose window at `offset`
+    /// Attaches day-level block-plane caches whose window at `offset`
     /// holds this slot's predicted values, letting
     /// [`corr_cpu`](Self::corr_cpu)/[`corr_mem`](Self::corr_mem) answer
-    /// correlation queries from the day's memoized prefix sums instead
-    /// of rebuilding per-slot state. The caller guarantees the day
-    /// values at `offset..offset + slot_len` are the slot's predicted
-    /// values; moments are bit-identical either way (see
+    /// correlation queries from the day's block plane instead of
+    /// rebuilding per-slot state. The caller guarantees the day values
+    /// at `offset..offset + slot_len` are the slot's predicted values;
+    /// per-series moments are bit-identical either way (see
     /// [`CorrelationCache::from_day_window`]).
     ///
     /// # Panics
     ///
     /// Panics if either cache covers a different number of series than
     /// the context has VMs, or the slot window reaches outside the day.
+    /// A correlation query panics if the window is not aligned to the
+    /// caches' blocks.
     pub fn with_day_window(mut self, cpu: &'a DayCache, mem: &'a DayCache, offset: usize) -> Self {
         assert_eq!(
             cpu.num_series(),
@@ -215,71 +190,11 @@ impl SlotPlan {
     /// the highest frequency (`floor == ceiling == Fmax`), and COAT-OPT
     /// pins servers at its fixed optimal cap.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if any assignment refers to a server
-    /// `>= num_servers`, the caps are non-positive, or the planned
-    /// frequency lies outside `[dvfs_floor, dvfs_ceiling]`.
-    pub fn try_new(
-        assignments: Vec<usize>,
-        num_servers: usize,
-        cap_cpu: f64,
-        cap_mem: f64,
-        planned_freq: Frequency,
-        dvfs_floor: Frequency,
-        dvfs_ceiling: Frequency,
-    ) -> Result<Self, Error> {
-        if num_servers == 0 {
-            return Err(Error::EmptyPlan);
-        }
-        if let Some((vm, &server)) = assignments
-            .iter()
-            .enumerate()
-            .find(|&(_, &s)| s >= num_servers)
-        {
-            return Err(Error::AssignmentOutOfRange {
-                vm,
-                server,
-                num_servers,
-            });
-        }
-        if cap_cpu <= 0.0 || cap_mem <= 0.0 {
-            return Err(Error::NonPositiveCaps { cap_cpu, cap_mem });
-        }
-        if dvfs_floor > dvfs_ceiling {
-            return Err(Error::InvertedDvfsRange {
-                floor: dvfs_floor,
-                ceiling: dvfs_ceiling,
-            });
-        }
-        if planned_freq < dvfs_floor || planned_freq > dvfs_ceiling {
-            return Err(Error::FrequencyOutsideRange {
-                planned: planned_freq,
-                floor: dvfs_floor,
-                ceiling: dvfs_ceiling,
-            });
-        }
-        Ok(Self {
-            assignments,
-            num_servers,
-            cap_cpu,
-            cap_mem,
-            planned_freq,
-            dvfs_floor,
-            dvfs_ceiling,
-        })
-    }
-
-    /// Creates a plan, panicking on invalid input.
-    ///
-    /// Thin wrapper over [`SlotPlan::try_new`] for policies whose own
-    /// invariants already guarantee validity.
-    ///
     /// # Panics
     ///
-    /// Panics if any assignment refers to a server `>= num_servers`, the
-    /// caps are non-positive, or the planned frequency lies outside
-    /// `[dvfs_floor, dvfs_ceiling]`.
+    /// Panics if the plan uses no server, any assignment refers to a
+    /// server `>= num_servers`, the caps are non-positive, or the
+    /// planned frequency lies outside `[dvfs_floor, dvfs_ceiling]`.
     #[track_caller]
     pub fn new(
         assignments: Vec<usize>,
@@ -290,7 +205,37 @@ impl SlotPlan {
         dvfs_floor: Frequency,
         dvfs_ceiling: Frequency,
     ) -> Self {
-        match Self::try_new(
+        assert!(num_servers > 0, "plan must use at least one server");
+        if let Some((vm, &server)) = assignments
+            .iter()
+            .enumerate()
+            .find(|&(_, &s)| s >= num_servers)
+        {
+            panic!(
+                "assignment to a server beyond num_servers \
+                 (VM {vm} on server {server} of {num_servers})"
+            );
+        }
+        if cap_cpu <= 0.0 || cap_mem <= 0.0 {
+            panic!("caps must be positive (got CPU {cap_cpu}, memory {cap_mem})");
+        }
+        if dvfs_floor > dvfs_ceiling {
+            panic!(
+                "DVFS floor above the ceiling ({} > {})",
+                dvfs_floor.as_mhz(),
+                dvfs_ceiling.as_mhz()
+            );
+        }
+        if planned_freq < dvfs_floor || planned_freq > dvfs_ceiling {
+            panic!(
+                "planned frequency outside the online range \
+                 ({} not in [{}, {}] MHz)",
+                planned_freq.as_mhz(),
+                dvfs_floor.as_mhz(),
+                dvfs_ceiling.as_mhz()
+            );
+        }
+        Self {
             assignments,
             num_servers,
             cap_cpu,
@@ -298,9 +243,6 @@ impl SlotPlan {
             planned_freq,
             dvfs_floor,
             dvfs_ceiling,
-        ) {
-            Ok(plan) => plan,
-            Err(e) => panic!("{e}"),
         }
     }
 
@@ -434,7 +376,7 @@ mod tests {
                 TimeSeries::from_values((0..8).map(|t| ((i * 3 + t * 5) % 7) as f64).collect())
             })
             .collect();
-        let day = ntc_trace::DayCache::new(&day_series);
+        let day = ntc_trace::DayCache::with_block_size(&day_series, 4);
         let slot_cpu: Vec<TimeSeries> = day_series.iter().map(|s| s.window(4..8)).collect();
         let slot_mem = slot_cpu.clone();
         let ctx =
@@ -454,7 +396,7 @@ mod tests {
     fn day_window_must_cover_the_slot() {
         let server = ServerPowerModel::ntc();
         let day_series = vec![TimeSeries::zeros(8)];
-        let day = ntc_trace::DayCache::new(&day_series);
+        let day = ntc_trace::DayCache::with_block_size(&day_series, 4);
         let cpu = vec![TimeSeries::zeros(4)];
         let mem = vec![TimeSeries::zeros(4)];
         let _ = SlotContext::new(&cpu, &mem, &server, 100).with_day_window(&day, &day, 6);

@@ -31,14 +31,12 @@
 //! the governor picks. Concretely, `account` must be a pure function of
 //! `(server model, governed slot)` — no feedback into planning state.
 //!
-//! A backend that *does* parameterize planning (say, a future
-//! latency-aware packer) must surface every planning-relevant parameter
-//! through [`BackendSpec::planning_inputs`], which is folded into the
-//! plan key: distinct fingerprints get distinct plan rows, and the
-//! dedup stays sound. Both built-in backends are pure
-//! accounting, so their fingerprints are empty and an
-//! `analytic`+`archsim` sweep plans each (fleet, policy) arm exactly
-//! once.
+//! Both built-in backends are pure accounting, so the engine's plan key
+//! leaves the backend out and an `analytic`+`archsim` sweep plans each
+//! (fleet, policy) arm exactly once. A backend that *did* parameterize
+//! planning (say, a future latency-aware packer) would break that
+//! sharing: it would have to add its planning parameters to the plan
+//! key, so that distinct parameters get distinct plan rows.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -429,14 +427,6 @@ impl BackendSpec {
     pub fn build(&self, server: ServerSpec) -> Box<dyn SlotBackend> {
         self.try_build(server).unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// The backend's planning-relevant parameters as f64 bit patterns,
-    /// folded into the engine's plan key (see the
-    /// [module docs](self)). Both built-ins conserve planning, so both
-    /// return an empty fingerprint and share plans freely.
-    pub fn planning_inputs(&self) -> Vec<u64> {
-        Vec::new()
-    }
 }
 
 impl std::fmt::Display for BackendSpec {
@@ -552,7 +542,6 @@ mod tests {
         }
         assert!("gem5".parse::<BackendSpec>().is_err());
         assert!(BackendSpec::default() == BackendSpec::Analytic);
-        assert!(BackendSpec::Archsim.planning_inputs().is_empty());
     }
 
     #[test]

@@ -152,9 +152,10 @@ pub(crate) fn fetch_or_compute<V>(
 }
 
 /// The identity of a plan row: everything that can change what a
-/// policy plans. Cells differing only in QoS floor — or in a
-/// static-power scale whose derived planning inputs coincide — map to
-/// the same key and share plans.
+/// policy plans. Cells differing only in QoS floor, in backend (every
+/// backend honours the conservation contract of [`crate::backend`]) or
+/// in a static-power scale whose derived planning inputs coincide map
+/// to the same key and share plans.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PlanKey {
     fleet: FleetSpec,
@@ -164,13 +165,6 @@ pub(crate) struct PlanKey {
     /// Bit patterns of the model-derived numbers the policy reads while
     /// planning; see [`planning_inputs`].
     inputs: Vec<u64>,
-    /// The backend's planning-relevant parameters
-    /// ([`BackendSpec::planning_inputs`](crate::BackendSpec::planning_inputs)):
-    /// empty for every backend that honours the conservation contract
-    /// of [`crate::backend`], so cells differing only in backend share
-    /// one plan row. A backend that did parameterize planning would
-    /// fingerprint differently here and split, keeping the dedup sound.
-    backend_inputs: Vec<u64>,
 }
 
 impl PlanKey {
@@ -182,7 +176,6 @@ impl PlanKey {
             correlation_only: spec.ablation.correlation_only,
             max_servers: spec.max_servers,
             inputs: planning_inputs(cell.policy, &cell.server_model(), spec.max_servers),
-            backend_inputs: cell.backend.planning_inputs(),
         }
     }
 }
@@ -280,8 +273,8 @@ mod tests {
 
     #[test]
     fn backend_arms_always_share_plans() {
-        // Both built-in backends conserve planning (empty
-        // planning_inputs): one row per policy across the axis.
+        // Both built-in backends conserve planning, so the backend is
+        // not part of the plan key: one row per policy across the axis.
         use crate::backend::BackendSpec;
         let mut spec = spec_with_scales(vec![1.0]);
         spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];

@@ -1,6 +1,6 @@
 //! CSV and JSON export of experiment results — so the regenerated
 //! figures can be plotted with any external tool. The JSON emitters are
-//! built on the same [`Value`] writer the spec codec uses
+//! built on the same `Value` writer the spec codec uses
 //! ([`spec_json`](crate::spec_json)); there is no second hand-rolled
 //! emitter to drift.
 

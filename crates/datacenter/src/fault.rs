@@ -35,7 +35,7 @@
 //! # Stage tracking
 //!
 //! Workers record the stage they are executing in a thread-local
-//! ([`enter`]); a cell runs entirely on one worker, so when a panic is
+//! (`fault::enter`); a cell runs entirely on one worker, so when a panic is
 //! caught the thread-local still names the stage that was active. The
 //! same hook is where armed panic faults fire, which keeps the
 //! injection points and the attribution points identical by

@@ -1,6 +1,6 @@
 //! JSON (de)serialization for [`ExperimentSpec`] — the on-disk form the
 //! CLI `sweep` subcommand reads and writes — plus the crate's shared
-//! JSON [`Value`] writer that [`export`](crate::export) reuses for
+//! JSON `Value` writer that [`export`](crate::export) reuses for
 //! result emission, so there is exactly one JSON emitter in the tree.
 //!
 //! # Examples

@@ -186,25 +186,8 @@ impl<'a> WeekSim<'a> {
     }
 
     /// Creates a simulator over `fleet` with `max_servers` physical
-    /// servers of the given model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the fleet horizon is shorter than two weeks
-    /// of 5-minute samples (training week + evaluation week) or
-    /// `max_servers == 0`.
-    pub fn try_new(
-        fleet: &'a Fleet,
-        server: ServerPowerModel,
-        max_servers: usize,
-    ) -> Result<Self, ntc_core::Error> {
-        Self::builder(fleet, server, max_servers).build()
-    }
-
-    /// Creates a simulator, panicking on invalid configuration.
-    ///
-    /// Thin wrapper over [`WeekSim::try_new`]; use [`WeekSim::builder`]
-    /// to reach the optional knobs.
+    /// servers of the given model: the one-line form of
+    /// [`WeekSim::builder`] without the optional knobs.
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //!
 //! Near-threshold operation amplifies within-die parameter variation:
 //! delay sensitivity to threshold-voltage spread grows steeply as Vdd
-//! approaches Vth (the core challenge of the paper's reference [9],
+//! approaches Vth (the core challenge of the paper's reference \[9\],
 //! EnergySmart). A practical NTC server must therefore add a voltage
 //! *guardband* on top of the nominal V–f curve, and the guardband is
 //! larger at low voltage. This module models that margin and exposes

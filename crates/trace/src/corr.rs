@@ -48,31 +48,28 @@
 //! Both sum the same `cov(u, v)` terms in admission order starting from
 //! `+0.0` and score through one φ formula, so they agree bit for bit.
 //!
-//! # Day-level windows and the prefix-sum algebra
+//! # Day-level windows and the block-plane algebra
 //!
-//! A cache can also *borrow* a window of a [`DayCache`] (see
-//! [`CorrelationCache::from_day_window`]), which hoists the per-slot
-//! work one level further: the day cache stores prefix sums
-//! `P[t] = Σ_{s<t} x[s]`, `Q[t] = Σ_{s<t} x[s]²` and, lazily per pair,
-//! `R[t] = Σ_{s<t} x[s]·y[s]`, so a slot window `[a, b)` of width `w`
-//! answers
+//! A cache can also *borrow* a slot-aligned window of a [`DayCache`]
+//! (see [`CorrelationCache::from_day_window`]), which hoists the
+//! per-slot work one level further: the day cache keeps one block plane
+//! holding, per pair, `Σxy` over the window (the blocks' dot products
+//! summed in block order), so the window `[a, b)` of width `w` answers
 //!
 //! ```text
-//! mean      = (P[b] − P[a]) / w
-//! variance  = (Q[b] − Q[a]) / w − mean²
-//! cov(x, y) = (R[b] − R[a]) / w − mean_x · mean_y
+//! cov(x, y) = Σxy / w − mean_x · mean_y
 //! ```
 //!
-//! in O(1) instead of O(w) — one day of prefix work serves all 24
-//! hourly re-plans. One numerical subtlety: the uncentered variance
-//! form cancels catastrophically on near-constant windows (AR(1)
-//! traces pinned at their floor), which can land σ on the wrong side
-//! of the `1e-12` degeneracy floor relative to the exact two-pass
-//! computation. A windowed cache therefore recomputes per-series means
-//! and variances *exactly* (same two-pass code as the owning
-//! constructor, over the same bits) and reserves the prefix trick for
-//! the pairwise covariances, where ulp-level drift only matters on
-//! exact score ties.
+//! without re-centering the series, and one day cache serves all 24
+//! hourly re-plans. The means are not taken from the plane. The
+//! uncentered variance form `Σxx / w − mean²` cancels catastrophically
+//! on near-constant windows (AR(1) traces pinned at their floor), which
+//! can land σ on the wrong side of the `1e-12` degeneracy floor
+//! relative to the exact two-pass computation. A windowed cache
+//! therefore computes per-series means and variances *exactly* (same
+//! two-pass code as the owning constructor, over the same bits) and
+//! reserves the plane for the pairwise covariances, where ulp-level
+//! drift only matters on exact score ties.
 //!
 //! # Examples
 //!
@@ -101,8 +98,8 @@ const UNSET: f64 = f64::NAN;
 
 /// The eager accumulator for one server pattern `S`: `var(S)`, `σ(S)`
 /// and the running `cov(S, ·)` row over every series, for scans that
-/// score many candidates against one pattern (see the
-/// [module docs](self)).
+/// score many candidates against one pattern (Algorithm 1; see the
+/// [crate docs](crate)).
 #[derive(Debug, Clone)]
 pub struct PatternStats {
     var: f64,
@@ -113,7 +110,7 @@ pub struct PatternStats {
 
 /// Where a cache's series values and covariance terms live: owned and
 /// centered per slot (the classic path), or borrowed as a window of a
-/// day-level prefix-sum cache.
+/// day-level block-plane cache.
 #[derive(Debug, Clone)]
 enum Backing<'d> {
     Owned {
@@ -125,7 +122,7 @@ enum Backing<'d> {
     Windowed {
         day: &'d DayCache,
         window: Range<usize>,
-        /// Exact per-series window means (two-pass, not prefix-derived).
+        /// Exact per-series window means (two-pass, not plane-derived).
         means: Vec<f64>,
     },
 }
@@ -136,7 +133,7 @@ enum Backing<'d> {
 ///
 /// Create one per allocation call and thread it through
 /// [`PatternStats`] or [`LazyPatternStats`]; see the
-/// [module docs](self) for the algebra.
+/// [crate docs](crate) for the algebra.
 #[derive(Debug, Clone)]
 pub struct CorrelationCache<'d> {
     num_series: usize,
@@ -151,8 +148,7 @@ impl CorrelationCache<'static> {
     /// series' population mean, variance and standard deviation.
     ///
     /// Fails with [`Error::EmptySeriesSet`] on an empty slice and
-    /// [`Error::RaggedSeries`] when the series lengths differ; the
-    /// error converts into `ntc_core::Error`.
+    /// [`Error::RaggedSeries`] when the series lengths differ.
     pub fn try_new(series: &[TimeSeries]) -> Result<Self, Error> {
         if series.is_empty() {
             return Err(Error::EmptySeriesSet);
@@ -200,15 +196,16 @@ impl CorrelationCache<'static> {
 
 impl<'d> CorrelationCache<'d> {
     /// Builds a cache over `window` of a [`DayCache`] without copying
-    /// or re-centering the series: covariances come from the day's O(1)
-    /// prefix sums, while per-series means and variances are recomputed
+    /// or re-centering the series: covariances come from the day's
+    /// block plane, while per-series means and variances are computed
     /// exactly from the raw window so degenerate-σ decisions (the
     /// `1e-12` floor) are bit-identical to [`new`](Self::new) on the
-    /// same values — see the [module docs](self).
+    /// same values — see the [crate docs](crate).
     ///
     /// # Panics
     ///
-    /// Panics if `window` reaches outside the day.
+    /// Panics if `window` reaches outside the day. A covariance query
+    /// panics if `window` is not aligned to the day's blocks.
     pub fn from_day_window(day: &'d DayCache, window: Range<usize>) -> Self {
         assert!(
             window.start <= window.end && window.end <= day.len(),
@@ -372,7 +369,8 @@ impl PatternStats {
 /// The lazy counterpart of [`PatternStats`] for scans that score one VM
 /// against many servers: it holds the pattern's members in admission
 /// order and `var(S)`, and sums `cov(S, v)` only for a candidate that is
-/// actually scored (see the [module docs](self)).
+/// actually scored (COAT/COAT-OPT and Algorithm 2; see the
+/// [crate docs](crate)).
 #[derive(Debug, Clone, Default)]
 pub struct LazyPatternStats {
     members: Vec<usize>,
@@ -578,37 +576,16 @@ mod tests {
         assert!(CorrelationCache::try_new(&fixtures(2, 4)).is_ok());
     }
 
-    /// A windowed cache over `[a, b)` of a day must agree with an
-    /// owning cache built on the copied window: means/variances/stds
-    /// bitwise (same two-pass code over the same bits), covariances to
-    /// ulp-level tolerance (prefix vs centered accumulation).
     #[test]
-    fn day_window_matches_owned_cache_on_window_copy() {
-        let series = fixtures(6, 48);
-        let day = crate::DayCache::new(&series);
-        for (a, b) in [(0, 12), (12, 24), (24, 36), (36, 48), (7, 19)] {
-            let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(a..b)).collect();
-            let mut owned = CorrelationCache::new(&copies);
-            let mut windowed = CorrelationCache::from_day_window(&day, a..b);
-            assert_eq!(windowed.num_series(), owned.num_series());
-            for i in 0..6 {
-                assert_eq!(windowed.variance(i), owned.variance(i), "var {i} [{a},{b})");
-                assert_eq!(windowed.std_dev(i), owned.std_dev(i), "std {i} [{a},{b})");
-                for j in 0..6 {
-                    let scale = owned.covariance(i, j).abs().max(1.0);
-                    assert!(
-                        (windowed.covariance(i, j) - owned.covariance(i, j)).abs() < 1e-9 * scale,
-                        "cov ({i}, {j}) window [{a}, {b})"
-                    );
-                }
-            }
-        }
+    #[should_panic(expected = "needs a series set")]
+    fn empty_input_panics() {
+        let _ = CorrelationCache::new(&[]);
     }
 
     #[test]
     fn day_window_pattern_scores_match_owned() {
         let series = fixtures(8, 24);
-        let day = crate::DayCache::new(&series);
+        let day = crate::DayCache::with_block_size(&series, 6);
         let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(6..18)).collect();
         let mut owned = CorrelationCache::new(&copies);
         let mut windowed = CorrelationCache::from_day_window(&day, 6..18);
@@ -634,7 +611,7 @@ mod tests {
             TimeSeries::constant(24, 0.62),
             TimeSeries::from_values((0..24).map(|t| (t % 5) as f64).collect()),
         ];
-        let day = crate::DayCache::new(&series);
+        let day = crate::DayCache::with_block_size(&series, 3);
         let mut windowed = CorrelationCache::from_day_window(&day, 3..15);
         assert_eq!(windowed.std_dev(0), 0.0);
         assert_eq!(windowed.correlation(0, 1), 0.0);
@@ -671,8 +648,8 @@ mod tests {
 
         /// Random series sets (one series flat, to cross the σ floor)
         /// and random admission orders, through an owning cache over
-        /// the window copies and through day caches over the same
-        /// window: block-aligned (the block plane) and prefix rows.
+        /// the window copies and through a day cache's block plane over
+        /// the same window.
         #[test]
         fn lazy_pattern_matches_eager_row_bitwise(
             (n, block, blocks) in (2usize..12, 1usize..7, 2usize..5),
@@ -697,17 +674,52 @@ mod tests {
             let window = k0 * block..(k0 + width).min(blocks) * block;
             let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
             assert_lazy_matches_eager(CorrelationCache::new(&copies), &order);
-            let aligned = DayCache::with_block_size(&series, block);
-            assert_lazy_matches_eager(CorrelationCache::from_day_window(&aligned, window.clone()), &order);
-            let prefix = DayCache::new(&series);
-            assert_lazy_matches_eager(CorrelationCache::from_day_window(&prefix, window), &order);
+            let day = DayCache::with_block_size(&series, block);
+            assert_lazy_matches_eager(CorrelationCache::from_day_window(&day, window), &order);
+        }
+
+        /// A windowed cache over a random block-aligned window of a day
+        /// must agree with an owning cache built on the copied window:
+        /// variances and stds bitwise (same two-pass code over the same
+        /// bits), covariances with `stats::covariance` on the window
+        /// slices to ulp-level tolerance (block plane vs centered
+        /// accumulation).
+        #[test]
+        fn day_window_matches_owned_cache_on_window_copy(
+            (n, block, blocks) in (2usize..8, 1usize..13, 1usize..6),
+            values in proptest::collection::vec(0.0f64..100.0, 7 * 12 * 5),
+            (first, width) in (0usize..5, 1usize..6),
+        ) {
+            let len = block * blocks;
+            let series: Vec<TimeSeries> = (0..n)
+                .map(|i| TimeSeries::from_values(values[i * len..(i + 1) * len].to_vec()))
+                .collect();
+            let day = DayCache::with_block_size(&series, block);
+            let k0 = first.min(blocks - 1);
+            let window = k0 * block..(k0 + width).min(blocks) * block;
+            let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
+            let owned = CorrelationCache::new(&copies);
+            let mut windowed = CorrelationCache::from_day_window(&day, window.clone());
+            assert_eq!(windowed.num_series(), n);
+            for (i, x) in copies.iter().enumerate() {
+                assert_eq!(windowed.variance(i).to_bits(), owned.variance(i).to_bits(), "var {i} {window:?}");
+                assert_eq!(windowed.std_dev(i).to_bits(), owned.std_dev(i).to_bits(), "std {i} {window:?}");
+                for (j, y) in copies.iter().enumerate() {
+                    let direct = stats::covariance(x.values(), y.values());
+                    let scale = direct.abs().max(1.0);
+                    assert!(
+                        (windowed.covariance(i, j) - direct).abs() < 1e-9 * scale,
+                        "cov ({i}, {j}) window {window:?}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "outside day")]
     fn day_window_out_of_range_panics() {
-        let day = crate::DayCache::new(&fixtures(2, 8));
+        let day = crate::DayCache::with_block_size(&fixtures(2, 8), 4);
         let _ = CorrelationCache::from_day_window(&day, 4..9);
     }
 }

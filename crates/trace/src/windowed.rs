@@ -1,64 +1,51 @@
-//! Day-level prefix-sum cache answering windowed moments in O(1).
+//! Day-level cache of pairwise product sums over slot-aligned windows.
 //!
 //! The `ntc_datacenter` week simulation produces one day-ahead forecast
 //! per day and then re-plans EPACT on every hourly slot of that day —
 //! 24 windows into the *same* underlying series. Rebuilding a
 //! [`CorrelationCache`](crate::CorrelationCache) from scratch per slot
-//! re-walks every series 24 times. [`DayCache`] hoists that work to the
-//! day level with classic prefix-sum algebra: for series `x` it stores
+//! re-walks every series 24 times. [`DayCache`] copies the day once and
+//! answers the covariances of a slot window from a *block plane*.
+//!
+//! Every window starts and ends on a block boundary (the simulation
+//! passes its samples per slot as the block). For an aligned window
+//! `[a, b)` of width `w = b − a`, the plane holds, per unordered pair of
+//! series,
 //!
 //! ```text
-//! P[t]  = Σ_{s<t} x[s]          (value prefix sums)
-//! Q[t]  = Σ_{s<t} x[s]²         (square prefix sums)
-//! R[t]  = Σ_{s<t} x[s]·y[s]     (pairwise product prefix sums)
+//! Σxy = 0.0 + Σ_k block_dot(x[block k], y[block k])    (blocks of [a, b), in order)
+//! cov(x, y) = Σxy / w − mean_x · mean_y
 //! ```
 //!
-//! so any window `[a, b)` of width `w = b − a` answers
+//! The first query of a window computes every pair's `Σxy` into *one*
+//! contiguous `num_pairs`-wide plane (1.4 MB at 600 VMs), which serves
+//! all later queries of the same window; the admit loop then streams
+//! through it. A query of another window recomputes the plane in place,
+//! so the cache holds one plane however many slots the day has.
 //!
-//! ```text
-//! mean      = (P[b] − P[a]) / w
-//! variance  = (Q[b] − Q[a]) / w − mean²           (clamped at ≥ 0)
-//! cov(x, y) = (R[b] − R[a]) / w − mean_x · mean_y
-//! ```
-//!
-//! in O(1). Pairwise product rows are built on first use and memoized
-//! (triangular storage, one row per unordered pair), so a day in which
-//! the allocator never compares VMs `i` and `j` never pays for them.
-//!
-//! # The block plane
-//!
-//! The week simulation only ever asks for windows aligned to slot
-//! boundaries (each window starts and ends on a multiple of the
-//! samples-per-slot grid), and a per-slot re-planner asks for one such
-//! window per slot, many times over while it packs.
-//! [`DayCache::with_block_size`] exploits that: the first query of an
-//! aligned window computes every pair's product sum over that window
-//! into *one* contiguous `num_pairs`-wide plane, which serves all later
-//! queries of the same window. The admit loop then streams through one
-//! compact plane (1.4 MB at 600 VMs) instead of hopping across one
-//! 8·(len+1)-byte prefix row per pair. A query of another aligned
-//! window recomputes the plane in place, so the cache holds one plane
-//! however many slots the day has. Unaligned windows transparently fall
-//! back to the full prefix rows.
-//!
-//! The uncentered forms trade a little precision for the O(1) window
-//! query: on near-constant windows the subtraction can cancel
-//! catastrophically, which is why variance is clamped at zero and why
+//! The means come from the caller and are exact:
 //! [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-//! recomputes per-series means and variances exactly from the raw
-//! window (see there).
+//! computes per-series means and variances two-pass from the raw
+//! window. The uncentered form `Σxx / w − mean²` cancels
+//! catastrophically on near-constant windows, so the plane never serves
+//! a variance; it serves only the pairwise covariances, where ulp-level
+//! drift matters only on exact score ties.
 //!
 //! # Examples
 //!
 //! ```
 //! use ntc_trace::{stats, DayCache, TimeSeries};
 //!
-//! let day = DayCache::new(&[
-//!     TimeSeries::from_values(vec![1.0, 2.0, 3.0, 4.0]),
-//!     TimeSeries::from_values(vec![4.0, 3.0, 2.0, 1.0]),
-//! ]);
-//! let direct = stats::covariance(&[2.0, 3.0], &[3.0, 2.0]);
-//! assert!((day.window_covariance(0, 1, 1..3) - direct).abs() < 1e-12);
+//! let day = DayCache::with_block_size(
+//!     &[
+//!         TimeSeries::from_values(vec![1.0, 2.0, 3.0, 4.0]),
+//!         TimeSeries::from_values(vec![4.0, 3.0, 2.0, 1.0]),
+//!     ],
+//!     2,
+//! );
+//! let (x, y) = ([3.0, 4.0], [2.0, 1.0]); // the window 2..4
+//! let cov = day.window_covariance_with_means(0, 1, 2..4, stats::mean(&x), stats::mean(&y));
+//! assert!((cov - stats::covariance(&x, &y)).abs() < 1e-12);
 //! ```
 
 use std::cell::RefCell;
@@ -68,8 +55,9 @@ use crate::TimeSeries;
 
 /// Why a series set cannot back a cache.
 ///
-/// [`std::fmt::Display`] reproduces the wording of the legacy assertion
-/// messages so panicking wrappers stay drop-in compatible.
+/// The [`std::fmt::Display`] text is also the panic message of the
+/// panicking constructors, [`CorrelationCache::new`](crate::CorrelationCache::new)
+/// and [`DayCache::with_block_size`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Error {
     /// The series set was empty.
@@ -89,120 +77,72 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Lazily-filled prefix sums and pairwise product sums. Everything in
-/// here is built on first use: the simulation hot path only ever
-/// touches the block plane, so it never pays for the per-series
-/// prefixes, and vice versa for the generic windowed-moment API.
+/// The block plane: `Σ x·y` over one aligned window for every pair.
 #[derive(Debug)]
-struct PairStore {
-    /// Row-major `num_series × (len + 1)` value prefix sums, plus the
-    /// matching square prefix sums. Empty until the first
-    /// `window_sum`/`window_mean`/`window_variance` query.
-    prefix: Vec<f64>,
-    sq_prefix: Vec<f64>,
-    /// Triangular pairwise product prefix rows, built lazily: entry
-    /// `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is empty until first use,
-    /// then a `len + 1` prefix row. Serves arbitrary windows.
-    rows: Vec<Vec<f64>>,
-    /// The aligned window `plane` holds, as the block range
-    /// `(first, end)`; `None` until the first aligned query.
-    plane_blocks: Option<(usize, usize)>,
-    /// `Σ x·y` over `plane_blocks` for every pair, at the same
-    /// triangular index as `rows`: `0.0 + Σ_k block_dot` in block
-    /// order (for one block, exactly that block's `block_dot`). The
-    /// plane is contiguous across pairs, so an aligned window's admit
-    /// loop streams rather than gathers. The whole plane is filled on
-    /// the window's first query: the week simulation builds a day cache
-    /// only for a per-slot re-planner, whose packing of a slot compares
-    /// nearly every pair anyway.
-    plane: Vec<f64>,
+struct Plane {
+    /// The window `sums` holds, as the block range `(first, end)`;
+    /// `None` until the first query.
+    blocks: Option<(usize, usize)>,
+    /// Entry `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is `0.0 + Σ_k block_dot`
+    /// over `blocks` in block order (for one block, exactly that
+    /// block's `block_dot`). The whole plane is filled on the window's
+    /// first query: the week simulation builds a day cache only for a
+    /// per-slot re-planner, whose packing of a slot compares nearly
+    /// every pair anyway.
+    sums: Vec<f64>,
 }
 
-/// See the [module docs](self).
+/// A day of per-VM series answering covariances over block-aligned
+/// windows from one lazily filled block plane; see the
+/// [crate docs](crate) for the algebra.
 #[derive(Debug)]
 pub struct DayCache {
     num_series: usize,
     len: usize,
-    /// Block granularity for slot-aligned product sums; 0 disables the
-    /// block plane and every window uses the prefix rows.
+    /// Block granularity: every queried window starts and ends on a
+    /// multiple of it.
     block: usize,
     /// Row-major `num_series × len` raw values.
     values: Vec<f64>,
-    pairs: RefCell<PairStore>,
+    plane: RefCell<Plane>,
 }
 
 impl DayCache {
-    /// Builds the day cache. Construction only copies the raw values;
-    /// every derived sum is computed lazily on first use.
+    /// Builds the day cache for windows aligned to `block` samples (the
+    /// week simulation passes its samples per slot). Construction only
+    /// copies the raw values; the plane is filled on first query.
     ///
-    /// Fails with [`Error::EmptySeriesSet`] on an empty slice and
-    /// [`Error::RaggedSeries`] when the series lengths differ.
-    pub fn try_new(series: &[TimeSeries]) -> Result<Self, Error> {
-        Self::try_with_block_size(series, 0)
-    }
-
-    /// [`try_new`](Self::try_new) with a block plane of granularity
-    /// `block` (see the [module docs](self)). A `block` that is zero or
-    /// does not divide the day length disables the plane; the cache
-    /// then behaves exactly like [`try_new`](Self::try_new).
-    pub fn try_with_block_size(series: &[TimeSeries], block: usize) -> Result<Self, Error> {
+    /// # Panics
+    ///
+    /// Panics if `series` is empty, the series lengths differ, or
+    /// `block` is zero or does not divide the day length.
+    #[track_caller]
+    pub fn with_block_size(series: &[TimeSeries], block: usize) -> Self {
         if series.is_empty() {
-            return Err(Error::EmptySeriesSet);
+            panic!("{}", Error::EmptySeriesSet);
         }
         let len = series[0].len();
         if series.iter().any(|s| s.len() != len) {
-            return Err(Error::RaggedSeries);
+            panic!("{}", Error::RaggedSeries);
         }
+        assert!(
+            block > 0 && len.is_multiple_of(block),
+            "block of {block} samples does not divide the day of {len} samples"
+        );
         let num_series = series.len();
         let mut values = Vec::with_capacity(num_series * len);
         for s in series {
             values.extend_from_slice(s.values());
         }
-        let block = if block > 0 && len.is_multiple_of(block) {
-            block
-        } else {
-            0
-        };
-        let num_pairs = num_series * (num_series + 1) / 2;
-        Ok(Self {
+        Self {
             num_series,
             len,
             block,
             values,
-            pairs: RefCell::new(PairStore {
-                prefix: Vec::new(),
-                sq_prefix: Vec::new(),
-                rows: vec![Vec::new(); num_pairs],
-                plane_blocks: None,
-                plane: Vec::new(),
+            plane: RefCell::new(Plane {
+                blocks: None,
+                sums: Vec::new(),
             }),
-        })
-    }
-
-    /// Panicking form of [`try_new`](Self::try_new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `series` is empty or the series lengths differ.
-    #[track_caller]
-    pub fn new(series: &[TimeSeries]) -> Self {
-        match Self::try_new(series) {
-            Ok(cache) => cache,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panicking form of
-    /// [`try_with_block_size`](Self::try_with_block_size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `series` is empty or the series lengths differ.
-    #[track_caller]
-    pub fn with_block_size(series: &[TimeSeries], block: usize) -> Self {
-        match Self::try_with_block_size(series, block) {
-            Ok(cache) => cache,
-            Err(e) => panic!("{e}"),
         }
     }
 
@@ -226,80 +166,16 @@ impl DayCache {
         &self.values[i * self.len..(i + 1) * self.len]
     }
 
-    /// Sum of series `i` over `window`, in O(1) once the per-series
-    /// prefix sums exist (built on first use).
-    pub fn window_sum(&self, i: usize, window: Range<usize>) -> f64 {
-        self.check_window(&window);
-        let store = &mut *self.pairs.borrow_mut();
-        self.ensure_prefixes(store);
-        let row = &store.prefix[i * (self.len + 1)..(i + 1) * (self.len + 1)];
-        row[window.end] - row[window.start]
-    }
-
-    /// Population mean of series `i` over `window`, in O(1). An empty
-    /// window yields 0, matching [`stats::mean`](crate::stats::mean).
-    pub fn window_mean(&self, i: usize, window: Range<usize>) -> f64 {
-        let w = window.len();
-        if w == 0 {
-            return 0.0;
-        }
-        self.window_sum(i, window) / w as f64
-    }
-
-    /// Population variance of series `i` over `window`, in O(1) and
-    /// clamped at ≥ 0 (the uncentered form can cancel to a tiny
-    /// negative). Windows shorter than 2 yield 0, matching
-    /// [`stats::variance`](crate::stats::variance).
-    pub fn window_variance(&self, i: usize, window: Range<usize>) -> f64 {
-        let w = window.len();
-        if w < 2 {
-            return 0.0;
-        }
-        self.check_window(&window);
-        let mean = self.window_mean(i, window.clone());
-        let store = &mut *self.pairs.borrow_mut();
-        self.ensure_prefixes(store);
-        let row = &store.sq_prefix[i * (self.len + 1)..(i + 1) * (self.len + 1)];
-        let mean_sq = (row[window.end] - row[window.start]) / w as f64;
-        (mean_sq - mean * mean).max(0.0)
-    }
-
-    /// Builds the per-series value and square prefix sums if absent.
-    fn ensure_prefixes(&self, store: &mut PairStore) {
-        if !store.prefix.is_empty() {
-            return;
-        }
-        store.prefix.reserve_exact(self.num_series * (self.len + 1));
-        store
-            .sq_prefix
-            .reserve_exact(self.num_series * (self.len + 1));
-        for i in 0..self.num_series {
-            let (mut p, mut q) = (0.0, 0.0);
-            store.prefix.push(p);
-            store.sq_prefix.push(q);
-            for &v in self.series(i) {
-                p += v;
-                q += v * v;
-                store.prefix.push(p);
-                store.sq_prefix.push(q);
-            }
-        }
-    }
-
-    /// Population covariance of series `i` and `j` over `window`, in
-    /// O(1) once the pair's product prefix row exists (built and
-    /// memoized on first use). Windows shorter than 2 yield 0, matching
-    /// [`stats::covariance`](crate::stats::covariance).
-    pub fn window_covariance(&self, i: usize, j: usize, window: Range<usize>) -> f64 {
-        let mi = self.window_mean(i, window.clone());
-        let mj = self.window_mean(j, window.clone());
-        self.window_covariance_with_means(i, j, window, mi, mj)
-    }
-
-    /// [`window_covariance`](Self::window_covariance) with the window
-    /// means supplied by the caller — lets
+    /// Population covariance of series `i` and `j` over `window`, from
+    /// the block plane and the window means supplied by the caller —
     /// [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-    /// pair the O(1) product sums with exactly-computed means.
+    /// computes them exactly. Windows shorter than 2 yield 0, matching
+    /// [`stats::covariance`](crate::stats::covariance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside the day or does not start and
+    /// end on block boundaries.
     pub fn window_covariance_with_means(
         &self,
         i: usize,
@@ -308,12 +184,14 @@ impl DayCache {
         mean_i: f64,
         mean_j: f64,
     ) -> f64 {
+        self.check_window(&window);
         let w = window.len();
         if w < 2 {
             return 0.0;
         }
-        self.check_window(&window);
-        let products = self.window_product_sum(i, j, &window);
+        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
+        let plane = &mut *self.plane.borrow_mut();
+        let products = self.plane_for(plane, &window)[hi * (hi + 1) / 2 + lo];
         products * (1.0 / w as f64) - mean_i * mean_j
     }
 
@@ -322,10 +200,15 @@ impl DayCache {
     /// form of
     /// [`window_covariance_with_means`](Self::window_covariance_with_means)
     /// behind the allocator's admit loop. A single `RefCell` borrow and
-    /// one window-bound read serve the whole row, so the per-pair cost
-    /// is two prefix loads and a handful of flops; the per-value
-    /// arithmetic is identical to the scalar form. Windows shorter
-    /// than 2 add zero everywhere.
+    /// one window check serve the whole row; the per-value arithmetic
+    /// is identical to the scalar form. Windows shorter than 2 add zero
+    /// everywhere.
+    ///
+    /// # Panics
+    ///
+    /// As for
+    /// [`window_covariance_with_means`](Self::window_covariance_with_means),
+    /// and if `means` or `acc` does not hold one entry per series.
     pub fn accumulate_window_covariances(
         &self,
         u: usize,
@@ -335,85 +218,44 @@ impl DayCache {
     ) {
         assert_eq!(means.len(), self.num_series, "one mean per series");
         assert_eq!(acc.len(), self.num_series, "one accumulator per series");
+        self.check_window(&window);
         let w = window.len();
         if w < 2 {
             return;
         }
-        self.check_window(&window);
         let inv_w = 1.0 / w as f64;
         let mean_u = means[u];
-        let store = &mut *self.pairs.borrow_mut();
-        if self.aligned(&window) {
-            let plane = self.plane_for(store, &window);
-            // Split at `u`: the `v ≤ u` half of the triangular row is
-            // contiguous in the plane and vectorizes.
-            let base = u * (u + 1) / 2;
-            for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
-                *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
-            }
-            for (acc_v, (v, &mean_v)) in acc[u + 1..]
-                .iter_mut()
-                .zip(means.iter().enumerate().skip(u + 1))
-            {
-                *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
-            }
-            return;
+        let plane = &mut *self.plane.borrow_mut();
+        let plane = self.plane_for(plane, &window);
+        // Split at `u`: the `v ≤ u` half of the triangular row is
+        // contiguous in the plane and vectorizes.
+        let base = u * (u + 1) / 2;
+        for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
+            *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
         }
-        let (a, b) = (window.start, window.end);
-        for (v, (acc_v, &mean_v)) in acc.iter_mut().zip(means).enumerate() {
-            let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-            let row = &mut store.rows[hi * (hi + 1) / 2 + lo];
-            if row.is_empty() {
-                build_pair_row(self.series(lo), self.series(hi), self.len, row);
-            }
-            let products = row[b] - row[a];
-            *acc_v += products * inv_w - mean_u * mean_v;
+        for (acc_v, (v, &mean_v)) in acc[u + 1..]
+            .iter_mut()
+            .zip(means.iter().enumerate().skip(u + 1))
+        {
+            *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
         }
     }
 
-    /// `Σ x_i·x_j` over the window, from the block plane when the
-    /// window is block-aligned and the memoized prefix rows otherwise
-    /// (either representation is built on first use). Aligned windows
-    /// always read the plane so the scalar and bulk queries agree
-    /// bitwise.
-    fn window_product_sum(&self, i: usize, j: usize, window: &Range<usize>) -> f64 {
-        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
-        let idx = hi * (hi + 1) / 2 + lo;
-        let store = &mut *self.pairs.borrow_mut();
-        if self.aligned(window) {
-            return self.plane_for(store, window)[idx];
-        }
-        let row = &mut store.rows[idx];
-        if row.is_empty() {
-            build_pair_row(self.series(lo), self.series(hi), self.len, row);
-        }
-        row[window.end] - row[window.start]
-    }
-
-    /// Whether `window` starts and ends on block boundaries (and the
-    /// block plane exists at all).
-    #[inline]
-    fn aligned(&self, window: &Range<usize>) -> bool {
-        self.block != 0
-            && window.start.is_multiple_of(self.block)
-            && window.end.is_multiple_of(self.block)
-    }
-
-    /// The block plane of the aligned `window`, recomputed in place
-    /// unless it already holds that window. Each pair's entry is
+    /// The plane of the aligned `window`, recomputed in place unless it
+    /// already holds that window. Each pair's entry is
     /// `0.0 + Σ_k block_dot` over the window's blocks in block order,
     /// so a window's plane has the same bits whenever it is computed.
     /// The four-lane dot breaks the loop-carried fma chain of the naive
     /// running sum; the summation order differs from
     /// [`stats::covariance`](crate::stats::covariance) by design (the
     /// windowed covariances are ulp-tolerant, see the module docs).
-    fn plane_for<'s>(&self, store: &'s mut PairStore, window: &Range<usize>) -> &'s [f64] {
+    fn plane_for<'s>(&self, plane: &'s mut Plane, window: &Range<usize>) -> &'s [f64] {
         let g = self.block;
         let blocks = (window.start / g, window.end / g);
-        if store.plane_blocks != Some(blocks) {
-            store.plane.clear();
-            store
-                .plane
+        if plane.blocks != Some(blocks) {
+            plane.sums.clear();
+            plane
+                .sums
                 .reserve_exact(self.num_series * (self.num_series + 1) / 2);
             for hi in 0..self.num_series {
                 let xb = self.series(hi);
@@ -423,12 +265,12 @@ impl DayCache {
                         let span = k * g..(k + 1) * g;
                         sum + block_dot(&xa[span.clone()], &xb[span])
                     });
-                    store.plane.push(products);
+                    plane.sums.push(products);
                 }
             }
-            store.plane_blocks = Some(blocks);
+            plane.blocks = Some(blocks);
         }
-        &store.plane
+        &plane.sums
     }
 
     fn check_window(&self, window: &Range<usize>) {
@@ -438,6 +280,13 @@ impl DayCache {
             window.start,
             window.end,
             self.len
+        );
+        assert!(
+            window.start.is_multiple_of(self.block) && window.end.is_multiple_of(self.block),
+            "window {}..{} not aligned to blocks of {} samples",
+            window.start,
+            window.end,
+            self.block
         );
     }
 }
@@ -461,17 +310,6 @@ fn block_dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Fills `row` with the `len + 1` product prefix sums of `a` and `b`.
-fn build_pair_row(a: &[f64], b: &[f64], len: usize, row: &mut Vec<f64>) {
-    row.reserve_exact(len + 1);
-    let mut acc = 0.0;
-    row.push(acc);
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-        row.push(acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,25 +330,37 @@ mod tests {
             .collect()
     }
 
+    /// The message of the panic `f` must raise.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        }
+    }
+
+    /// Covariances and variances (`i == j`) over aligned windows, with
+    /// exact means, against the two-pass moments of the window slice.
     #[test]
     fn windowed_moments_match_stats_on_slices() {
         let series = fixtures(4, 48);
-        let day = DayCache::new(&series);
-        for (a, b) in [(0, 48), (0, 12), (12, 24), (36, 48), (5, 7), (20, 20)] {
-            for i in 0..4 {
-                let w = &series[i].values()[a..b];
-                assert!(
-                    (day.window_mean(i, a..b) - stats::mean(w)).abs() < 1e-9,
-                    "mean series {i} window {a}..{b}"
-                );
-                assert!(
-                    (day.window_variance(i, a..b) - stats::variance(w)).abs() < 1e-9,
-                    "variance series {i} window {a}..{b}"
-                );
-                for (j, other) in series.iter().enumerate() {
-                    let v = &other.values()[a..b];
+        let day = DayCache::with_block_size(&series, 6);
+        for (a, b) in [(0, 48), (0, 12), (12, 24), (36, 48), (6, 18), (42, 48)] {
+            for (i, x) in series.iter().enumerate() {
+                let w = &x.values()[a..b];
+                for (j, y) in series.iter().enumerate() {
+                    let v = &y.values()[a..b];
+                    let fast = day.window_covariance_with_means(
+                        i,
+                        j,
+                        a..b,
+                        stats::mean(w),
+                        stats::mean(v),
+                    );
                     assert!(
-                        (day.window_covariance(i, j, a..b) - stats::covariance(w, v)).abs() < 1e-9,
+                        (fast - stats::covariance(w, v)).abs() < 1e-9,
                         "covariance ({i}, {j}) window {a}..{b}"
                     );
                 }
@@ -520,33 +370,33 @@ mod tests {
 
     #[test]
     fn degenerate_windows_are_zero() {
-        let day = DayCache::new(&fixtures(2, 8));
-        assert_eq!(day.window_mean(0, 3..3), 0.0);
-        assert_eq!(day.window_variance(0, 3..4), 0.0);
-        assert_eq!(day.window_covariance(0, 1, 3..4), 0.0);
+        let day = DayCache::with_block_size(&fixtures(2, 8), 1);
+        assert_eq!(day.window_covariance_with_means(0, 1, 3..3, 0.0, 0.0), 0.0);
+        assert_eq!(day.window_covariance_with_means(0, 1, 3..4, 1.0, 2.0), 0.0);
+        let mut acc = vec![0.0; 2];
+        day.accumulate_window_covariances(0, 3..4, &[1.0, 2.0], &mut acc);
+        assert_eq!(acc, [0.0, 0.0]);
     }
 
+    /// The plane's uncentered `Σxx / w − mean²` can cancel to a hair
+    /// below zero on a constant window, so a day window takes its
+    /// variances two-pass from the raw values instead.
     #[test]
     fn variance_never_negative_on_constant_windows() {
         let series = vec![TimeSeries::constant(16, 123.456789)];
-        let day = DayCache::new(&series);
-        assert!(day.window_variance(0, 2..14) >= 0.0);
-    }
-
-    #[test]
-    fn pair_rows_are_shared_across_orderings() {
-        let series = fixtures(3, 10);
-        let day = DayCache::new(&series);
-        let ab = day.window_covariance(0, 2, 1..9);
-        let ba = day.window_covariance(2, 0, 1..9);
-        assert_eq!(ab, ba);
+        let day = DayCache::with_block_size(&series, 2);
+        let window = crate::CorrelationCache::from_day_window(&day, 2..14);
+        let direct = stats::variance(&series[0].values()[2..14]);
+        assert_eq!(window.variance(0).to_bits(), direct.to_bits());
+        assert!(window.variance(0) >= 0.0);
     }
 
     /// Aligned windows read the block plane: scalar and bulk
     /// covariances must equal `0.0 + Σ_k block_dot` over the window's
-    /// blocks bit for bit, for one-block and wider windows alike, in
-    /// whatever order the windows are queried (each query of another
-    /// window recomputes the one plane).
+    /// blocks bit for bit, for one-block and wider windows alike, for
+    /// both orderings of each pair, and in whatever order the windows
+    /// are queried (each query of another window recomputes the one
+    /// plane).
     #[test]
     fn aligned_windows_match_block_dot_sums_in_any_order() {
         let series = fixtures(5, 48);
@@ -607,23 +457,19 @@ mod tests {
 
     #[test]
     fn empty_set_is_rejected() {
-        assert!(matches!(DayCache::try_new(&[]), Err(Error::EmptySeriesSet)));
+        let message = panic_message(|| {
+            DayCache::with_block_size(&[], 12);
+        });
+        assert_eq!(message, Error::EmptySeriesSet.to_string());
     }
 
     #[test]
     fn ragged_set_is_rejected() {
         let series = vec![TimeSeries::zeros(4), TimeSeries::zeros(5)];
-        assert!(matches!(
-            DayCache::try_new(&series),
-            Err(Error::RaggedSeries)
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "same slot")]
-    fn ragged_set_panics_via_new() {
-        let series = vec![TimeSeries::zeros(4), TimeSeries::zeros(5)];
-        let _ = DayCache::new(&series);
+        let message = panic_message(|| {
+            DayCache::with_block_size(&series, 1);
+        });
+        assert_eq!(message, Error::RaggedSeries.to_string());
     }
 
     #[test]
@@ -636,5 +482,25 @@ mod tests {
             Error::RaggedSeries.to_string(),
             "all series must cover the same slot"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not divide the day")]
+    fn block_must_divide_the_day() {
+        let _ = DayCache::with_block_size(&fixtures(2, 48), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "not aligned to blocks")]
+    fn unaligned_window_query_panics() {
+        let day = DayCache::with_block_size(&fixtures(2, 48), 12);
+        let _ = day.window_covariance_with_means(0, 1, 6..18, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not aligned to blocks")]
+    fn unaligned_bulk_query_panics() {
+        let day = DayCache::with_block_size(&fixtures(2, 48), 12);
+        day.accumulate_window_covariances(0, 12..30, &[0.0; 2], &mut [0.0; 2]);
     }
 }

@@ -81,29 +81,35 @@ proptest! {
         prop_assert!(stats::quantile(&v, lo) <= stats::quantile(&v, hi));
     }
 
-    /// The day cache's O(1) windowed moments must agree with the direct
-    /// `stats` computations on the copied sub-window for every random
-    /// window of a random day. Values are <= 100 and days are 64
-    /// samples, so prefix-sum cancellation stays far below the 1e-6
-    /// tolerance.
+    /// The day cache's block-plane covariances (and variances, as
+    /// `cov(x, x)`), given exact window means, must agree with the
+    /// direct `stats` computations on the copied sub-window for every
+    /// random block-aligned window of a random day. Values are <= 100
+    /// and days are 64 samples, so the uncentered form's cancellation
+    /// stays far below the 1e-6 tolerance.
     #[test]
     fn windowed_moments_match_direct_stats(
         a in finite_vec(64),
         b in finite_vec(64),
-        start in 0usize..60,
-        width in 2usize..32,
+        block_log2 in 0usize..6,
+        first in 0usize..64,
+        width in 1usize..64,
     ) {
-        let end = (start + width).min(64);
+        let block = 1 << block_log2;
+        let blocks = 64 / block;
+        let k0 = first % blocks;
+        let (start, end) = (k0 * block, (k0 + width).min(blocks) * block);
         let series = [TimeSeries::from_values(a.clone()), TimeSeries::from_values(b.clone())];
-        let day = DayCache::new(&series);
+        let day = DayCache::with_block_size(&series, block);
         let wa = &a[start..end];
         let wb = &b[start..end];
-        prop_assert!((day.window_mean(0, start..end) - stats::mean(wa)).abs() < 1e-6);
-        prop_assert!((day.window_variance(1, start..end) - stats::variance(wb)).abs() < 1e-6);
+        let (ma, mb) = (stats::mean(wa), stats::mean(wb));
+        let variance = day.window_covariance_with_means(1, 1, start..end, mb, mb);
+        prop_assert!((variance - stats::variance(wb)).abs() < 1e-6);
         let direct = stats::covariance(wa, wb);
-        let fast = day.window_covariance(0, 1, start..end);
+        let fast = day.window_covariance_with_means(0, 1, start..end, ma, mb);
         prop_assert!((fast - direct).abs() < 1e-6, "cov {fast} vs {direct} on [{start}, {end})");
         // covariance is symmetric through the triangular pair storage
-        prop_assert!((day.window_covariance(1, 0, start..end) - fast).abs() == 0.0);
+        prop_assert!(day.window_covariance_with_means(1, 0, start..end, mb, ma) == fast);
     }
 }

@@ -6,6 +6,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::{Fleet, MemClass, Vm, VmId};
 
+/// Number of correlation groups: VM `i` joins group `i % NUM_GROUPS`.
+const NUM_GROUPS: usize = 12;
+
 /// Seeded synthesizer of Google-cluster-like utilization traces.
 ///
 /// Each VM's CPU trace is composed of:
@@ -35,7 +38,6 @@ pub struct ClusterTraceGenerator {
     num_vms: usize,
     weeks: usize,
     seed: u64,
-    num_groups: usize,
     cores_per_server: usize,
     vm_mem_gb: f64,
     server_mem_gb: f64,
@@ -52,7 +54,6 @@ impl ClusterTraceGenerator {
             num_vms,
             weeks: 2,
             seed,
-            num_groups: 12,
             cores_per_server: 16,
             vm_mem_gb: 1.0,
             server_mem_gb: 16.0,
@@ -68,17 +69,6 @@ impl ClusterTraceGenerator {
     pub fn with_weeks(mut self, weeks: usize) -> Self {
         assert!(weeks > 0, "horizon must cover at least one week");
         self.weeks = weeks;
-        self
-    }
-
-    /// Overrides the number of correlation groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups == 0`.
-    pub fn with_groups(mut self, groups: usize) -> Self {
-        assert!(groups > 0, "need at least one correlation group");
-        self.num_groups = groups;
         self
     }
 
@@ -103,7 +93,7 @@ impl ClusterTraceGenerator {
 
         // Per-group daily profiles: phase, amplitude and a second
         // harmonic; all VMs in a group share them.
-        let groups: Vec<(f64, f64, f64, f64)> = (0..self.num_groups)
+        let groups: Vec<(f64, f64, f64, f64)> = (0..NUM_GROUPS)
             .map(|_| {
                 (
                     rng.gen_range(0.0..1.0),   // phase (fraction of a day)
@@ -119,7 +109,7 @@ impl ClusterTraceGenerator {
 
         let vms = (0..self.num_vms)
             .map(|i| {
-                let group = i % self.num_groups;
+                let group = i % NUM_GROUPS;
                 let (phase, amp1, amp2, base) = groups[group];
                 let class = match i % 3 {
                     0 => MemClass::Low,

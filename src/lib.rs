@@ -155,26 +155,18 @@
 //! cache: plans 42 hit / 1414 miss, forecasts 112 hit / 14 miss
 //! ```
 //!
-//! # Fallible construction (`try_new`) migration notes
+//! # Construction
 //!
-//! Constructors that used to panic on invalid input now come in pairs:
-//! a fallible `try_new` (or builder `build`) returning
-//! [`Result`](policy::Result) with the shared
-//! [`ntc_core::Error`](policy::Error) enum, and a `#[track_caller]`
-//! panicking `new` (or `build_or_panic`) wrapper that preserves the old
-//! behaviour and messages. Existing code keeps working; code that wants
-//! to surface configuration errors (CLI parsing, spec validation)
-//! switches to the fallible form:
-//!
-//! * `SlotContext::new` / `SlotPlan::new` → `try_new`
-//! * `OneDimAllocator::new` / `TwoDimAllocator::new` → `try_new`, with
-//!   `TwoDimAllocator::builder(..).correlation_only().build()` for the
-//!   Eq. 2 ablation
-//! * `WeekSim::new` → `WeekSim::try_new`, with
-//!   `WeekSim::builder(..).qos_floor(..).build()` for the QoS knob
-//!   (replacing the removed `with_qos_floor`)
-//! * `Engine::run` is fallible end to end and validates the spec before
-//!   fanning out
+//! Each policy- and simulation-layer type has one constructor, which
+//! asserts its invariants with a `#[track_caller]` panic: bad input
+//! there is a bug in the caller. Only the experiment engine's calls are
+//! fallible, returning the shared
+//! [`ntc_core::Error`](policy::Error) so that a sweep can report a bad
+//! spec or a failed cell instead of unwinding: `Engine::run` validates
+//! the spec before fanning out, and each cell builds its simulator with
+//! `WeekSimBuilder::build` and its backend with `BackendSpec::try_build`
+//! (`build_or_panic` and `BackendSpec::build` are their panicking
+//! forms).
 
 #![warn(missing_docs)]
 
