@@ -161,6 +161,53 @@ fn sweep_json_mode_emits_cells_and_groups() {
     assert!(out.contains("\"static_power_scale\": 1.5"), "{out}");
 }
 
+/// Asserts `text` is one JSON object: brackets balance outside string
+/// literals and nothing follows the closing brace.
+fn assert_one_json_object(text: &str) {
+    let text = text.trim();
+    assert!(text.starts_with('{'), "{text}");
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    for (i, c) in text.char_indices() {
+        match (in_string, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (true, false, '"') => in_string = false,
+            (true, false, _) => {}
+            (false, _, '"') => in_string = true,
+            (false, _, '{' | '[') => depth += 1,
+            (false, _, '}' | ']') => {
+                depth = depth.checked_sub(1).expect("unbalanced close");
+                assert!(depth > 0 || i + 1 == text.len(), "text after the object");
+            }
+            (false, _, _) => {}
+        }
+    }
+    assert_eq!((depth, in_string), (0, false), "unterminated JSON");
+}
+
+#[test]
+fn sweep_arima_json_fits_each_day_forecast_once() {
+    let (ok, out, err) = run(&[
+        "sweep",
+        "--arima",
+        "--seeds",
+        "1,2",
+        "--vms",
+        "12",
+        "--max-servers",
+        "100",
+        "--json",
+    ]);
+    assert!(ok, "{err}");
+    assert_one_json_object(&out);
+    // 2 fleets x 3 policies x 2 servers, all complete.
+    assert!(out.contains("\"cells_total\": 12"), "{out}");
+    assert!(out.contains("\"cells_failed\": 0"), "{out}");
+    assert!(out.contains("\"failures\": []"), "{out}");
+    // One forecast per (fleet, day), fitted before the cells ran.
+    assert!(out.contains("\"forecast_cache_misses\": 14"), "{out}");
+}
+
 #[test]
 fn legacy_single_fleet_spec_file_still_runs() {
     let dir = std::env::temp_dir();

@@ -19,8 +19,11 @@
 //! | day forecasts | [`FleetSpec`] | [`EVAL_DAYS`] |
 //! | plans | [`PlanKey`] | [`EVAL_SLOTS`] |
 //!
-//! Forecasts depend on the fleet and the spec-wide predictor alone. A
-//! plan depends on fewer axes than a cell has:
+//! Forecasts depend on the fleet and the spec-wide predictor alone. The
+//! engine fills the forecast table before any cell runs, fitting the
+//! days' series on all its workers, and only a day that step failed to
+//! fill is computed by a cell. A plan depends on fewer axes than a cell
+//! has:
 //!
 //! * the QoS floor only shapes the online replay, never the plan;
 //! * the accounting backend only prices governed slots (the
@@ -38,7 +41,9 @@
 //! while allocating, alongside the fleet, policy, ablation and server
 //! budget.
 //!
-//! [`CacheStats`] counts plan and forecast hits and misses;
+//! [`CacheStats`] counts plan and forecast hits and misses. A miss is a
+//! value computed, a hit one read from the table; a forecast miss may
+//! come from the engine's up-front step or from a cell.
 //! `ntcdc sweep --cache-stats` prints the totals.
 
 use std::sync::{Arc, OnceLock};
@@ -47,6 +52,7 @@ use ntc_core::SlotPlan;
 use ntc_power::{DataCenterPowerModel, ServerPowerModel};
 use ntc_trace::TimeSeries;
 use ntc_units::Percent;
+use ntc_workload::Fleet;
 
 use crate::engine::{CellSpec, ExperimentSpec, FleetSpec, PolicySpec};
 
@@ -56,16 +62,18 @@ pub(crate) const EVAL_SLOTS: usize = 7 * 24;
 /// Days in the evaluation week — the width of a forecast row.
 pub(crate) const EVAL_DAYS: usize = 7;
 
-/// Cache hit/miss counters of one cell run (or, summed, of a sweep).
+/// Cache hit/miss counters of one cell run, of the engine's up-front
+/// forecast step, or, summed, of a sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Allocation slots answered from the shared plan cache.
     pub plan_hits: usize,
     /// Allocation slots that had to be planned (and were then shared).
     pub plan_misses: usize,
-    /// Day-ahead forecasts answered from the shared forecast cache.
+    /// Day-ahead forecasts a cell read from the shared forecast cache.
     pub forecast_hits: usize,
-    /// Day-ahead forecasts that had to be computed.
+    /// Day-ahead forecasts computed, either by the engine's up-front
+    /// step (counted once per day, outside any cell) or by a cell.
     pub forecast_misses: usize,
 }
 
@@ -87,6 +95,32 @@ pub(crate) struct DayForecast {
     pub cpu: Vec<TimeSeries>,
     /// Per-VM forecast memory series (one day long).
     pub mem: Vec<TimeSeries>,
+}
+
+impl DayForecast {
+    /// Series a day forecast of a fleet of `vms` VMs holds: a CPU and
+    /// a memory series per VM.
+    pub fn series_count(vms: usize) -> usize {
+        2 * vms
+    }
+
+    /// The trace behind forecast series `s`: VM `s`'s CPU for
+    /// `s < V`, then VM `s − V`'s memory, for a fleet of `V` VMs.
+    pub fn series(fleet: &Fleet, s: usize) -> &TimeSeries {
+        let vms = fleet.vms();
+        match vms.get(s) {
+            Some(vm) => &vm.cpu,
+            None => &vms[s - vms.len()].mem,
+        }
+    }
+
+    /// Assembles a day forecast from its series in [`series`] order.
+    ///
+    /// [`series`]: DayForecast::series
+    pub fn from_series(mut cpu: Vec<TimeSeries>) -> Self {
+        let mem = cpu.split_off(cpu.len() / 2);
+        Self { cpu, mem }
+    }
 }
 
 /// One row of `width` once-initialized values per distinct key; see the
@@ -123,6 +157,11 @@ impl<K: PartialEq, V> OnceTable<K, V> {
             .find(|(k, _)| k == key)
             .expect("every lookup key comes from the spec the table was built from");
         row
+    }
+
+    /// Every key with its row, in first-occurrence order.
+    pub fn rows(&self) -> impl Iterator<Item = (&K, &[OnceLock<Arc<V>>])> {
+        self.rows.iter().map(|(key, row)| (key, row.as_slice()))
     }
 
     /// Number of distinct keys (for diagnostics/tests).

@@ -13,6 +13,15 @@
 //! behind an `Arc`, however many cells share it and however the workers
 //! interleave.
 //!
+//! A forecasting sweep (ARIMA or seasonal-naive predictor, caching on)
+//! fits its forecasts before any cell runs. The same workers first
+//! generate each distinct fleet, then claim chunks of the (fleet, day,
+//! VM, CPU/memory) series of the 7 evaluation days, so the fits spread
+//! over the whole pool instead of queueing behind the one cell that
+//! reaches a day first. Each series is a pure function of its history,
+//! so this changes no bit of any forecast; the cells then read every
+//! day forecast from the shared table.
+//!
 //! Cells are also *fault-isolated*: each one runs under
 //! [`std::panic::catch_unwind`], and a panicking or erroring cell
 //! becomes a structured [`CellError`] in
@@ -54,14 +63,16 @@
 //! ```
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ntc_core::{AllocationPolicy, Coat, CoatOpt, Epact, Error, LoadBalance, SlotPlan};
-use ntc_forecast::{ArimaPredictor, SeasonalNaive};
+use ntc_forecast::{ArimaPredictor, Predictor, SeasonalNaive};
 use ntc_power::ServerPowerModel;
+use ntc_trace::TimeSeries;
 use ntc_units::Frequency;
 use ntc_workload::{ClusterTraceGenerator, Fleet};
 
@@ -70,6 +81,7 @@ use crate::cache::{
     fetch_or_compute, CacheStats, DayForecast, OnceTable, PlanKey, RunCaches, EVAL_DAYS, EVAL_SLOTS,
 };
 use crate::fault::{self, CellError, CellStage, FailureCause, FailurePolicy, FaultSpec};
+use crate::weeksim::forecast_series;
 use crate::{MeanStd, WeekOutcome, WeekSim};
 
 /// One synthetic fleet of a sweep's fleet set (see
@@ -164,6 +176,18 @@ pub enum PredictorSpec {
     Arima,
     /// Same-time-yesterday baseline.
     SeasonalNaive,
+}
+
+impl PredictorSpec {
+    /// The day-ahead predictor for fleets sampled `samples_per_day`
+    /// times a day, or `None` for oracle predictions.
+    pub(crate) fn build(&self, samples_per_day: usize) -> Option<Box<dyn Predictor>> {
+        match self {
+            PredictorSpec::Oracle => None,
+            PredictorSpec::Arima => Some(Box::new(ArimaPredictor::daily(samples_per_day))),
+            PredictorSpec::SeasonalNaive => Some(Box::new(SeasonalNaive::new(samples_per_day))),
+        }
+    }
 }
 
 /// Ablation switches applied across the sweep (DESIGN.md §7).
@@ -397,8 +421,10 @@ pub struct CellOutcome {
     /// Plan/forecast cache hits and misses of this cell's run (all
     /// zeros when the engine runs with caching disabled).
     pub cache: CacheStats,
-    /// Wall-clock time this cell took on its worker (the first cell
-    /// touching a fleet pays its generation here).
+    /// Wall-clock time this cell took on its worker (in an oracle or
+    /// uncached sweep, the first cell touching a fleet pays its
+    /// generation here; a forecasting sweep generates its fleets and
+    /// fits its forecasts before any cell starts).
     pub wall: Duration,
 }
 
@@ -421,6 +447,10 @@ pub struct SweepResult {
     pub wall: Duration,
     /// Worker threads the engine used.
     pub threads: usize,
+    /// Cache counters recorded outside every cell: each day forecast
+    /// the engine fitted up front, before the cells ran, is one
+    /// forecast miss here (see [`Engine::caching`]).
+    pub sweep_cache: CacheStats,
 }
 
 impl SweepResult {
@@ -453,10 +483,11 @@ impl SweepResult {
         self.cells.iter().map(|c| &c.outcome).collect()
     }
 
-    /// Plan/forecast cache hits and misses summed over every cell —
-    /// what `ntcdc sweep --cache-stats` prints.
+    /// Plan/forecast cache hits and misses summed over every cell and
+    /// the engine's up-front forecasts — what `ntcdc sweep
+    /// --cache-stats` prints.
     pub fn cache_totals(&self) -> CacheStats {
-        let mut total = CacheStats::default();
+        let mut total = self.sweep_cache;
         for cell in &self.cells {
             total.merge(cell.cache);
         }
@@ -622,13 +653,19 @@ impl Engine {
     /// When on, cells whose planning inputs coincide — e.g. QoS-floor
     /// arms, or static-power-scale arms of a policy that plans at
     /// `Fmax` — share one plan per slot, and all cells over a fleet
-    /// share its day-ahead forecasts. Every shared value is a pure
-    /// function of the spec, so results are bit-identical either way;
-    /// `caching(false)` is the uncached reference those results are
-    /// tested against. Each distinct fleet is generated once in both
-    /// modes, and both plan every slot on the same numerical path:
-    /// inside [`WeekSim`], the policy alone decides whether day-level
-    /// moment caches serve its plans.
+    /// share its day-ahead forecasts. A forecasting sweep fits those
+    /// forecasts before the cells start: its workers generate each
+    /// distinct fleet, then claim chunks of the days' series. Each
+    /// fitted day counts one forecast miss in
+    /// [`SweepResult::sweep_cache`], and each cell that reads it one
+    /// hit. Every shared value is a pure function of the spec, so
+    /// results are bit-identical either way; `caching(false)` is the
+    /// uncached reference those results are tested against, in which
+    /// every cell forecasts its own days.
+    /// Each distinct fleet is generated once in both modes, and both
+    /// plan every slot on the same numerical path: inside [`WeekSim`],
+    /// the policy alone decides whether day-level moment caches serve
+    /// its plans.
     #[must_use]
     pub fn caching(mut self, enabled: bool) -> Self {
         self.caching = enabled;
@@ -689,8 +726,14 @@ impl Engine {
                 .then(|| OnceTable::new(EVAL_DAYS, spec.fleets.iter().copied())),
         };
 
+        // Forecasting sweeps fit every day forecast up front, across
+        // the whole pool; the cells then find each one filled.
+        let sweep_cache = match &caches.forecasts {
+            Some(forecasts) => forecast_up_front(spec, &caches.fleets, forecasts, threads),
+            None => CacheStats::default(),
+        };
+
         let workers = threads.min(cells.len()).max(1);
-        let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         // OnceLock slots are poison-free by construction: a worker
         // panic can never turn into a second PoisonError panic at
@@ -702,16 +745,9 @@ impl Engine {
             policy: spec.failure_policy,
             abort: &abort,
         };
-
-        if workers == 1 {
-            drain_cells(&next, &cells, &slots, spec, &caches, &run);
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| drain_cells(&next, &cells, &slots, spec, &caches, &run));
-                }
-            });
-        }
+        for_each_claimed(workers, cells.len(), |i| {
+            claim_cell(i, &cells[i], &slots[i], spec, &caches, &run);
+        });
 
         let mut done = Vec::new();
         let mut failures = Vec::new();
@@ -729,6 +765,7 @@ impl Engine {
             failures,
             wall: started.elapsed(),
             threads: workers,
+            sweep_cache,
         })
     }
 }
@@ -753,60 +790,171 @@ struct RunControl<'a> {
     abort: &'a AtomicBool,
 }
 
-/// Worker body: claim cell indices off the shared counter until none
-/// remain, writing each cell's `Result` into its spec-order slot.
+/// Runs `job(i)` for every `i < count` on up to `workers` scoped
+/// threads (on the calling thread when one suffices). Each worker
+/// claims the next unclaimed index off one shared counter until none
+/// remain, so jobs balance however long each takes. The engine's one
+/// claim loop: it drives the up-front forecast fits and the cells.
+fn for_each_claimed(workers: usize, count: usize, job: impl Fn(usize) + Sync) {
+    let next = AtomicUsize::new(0);
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            break;
+        }
+        job(i);
+    };
+    let workers = workers.min(count);
+    if workers <= 1 {
+        drain();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(drain);
+            }
+        });
+    }
+}
+
+/// Runs claimed cell `i` and writes its `Result` into its spec-order
+/// slot.
 ///
-/// Each cell runs under `catch_unwind`: a panic becomes a
+/// The cell runs under `catch_unwind`: a panic becomes a
 /// [`CellError`] attributed to the stage the worker's thread-local
 /// tracker last entered (the whole cell runs on this thread, so the
 /// tracker is exact). Under [`FailurePolicy::FailFast`] any failure
 /// raises the shared abort flag and unstarted cells are recorded as
 /// [`FailureCause::Skipped`]; cells already running on other workers
 /// finish normally.
-fn drain_cells(
-    next: &AtomicUsize,
-    cells: &[CellSpec],
-    slots: &[OnceLock<Result<CellOutcome, CellError>>],
+fn claim_cell(
+    i: usize,
+    cell: &CellSpec,
+    slot: &OnceLock<Result<CellOutcome, CellError>>,
     spec: &ExperimentSpec,
     caches: &SweepCaches,
     run: &RunControl<'_>,
 ) {
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(cell) = cells.get(i) else { break };
-        let result = if run.abort.load(Ordering::Relaxed) {
-            Err(CellError::new(
+    let result = if run.abort.load(Ordering::Relaxed) {
+        Err(CellError::new(
+            i,
+            *cell,
+            cell.label(spec.ablation),
+            FailureCause::Skipped,
+        ))
+    } else {
+        fault::arm(run.fault.as_ref(), i);
+        let caught = catch_unwind(AssertUnwindSafe(|| run_cell(spec, caches, i, cell)));
+        fault::disarm();
+        match caught {
+            // The inner error is boxed only to keep the hot
+            // Result small; unbox for the public slot type.
+            Ok(result) => result.map_err(|boxed| *boxed),
+            Err(payload) => Err(CellError::new(
                 i,
                 *cell,
                 cell.label(spec.ablation),
-                FailureCause::Skipped,
-            ))
-        } else {
-            fault::arm(run.fault.as_ref(), i);
-            let caught = catch_unwind(AssertUnwindSafe(|| run_cell(spec, caches, i, cell)));
-            fault::disarm();
-            match caught {
-                // The inner error is boxed only to keep the hot
-                // Result small; unbox for the public slot type.
-                Ok(result) => result.map_err(|boxed| *boxed),
-                Err(payload) => Err(CellError::new(
-                    i,
-                    *cell,
-                    cell.label(spec.ablation),
-                    FailureCause::Panic {
-                        stage: fault::current_stage(),
-                        payload: panic_message(payload),
-                    },
-                )),
-            }
-        };
-        if result.is_err() && run.policy == FailurePolicy::FailFast {
-            run.abort.store(true, Ordering::Relaxed);
+                FailureCause::Panic {
+                    stage: fault::current_stage(),
+                    payload: panic_message(payload),
+                },
+            )),
         }
-        slots[i]
-            .set(result)
-            .expect("each cell index is claimed exactly once");
+    };
+    if result.is_err() && run.policy == FailurePolicy::FailFast {
+        run.abort.store(true, Ordering::Relaxed);
     }
+    slot.set(result)
+        .expect("each cell index is claimed exactly once");
+}
+
+/// Forecast series one claim of the up-front step fits: enough that
+/// claiming costs nothing next to the fits (about 100 µs each for
+/// ARIMA), few enough that the last claims balance across workers.
+const SERIES_PER_CLAIM: usize = 16;
+
+/// Fits every day forecast of `table` before any cell runs, on up to
+/// `threads` workers, and returns the step's counters: one forecast
+/// miss per day forecast it stored.
+///
+/// The first claims generate each distinct fleet through the fleet
+/// table; the rest fit [`SERIES_PER_CLAIM`] series of one (fleet, day)
+/// forecast each. Once every worker is done, each day whose series all
+/// succeeded is assembled in VM order and stored in its lock. Each
+/// claim runs under `catch_unwind`, so a panicking fit only leaves its
+/// day's lock empty: the cell that needs the day then computes it in
+/// its own forecast stage, which reports any failure as that cell's.
+fn forecast_up_front(
+    spec: &ExperimentSpec,
+    fleets: &OnceTable<FleetSpec, Fleet>,
+    table: &OnceTable<FleetSpec, DayForecast>,
+    threads: usize,
+) -> CacheStats {
+    /// One (fleet, day) forecast: its lock and a slot per series.
+    struct Day<'t> {
+        fleet: &'t FleetSpec,
+        day: usize,
+        lock: &'t OnceLock<Arc<DayForecast>>,
+        series: Vec<OnceLock<TimeSeries>>,
+    }
+    let keys: Vec<&FleetSpec> = table.rows().map(|(key, _)| key).collect();
+    let days: Vec<Day<'_>> = table
+        .rows()
+        .flat_map(|(fleet, row)| {
+            row.iter().enumerate().map(move |(day, lock)| Day {
+                fleet,
+                day,
+                lock,
+                series: (0..DayForecast::series_count(fleet.num_vms))
+                    .map(|_| OnceLock::new())
+                    .collect(),
+            })
+        })
+        .collect();
+    let claims: Vec<(&Day<'_>, Range<usize>)> = days
+        .iter()
+        .flat_map(|day| {
+            let n = day.series.len();
+            (0..n)
+                .step_by(SERIES_PER_CLAIM)
+                .map(move |s| (day, s..n.min(s + SERIES_PER_CLAIM)))
+        })
+        .collect();
+
+    for_each_claimed(threads, keys.len() + claims.len(), |job| {
+        // A panic leaves the claim's slots (or fleet lock) empty.
+        let _ = catch_unwind(AssertUnwindSafe(|| match job.checked_sub(keys.len()) {
+            None => drop(fleet_of(fleets, keys[job])),
+            Some(claim) => {
+                let (day, series) = &claims[claim];
+                let fleet = fleet_of(fleets, day.fleet);
+                let per_day = fleet.grid().samples_per_day();
+                let Some(predictor) = spec.predictor.build(per_day) else {
+                    return;
+                };
+                for s in series.clone() {
+                    let forecast = forecast_series(predictor.as_ref(), &fleet, day.day, s);
+                    let _ = day.series[s].set(forecast);
+                }
+            }
+        }));
+    });
+
+    let mut stats = CacheStats::default();
+    for day in days {
+        let series: Option<Vec<TimeSeries>> =
+            day.series.into_iter().map(OnceLock::into_inner).collect();
+        if let Some(series) = series {
+            let (_, computed) =
+                fetch_or_compute(Some(day.lock), || DayForecast::from_series(series));
+            stats.forecast_misses += usize::from(computed);
+        }
+    }
+    stats
+}
+
+/// `spec`'s fleet, generated on first use through the fleet table.
+fn fleet_of(fleets: &OnceTable<FleetSpec, Fleet>, spec: &FleetSpec) -> Arc<Fleet> {
+    fetch_or_compute(fleets.row(spec).first(), || spec.generate()).0
 }
 
 /// Renders a caught panic payload; `panic!` carries `&str` or `String`
@@ -824,9 +972,10 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// Evaluates one cell: resolve the fleet through its table, build the
 /// simulator with the scaled server model, instantiate the policy and
 /// predictor, run the week with this cell's plan and forecast rows
-/// attached. Pure in (spec, cell) — every cache initializer is a
-/// deterministic function of the spec, so the determinism guarantee
-/// still rests here whichever worker wins a lock race. (A panicking
+/// attached (a forecast row the up-front step filled is only read).
+/// Pure in (spec, cell) — every cache initializer is a deterministic
+/// function of the spec, so the determinism guarantee still rests here
+/// whichever worker wins a lock race. (A panicking
 /// initializer leaves its `OnceLock` unset, so a faulted cell cannot
 /// corrupt a shared cache either — siblings recompute the same value.)
 ///
@@ -854,9 +1003,7 @@ fn run_cell(
     if let Some(error) = fault::injected_error(CellStage::Fleet, index) {
         return Err(fail(CellStage::Fleet, error));
     }
-    let (fleet, _) = fetch_or_compute(caches.fleets.row(&cell.fleet).first(), || {
-        cell.fleet.generate()
-    });
+    let fleet = fleet_of(&caches.fleets, &cell.fleet);
     fault::enter(CellStage::Setup);
     if let Some(error) = fault::injected_error(CellStage::Setup, index) {
         return Err(fail(CellStage::Setup, error));
@@ -880,19 +1027,8 @@ fn run_cell(
             .map(|plans| plans.row(&PlanKey::new(spec, cell))),
         forecasts: caches.forecasts.as_ref().map(|f| f.row(&cell.fleet)),
     };
-    let (outcome, cache) = match spec.predictor {
-        PredictorSpec::Oracle => sim.run_counted(policy.as_ref(), None, &run_caches),
-        PredictorSpec::Arima => sim.run_counted(
-            policy.as_ref(),
-            Some(&ArimaPredictor::daily(per_day)),
-            &run_caches,
-        ),
-        PredictorSpec::SeasonalNaive => sim.run_counted(
-            policy.as_ref(),
-            Some(&SeasonalNaive::new(per_day)),
-            &run_caches,
-        ),
-    };
+    let predictor = spec.predictor.build(per_day);
+    let (outcome, cache) = sim.run_counted(policy.as_ref(), predictor.as_deref(), &run_caches);
     Ok(CellOutcome {
         cell: *cell,
         outcome,
@@ -947,6 +1083,18 @@ mod tests {
             f(&mut self);
             self
         }
+    }
+
+    #[test]
+    fn claim_loop_runs_every_job_once() {
+        for workers in [1, 3] {
+            let runs: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+            for_each_claimed(workers, runs.len(), |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+        for_each_claimed(2, 0, |_| unreachable!("no jobs to claim"));
     }
 
     #[test]

@@ -133,19 +133,18 @@ impl<'a> WeekSimBuilder<'a> {
         if self.max_servers == 0 {
             return Err(ntc_core::Error::NoServers);
         }
-        let week = 7 * 24 * 12;
         let have = self.fleet.grid().len();
-        if have < 2 * week {
+        if have < 2 * EVAL_WEEK {
             return Err(ntc_core::Error::HorizonTooShort {
                 have,
-                need: 2 * week,
+                need: 2 * EVAL_WEEK,
             });
         }
         Ok(WeekSim {
             fleet: self.fleet,
             server: self.server,
             max_servers: self.max_servers,
-            eval_start: have - week,
+            eval_start: eval_start(self.fleet),
             qos_floor: self.qos_floor,
             backend: self.backend.unwrap_or_else(|| Box::new(AnalyticBackend)),
         })
@@ -457,9 +456,10 @@ impl<'a> WeekSim<'a> {
     }
 
     /// The day-ahead forecast for `day`, shared through the engine's
-    /// forecast cache when one is attached. Matches the eager
-    /// day-boundary refresh of the pre-cache simulator bit for bit: the
-    /// predictor sees all history up to the day's first sample.
+    /// forecast cache when one is attached (the engine usually fills
+    /// it before any cell runs). Each series follows
+    /// [`forecast_series`], so the predictor sees all history up to the
+    /// day's first sample.
     fn day_forecast(
         &self,
         p: &dyn Predictor,
@@ -467,24 +467,14 @@ impl<'a> WeekSim<'a> {
         caches: &RunCaches<'_>,
         stats: &mut CacheStats,
     ) -> Arc<DayForecast> {
-        let per_day = self.fleet.grid().samples_per_day();
-        let day_start = self.eval_start + day * per_day;
         let (forecast, computed) =
             fetch_or_compute(caches.forecasts.and_then(|row| row.get(day)), || {
-                DayForecast {
-                    cpu: self
-                        .fleet
-                        .vms()
-                        .iter()
-                        .map(|v| p.forecast(&v.cpu.window(0..day_start), per_day))
+                let series = 0..DayForecast::series_count(self.fleet.len());
+                DayForecast::from_series(
+                    series
+                        .map(|s| forecast_series(p, self.fleet, day, s))
                         .collect(),
-                    mem: self
-                        .fleet
-                        .vms()
-                        .iter()
-                        .map(|v| p.forecast(&v.mem.window(0..day_start), per_day))
-                        .collect(),
-                }
+                )
             });
         if computed {
             stats.forecast_misses += 1;
@@ -493,6 +483,32 @@ impl<'a> WeekSim<'a> {
         }
         forecast
     }
+}
+
+/// Samples in the evaluated final week of every fleet.
+const EVAL_WEEK: usize = 7 * 24 * 12;
+
+/// Sample index where `fleet`'s evaluation week begins; everything
+/// before it is training history.
+fn eval_start(fleet: &Fleet) -> usize {
+    fleet.grid().len() - EVAL_WEEK
+}
+
+/// Series `s` of `fleet`'s forecast for evaluation day `day` (see
+/// [`DayForecast::series`] for the numbering). This is the one history
+/// rule of every day-ahead forecast, whichever cell or engine worker
+/// computes it: the predictor sees samples `0..eval_start + day·per_day`
+/// and predicts the day's `per_day` samples.
+pub(crate) fn forecast_series(
+    predictor: &dyn Predictor,
+    fleet: &Fleet,
+    day: usize,
+    s: usize,
+) -> TimeSeries {
+    let per_day = fleet.grid().samples_per_day();
+    let history_end = eval_start(fleet) + day * per_day;
+    let series = DayForecast::series(fleet, s);
+    predictor.forecast(&series.window(0..history_end), per_day)
 }
 
 /// Per-VM CPU and memory windows of the actual traces over `range` —

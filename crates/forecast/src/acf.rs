@@ -27,9 +27,25 @@ pub fn acf(y: &[f64], max_lag: usize) -> Vec<f64> {
     );
     let n = y.len() as f64;
     let m = stats::mean(y);
-    let c0: f64 = y.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n;
-    (0..=max_lag)
-        .map(|k| {
+    // One pass over the series: sums[k] adds (y[t] − m)(y[t−k] − m) for
+    // ascending t, starting from −0.0 as `Iterator::sum` does, so each
+    // lag's sum has the bits of its own pass over the series.
+    let mut sums = vec![-0.0; max_lag + 1];
+    for t in 0..max_lag {
+        for (k, sum) in sums[..=t].iter_mut().enumerate() {
+            *sum += (y[t] - m) * (y[t - k] - m);
+        }
+    }
+    for w in y.windows(max_lag + 1) {
+        let now = w[max_lag] - m;
+        for (sum, &past) in sums.iter_mut().zip(w.iter().rev()) {
+            *sum += now * (past - m);
+        }
+    }
+    let c0 = sums[0] / n;
+    sums.iter()
+        .enumerate()
+        .map(|(k, &sum)| {
             if c0 < 1e-12 {
                 if k == 0 {
                     1.0
@@ -37,11 +53,7 @@ pub fn acf(y: &[f64], max_lag: usize) -> Vec<f64> {
                     0.0
                 }
             } else {
-                let ck: f64 = (k..y.len())
-                    .map(|t| (y[t] - m) * (y[t - k] - m))
-                    .sum::<f64>()
-                    / n;
-                ck / c0
+                sum / n / c0
             }
         })
         .collect()

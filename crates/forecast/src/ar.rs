@@ -41,10 +41,12 @@ pub fn yule_walker(y: &[f64], p: usize) -> Vec<f64> {
 /// `t ≥ phi.len()`.
 pub fn residuals(y: &[f64], phi: &[f64]) -> Vec<f64> {
     let p = phi.len();
-    (p..y.len())
-        .map(|t| {
-            let pred: f64 = phi.iter().enumerate().map(|(i, &c)| c * y[t - 1 - i]).sum();
-            y[t] - pred
+    y.windows(p + 1)
+        .map(|w| {
+            // w = y[t − p ..= t]; pairs φ_i with y[t − 1 − i].
+            let (past, now) = w.split_at(p);
+            let pred: f64 = phi.iter().zip(past.iter().rev()).map(|(c, v)| c * v).sum();
+            now[0] - pred
         })
         .collect()
 }

@@ -109,18 +109,20 @@ impl Arima {
         );
 
         // Stage 0: differencing.
-        let after_seasonal = match self.seasonal_period {
+        let mut z = match self.seasonal_period {
             Some(sp) => diff::difference(history, sp),
             None => history.to_vec(),
         };
         let mut tails = Vec::with_capacity(self.d);
-        let mut z = after_seasonal.clone();
         for _ in 0..self.d {
             tails.push(*z.last().expect("non-empty after differencing"));
             z = diff::difference(&z, 1);
         }
         let mean = stats::mean(&z);
-        let zc: Vec<f64> = z.iter().map(|v| v - mean).collect();
+        let mut zc = z;
+        for v in &mut zc {
+            *v -= mean;
+        }
 
         // Stage 1: long-AR innovations.
         let long_order = (self.p + self.q + 5).min(zc.len() / 4).max(1);
@@ -129,24 +131,16 @@ impl Arima {
         // innov[k] corresponds to zc[k + long_order]
 
         // Stage 2: regression of zc[t] on p lags of zc and q lags of
-        // innovations.
-        let start = long_order + self.q.max(self.p);
-        let mut xrows = Vec::new();
-        let mut yvals = Vec::new();
-        for t in start..zc.len() {
-            let mut row = Vec::with_capacity(self.p + self.q);
-            for i in 1..=self.p {
-                row.push(zc[t - i]);
-            }
-            for j in 1..=self.q {
-                row.push(innov[t - j - long_order]);
-            }
-            xrows.push(row);
-            yvals.push(zc[t]);
-        }
-        let beta = linalg::least_squares(&xrows, &yvals, 1e-6)
-            .unwrap_or_else(|| vec![0.0; self.p + self.q]);
-        let (phi_raw, theta_raw) = beta.split_at(self.p);
+        // innovations, for t in start..n. Each regressor is a shifted
+        // view of zc or innov, so no row is ever copied.
+        let (p, q, n) = (self.p, self.q, zc.len());
+        let start = long_order + q.max(p);
+        let lags = (1..=p).map(|i| &zc[start - i..n - i]);
+        let shocks = (1..=q).map(|j| &innov[start - j - long_order..n - j - long_order]);
+        let columns: Vec<&[f64]> = lags.chain(shocks).collect();
+        let beta =
+            linalg::least_squares(&columns, &zc[start..], 1e-6).unwrap_or_else(|| vec![0.0; p + q]);
+        let (phi_raw, theta_raw) = beta.split_at(p);
 
         // Stationarity/invertibility guard: shrink coefficient vectors
         // whose l1 norm reaches 1, which would make the recursive
@@ -340,6 +334,83 @@ mod tests {
             (fc[19] - expected_end).abs() < 15.0,
             "trend forecast {:.1} vs {expected_end:.1}",
             fc[19]
+        );
+    }
+
+    /// 24 synthetic utilization histories of 2,016–3,744 five-minute
+    /// samples: xorshift noise on a diurnal curve, plus one
+    /// near-constant series and one with long stretches of zeros.
+    fn golden_histories() -> Vec<Vec<f64>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as f64 / u64::MAX as f64 - 0.5
+        };
+        (0..24)
+            .map(|i| {
+                let len = 2016 + i * 72;
+                let (base, swing, jitter) =
+                    (10.0 + 3.0 * i as f64, 4.0 + i as f64, 1.0 + 0.5 * i as f64);
+                (0..len)
+                    .map(|t| {
+                        let phase = (t % 288) as f64 / 288.0 * std::f64::consts::TAU;
+                        match i {
+                            0 => 42.0 + 1e-9 * noise(),
+                            1 if (t / 500) % 2 == 0 => 0.0,
+                            _ => (base + swing * phase.sin() + jitter * noise()).max(0.0),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the bit patterns of every value, in order.
+    fn bit_hash<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn forecasts_are_bit_identical_to_golden() {
+        // Pins every bit of these forecasts: reordering any
+        // floating-point sum of the fit (differencing, ACF, residuals,
+        // normal equations, recursion) moves the hashes.
+        use crate::{ArimaPredictor, Predictor};
+        use ntc_trace::TimeSeries;
+        let histories = golden_histories();
+        let daily: Vec<f64> = histories
+            .iter()
+            .flat_map(|h| {
+                let h = TimeSeries::from_values(h.clone());
+                ArimaPredictor::daily(288)
+                    .forecast(&h, 288)
+                    .values()
+                    .to_vec()
+            })
+            .collect();
+        let general = |model: Arima| -> Vec<f64> {
+            histories
+                .iter()
+                .flat_map(|h| model.fit(h).forecast(48))
+                .collect()
+        };
+        let hashes = [
+            bit_hash(&daily),
+            bit_hash(&general(Arima::new(1, 1, 1))),
+            bit_hash(&general(Arima::new(3, 2, 0))),
+        ];
+        assert_eq!(
+            hashes,
+            [
+                0x2e23_6d24_3faf_c8db,
+                0xb86c_0f82_c417_f576,
+                0x1472_5f8c_e62c_fc4d
+            ],
+            "{hashes:#018x?}"
         );
     }
 

@@ -41,7 +41,6 @@ mod holt_winters;
 pub mod linalg;
 pub mod metrics;
 mod predictor;
-pub mod selection;
 
 pub use arima::{Arima, FittedArima};
 pub use holt_winters::HoltWinters;

@@ -4,7 +4,7 @@
 
 use ntc_dc::datacenter::{
     BackendSpec, CellStage, Engine, ExperimentSpec, FailurePolicy, FaultSpec, PolicySpec,
-    ServerSpec,
+    PredictorSpec, ServerSpec,
 };
 
 fn small_sweep() -> ExperimentSpec {
@@ -221,6 +221,94 @@ fn cross_backend_sweep_shares_plans_and_groups_per_backend() {
         (336, 336),
         "cross-backend arms must share plan groups"
     );
+}
+
+/// A forecasting sweep: 2 fleets x {EPACT, COAT} on the NTC server,
+/// so every cell plans from its own forecasts. Cell order: 0 = seed 31
+/// EPACT, 1 = seed 31 COAT, 2 = seed 32 EPACT, 3 = seed 32 COAT.
+fn forecasting_sweep(predictor: PredictorSpec) -> ExperimentSpec {
+    let mut spec = ExperimentSpec::default_sweep().with_seeds(&[31, 32]);
+    spec.fleets.iter_mut().for_each(|f| f.num_vms = 12);
+    spec.servers = vec![ServerSpec::Ntc];
+    spec.policies = vec![PolicySpec::Epact, PolicySpec::Coat];
+    spec.predictor = predictor;
+    spec.max_servers = 150;
+    spec
+}
+
+#[test]
+fn forecasting_sweep_is_bit_identical_however_scheduled() {
+    // The engine fits every day forecast up front across its workers;
+    // the parallel, single-worker and uncached per-cell schedules must
+    // still agree on every bit of every cell.
+    for predictor in [PredictorSpec::Arima, PredictorSpec::SeasonalNaive] {
+        let spec = forecasting_sweep(predictor);
+        let parallel = Engine::new().run(&spec).expect("parallel run");
+        let sequential = Engine::new().run_sequential(&spec).expect("sequential run");
+        let uncached = Engine::with_threads(1)
+            .caching(false)
+            .run(&spec)
+            .expect("uncached run");
+        assert_eq!(parallel.cells.len(), 4, "{predictor:?}");
+        assert_eq!(parallel.outcomes(), sequential.outcomes(), "{predictor:?}");
+        assert_eq!(parallel.outcomes(), uncached.outcomes(), "{predictor:?}");
+
+        // Cached: each (fleet, day) forecast is fitted once, before the
+        // cells, and all 4 cells x 7 days of lookups hit.
+        for cached in [&parallel, &sequential] {
+            let totals = cached.cache_totals();
+            assert_eq!(totals.forecast_misses, 2 * 7, "{predictor:?}");
+            assert_eq!(totals.forecast_hits, 4 * 7, "{predictor:?}");
+            assert_eq!(cached.sweep_cache.forecast_misses, 2 * 7);
+        }
+        // Uncached: every cell forecasts every day itself.
+        let totals = uncached.cache_totals();
+        assert_eq!(totals.forecast_hits, 0, "{predictor:?}");
+        assert_eq!(totals.forecast_misses, 4 * 7, "{predictor:?}");
+    }
+}
+
+#[test]
+fn fault_injection_forecast_stage_isolates_arima_cells() {
+    // Forecasts are filled before the cells run, yet a cell still
+    // enters its forecast stage on each planning day: a panic there
+    // fails that cell alone, and the others stay bit-identical to a
+    // clean sequential run.
+    let spec = forecasting_sweep(PredictorSpec::Arima);
+    let clean = Engine::with_threads(1)
+        .run_sequential(&spec)
+        .expect("clean run");
+    assert!(clean.is_complete());
+
+    let faulted = Engine::new()
+        .inject_fault(FaultSpec::panic_at(2, CellStage::Forecast))
+        .run(&spec)
+        .expect("a faulted cell must not abort the sweep");
+    assert_eq!(faulted.total_cells(), 4);
+    assert_eq!(faulted.succeeded().len(), 3);
+    let failure = &faulted.failed()[0];
+    assert_eq!(failure.index, 2);
+    assert_eq!(failure.label, clean.cells[2].cell.label(spec.ablation));
+    assert_eq!(failure.stage(), Some(CellStage::Forecast));
+    assert_eq!(failure.kind_label(), "panic");
+    assert!(
+        failure.message().contains("injected fault"),
+        "panic payload must survive capture: {}",
+        failure.message()
+    );
+    for (survivor, clean_idx) in faulted.succeeded().iter().zip([0usize, 1, 3]) {
+        let reference = &clean.cells[clean_idx];
+        assert_eq!(survivor.cell, reference.cell);
+        assert_eq!(survivor.outcome, reference.outcome);
+        assert_eq!(
+            survivor.outcome.total_energy().as_joules().to_bits(),
+            reference.outcome.total_energy().as_joules().to_bits(),
+            "energy drifted in cell {clean_idx} next to a faulted sibling"
+        );
+    }
+    // The fault hit a cell, not the up-front step: every day forecast
+    // was still fitted exactly once.
+    assert_eq!(faulted.cache_totals().forecast_misses, 2 * 7);
 }
 
 /// The fault-injection acceptance shape: a 2-seed x 2-policy sweep so
