@@ -68,14 +68,13 @@ impl OneDimAllocator {
     ///
     /// Panics if `predicted_cpu` is empty or series lengths differ.
     pub fn allocate(&self, predicted_cpu: &[TimeSeries]) -> Vec<usize> {
-        let mut cache = CorrelationCache::new(predicted_cpu);
-        self.allocate_with_cache(predicted_cpu, &mut cache)
+        self.allocate_with_cache(predicted_cpu, &CorrelationCache::new(predicted_cpu))
     }
 
     /// [`allocate`](Self::allocate) against a caller-provided
-    /// correlation cache — the form `ntc_core::Epact` uses so a
-    /// day-level cache attached to the slot context is reused instead
-    /// of rebuilding Pearson terms per slot.
+    /// correlation cache — the form `ntc_core::Epact` uses so that a
+    /// windowed cache built from the slot context's day caches serves
+    /// the scans.
     ///
     /// # Panics
     ///
@@ -84,7 +83,7 @@ impl OneDimAllocator {
     pub fn allocate_with_cache(
         &self,
         predicted_cpu: &[TimeSeries],
-        cache: &mut CorrelationCache<'_>,
+        cache: &CorrelationCache,
     ) -> Vec<usize> {
         assert!(!predicted_cpu.is_empty(), "no VMs to allocate");
         let slot_len = predicted_cpu[0].len();

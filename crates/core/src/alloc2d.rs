@@ -104,12 +104,23 @@ impl TwoDimAllocator {
     ) -> f64 {
         let phi_cpu = srv_cpu.complementary().correlation(vm_cpu);
         let phi_mem = srv_mem.complementary().correlation(vm_mem);
+        self.eq2(phi_cpu, phi_mem, || {
+            (
+                vm_cpu.distance(&srv_cpu.headroom_to(self.cap_cpu)),
+                vm_mem.distance(&srv_mem.headroom_to(self.cap_mem)),
+            )
+        })
+    }
+
+    /// Eq. 2 from the two φ terms; `distances` yields the CPU and
+    /// memory `Dist` terms and runs only when the distance term is on.
+    fn eq2(&self, phi_cpu: f64, phi_mem: f64, distances: impl FnOnce() -> (f64, f64)) -> f64 {
         if !self.use_distance {
             return self.weight_cpu() * phi_cpu + self.weight_mem() * phi_mem;
         }
-        let dist_cpu = vm_cpu.distance(&srv_cpu.headroom_to(self.cap_cpu)) + EPS;
-        let dist_mem = vm_mem.distance(&srv_mem.headroom_to(self.cap_mem)) + EPS;
-        self.weight_cpu() * phi_cpu / dist_cpu + self.weight_mem() * phi_mem / dist_mem
+        let (dist_cpu, dist_mem) = distances();
+        self.weight_cpu() * phi_cpu / (dist_cpu + EPS)
+            + self.weight_mem() * phi_mem / (dist_mem + EPS)
     }
 
     /// Allocates every VM, returning `assignment[vm] = server index`.
@@ -123,15 +134,17 @@ impl TwoDimAllocator {
     ///
     /// Panics if the inputs are empty or of mismatched lengths.
     pub fn allocate(&self, cpu: &[TimeSeries], mem: &[TimeSeries]) -> Vec<usize> {
-        let mut cache_cpu = CorrelationCache::new(cpu);
-        let mut cache_mem = CorrelationCache::new(mem);
-        self.allocate_with_caches(cpu, mem, &mut cache_cpu, &mut cache_mem)
+        self.allocate_with_caches(
+            cpu,
+            mem,
+            &CorrelationCache::new(cpu),
+            &CorrelationCache::new(mem),
+        )
     }
 
     /// [`allocate`](Self::allocate) against caller-provided correlation
-    /// caches — the form `ntc_core::Epact` uses so day-level caches
-    /// attached to the slot context are reused instead of rebuilding
-    /// Pearson terms per slot.
+    /// caches — the form `ntc_core::Epact` uses so that windowed caches
+    /// built from the slot context's day caches serve the scans.
     ///
     /// # Panics
     ///
@@ -141,8 +154,8 @@ impl TwoDimAllocator {
         &self,
         cpu: &[TimeSeries],
         mem: &[TimeSeries],
-        cache_cpu: &mut CorrelationCache<'_>,
-        cache_mem: &mut CorrelationCache<'_>,
+        cache_cpu: &CorrelationCache,
+        cache_mem: &CorrelationCache,
     ) -> Vec<usize> {
         assert!(!cpu.is_empty(), "no VMs to allocate");
         assert_eq!(cpu.len(), mem.len(), "need CPU and memory per VM");
@@ -160,10 +173,10 @@ impl TwoDimAllocator {
         let mut srv_mem = vec![TimeSeries::zeros(slot_len); self.num_servers];
         let mut assignment = vec![usize::MAX; cpu.len()];
 
-        // Memoized Pearson terms shared by every candidate scan of the
-        // slot, one accumulator per server and dimension: the φ queries
-        // of Eq. 2 drop from O(len) each to O(|S|) cached terms, summed
-        // only for the servers that pass the cap check.
+        // Pearson terms shared by every candidate scan of the slot, one
+        // accumulator per server and dimension: the φ queries of Eq. 2
+        // drop from O(len) each to O(|S|) pairwise terms, summed only
+        // for the servers that pass the cap check.
         let mut stats_cpu = vec![LazyPatternStats::new(); self.num_servers];
         let mut stats_mem = vec![LazyPatternStats::new(); self.num_servers];
 
@@ -193,13 +206,12 @@ impl TwoDimAllocator {
                 let cov_mem = stats_mem[j].covariance_with(cache_mem, vm);
                 let phi_cpu = stats_cpu[j].complement_correlation(cache_cpu, vm, cov_cpu);
                 let phi_mem = stats_mem[j].complement_correlation(cache_mem, vm, cov_mem);
-                let m = if self.use_distance {
-                    let dist_cpu = srv_cpu[j].headroom_distance(self.cap_cpu, &cpu[vm]) + EPS;
-                    let dist_mem = srv_mem[j].headroom_distance(self.cap_mem, &mem[vm]) + EPS;
-                    self.weight_cpu() * phi_cpu / dist_cpu + self.weight_mem() * phi_mem / dist_mem
-                } else {
-                    self.weight_cpu() * phi_cpu + self.weight_mem() * phi_mem
-                };
+                let m = self.eq2(phi_cpu, phi_mem, || {
+                    (
+                        srv_cpu[j].headroom_distance(self.cap_cpu, &cpu[vm]),
+                        srv_mem[j].headroom_distance(self.cap_mem, &mem[vm]),
+                    )
+                });
                 if best.is_none_or(|(_, bm, _, _)| m > bm) {
                     best = Some((j, m, cov_cpu, cov_mem));
                 }

@@ -10,14 +10,14 @@ use crate::{AllocationPolicy, SlotContext, SlotPlan};
 /// matches the VM (the CPU-load-correlation awareness of Kim et al.,
 /// DATE'13) and checking both the CPU and memory caps per sample.
 ///
-/// `cache` holds the memoized Pearson terms over `cpu` — built from the
-/// slot context so a day-level cache is reused when one is attached.
+/// `cache` holds the Pearson terms over `cpu`, built by the slot
+/// context.
 fn consolidate(
     cpu: &[TimeSeries],
     mem: &[TimeSeries],
     cap_cpu: f64,
     cap_mem: f64,
-    mut cache: CorrelationCache<'_>,
+    cache: &CorrelationCache,
 ) -> Vec<usize> {
     let slot_len = cpu[0].len();
     let mut order: Vec<usize> = (0..cpu.len()).collect();
@@ -44,8 +44,8 @@ fn consolidate(
             {
                 continue;
             }
-            let cov = stats[j].covariance_with(&mut cache, vm);
-            let phi = stats[j].complement_correlation(&cache, vm, cov);
+            let cov = stats[j].covariance_with(cache, vm);
+            let phi = stats[j].complement_correlation(cache, vm, cov);
             if best.is_none_or(|(_, b, _)| phi > b) {
                 best = Some((j, phi, cov));
             }
@@ -61,7 +61,7 @@ fn consolidate(
         };
         srv_cpu[j].add_in_place(&cpu[vm]);
         srv_mem[j].add_in_place(&mem[vm]);
-        stats[j].admit(&cache, vm, cov);
+        stats[j].admit(cache, vm, cov);
         assignment[vm] = j;
     }
     assignment
@@ -105,7 +105,7 @@ impl AllocationPolicy for Coat {
             ctx.predicted_mem(),
             100.0,
             100.0,
-            ctx.corr_cpu(),
+            &ctx.corr_cpu(),
         );
         let n = assignments.iter().max().map_or(1, |&m| m + 1);
         SlotPlan::new(
@@ -162,7 +162,7 @@ impl AllocationPolicy for CoatOpt {
             ctx.predicted_mem(),
             cap_cpu,
             100.0,
-            ctx.corr_cpu(),
+            &ctx.corr_cpu(),
         );
         let n = assignments.iter().max().map_or(1, |&m| m + 1);
         SlotPlan::new(

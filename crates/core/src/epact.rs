@@ -79,10 +79,9 @@ impl AllocationPolicy for Epact {
 
         let (assignments, realized_servers) = if decision.cpu_dominated {
             let alloc = OneDimAllocator::new(decision.fopt, fmax);
-            // ctx.corr_cpu() reuses a day-level cache when one is
-            // attached (see SlotContext::with_day_window).
-            let mut cache = ctx.corr_cpu();
-            let a = alloc.allocate_with_cache(ctx.predicted_cpu(), &mut cache);
+            // ctx.corr_cpu() reads the attached day caches' window when
+            // there is one (see SlotContext::with_day_window).
+            let a = alloc.allocate_with_cache(ctx.predicted_cpu(), &ctx.corr_cpu());
             let n = a.iter().max().map_or(1, |&m| m + 1);
             (a, n)
         } else {
@@ -90,13 +89,11 @@ impl AllocationPolicy for Epact {
             if self.correlation_only {
                 alloc = alloc.correlation_only();
             }
-            let mut cache_cpu = ctx.corr_cpu();
-            let mut cache_mem = ctx.corr_mem();
             let a = alloc.allocate_with_caches(
                 ctx.predicted_cpu(),
                 ctx.predicted_mem(),
-                &mut cache_cpu,
-                &mut cache_mem,
+                &ctx.corr_cpu(),
+                &ctx.corr_mem(),
             );
             let n = a.iter().max().map_or(1, |&m| m + 1);
             (a, n)

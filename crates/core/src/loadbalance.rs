@@ -2,6 +2,10 @@ use ntc_units::Frequency;
 
 use crate::{AllocationPolicy, SlotContext, SlotPlan};
 
+/// The per-server target utilization, percent of Fmax-capacity: servers
+/// idle near the bottom of the DVFS range.
+const TARGET_UTIL: f64 = 25.0;
+
 /// The load-balancing extreme: spread VMs thinly so every server runs
 /// cool and slow.
 ///
@@ -9,9 +13,9 @@ use crate::{AllocationPolicy, SlotContext, SlotPlan};
 /// balancing is optimal — consolidation overpays in the superlinear
 /// high-frequency region, load balancing overpays in per-server static
 /// power. This policy implements the latter extreme for comparison: it
-/// opens enough servers to keep each below `target_util` percent of
-/// Fmax-capacity (default 25%, i.e. servers idle near the bottom of the
-/// DVFS range) and assigns each VM to the least-loaded server.
+/// opens enough servers to keep each below 25% of Fmax-capacity (servers
+/// idle near the bottom of the DVFS range) and assigns each VM to the
+/// least-loaded server.
 ///
 /// # Examples
 ///
@@ -21,41 +25,15 @@ use crate::{AllocationPolicy, SlotContext, SlotPlan};
 /// let policy = LoadBalance::new();
 /// assert_eq!(policy.name(), "LOAD-BAL");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadBalance {
-    target_util: f64,
+    _private: (),
 }
 
 impl LoadBalance {
-    /// Creates the policy with the default 25% per-server target.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self { target_util: 25.0 }
-    }
-
-    /// Overrides the per-server target utilization (percent of
-    /// Fmax-capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 100]`.
-    pub fn with_target_util(mut self, target: f64) -> Self {
-        assert!(
-            target > 0.0 && target <= 100.0,
-            "target utilization must be in (0, 100]"
-        );
-        self.target_util = target;
-        self
-    }
-
-    /// The per-server target utilization.
-    pub fn target_util(&self) -> f64 {
-        self.target_util
-    }
-}
-
-impl Default for LoadBalance {
-    fn default() -> Self {
-        Self::new()
+        Self { _private: () }
     }
 }
 
@@ -68,7 +46,7 @@ impl AllocationPolicy for LoadBalance {
         let server = ctx.server();
         let fmax = server.fmax();
         let peak = ctx.peak_aggregate_cpu();
-        let n = ((peak / self.target_util).ceil() as usize).clamp(1, ctx.max_servers());
+        let n = ((peak / TARGET_UTIL).ceil() as usize).clamp(1, ctx.max_servers());
 
         // Least-loaded-first balancing on mean predicted CPU.
         let cpu = ctx.predicted_cpu();
@@ -104,7 +82,7 @@ impl AllocationPolicy for LoadBalance {
         SlotPlan::new(
             assignment,
             n,
-            self.target_util.max(per_server_peak.min(100.0)).max(1.0),
+            TARGET_UTIL.max(per_server_peak.min(100.0)).max(1.0),
             100.0,
             planned,
             server.fmin(),
@@ -153,11 +131,5 @@ mod tests {
         let ctx = SlotContext::new(&cpu, &mem, &server, 3);
         let plan = LoadBalance::new().allocate(&ctx);
         assert!(plan.num_servers() <= 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "target utilization")]
-    fn bad_target_rejected() {
-        let _ = LoadBalance::new().with_target_util(0.0);
     }
 }

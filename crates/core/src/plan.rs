@@ -2,9 +2,9 @@ use ntc_power::ServerPowerModel;
 use ntc_trace::{CorrelationCache, DayCache, TimeSeries};
 use ntc_units::Frequency;
 
-/// Day-level block-plane caches backing a slot's correlation queries:
-/// the CPU and memory [`DayCache`]s plus the offset of the slot window
-/// within the day. Attached to a [`SlotContext`] via
+/// The CPU and memory [`DayCache`]s whose window at `offset` holds a
+/// slot's predicted values, from which its correlation caches compute
+/// their block planes. Attached to a [`SlotContext`] via
 /// [`with_day_window`](SlotContext::with_day_window).
 #[derive(Debug, Clone, Copy)]
 struct DayWindow<'a> {
@@ -68,12 +68,12 @@ impl<'a> SlotContext<'a> {
         }
     }
 
-    /// Attaches day-level block-plane caches whose window at `offset`
-    /// holds this slot's predicted values, letting
-    /// [`corr_cpu`](Self::corr_cpu)/[`corr_mem`](Self::corr_mem) answer
-    /// correlation queries from the day's block plane instead of
-    /// rebuilding per-slot state. The caller guarantees the day values
-    /// at `offset..offset + slot_len` are the slot's predicted values;
+    /// Attaches day caches whose window at `offset` holds this slot's
+    /// predicted values, so that [`corr_cpu`](Self::corr_cpu) and
+    /// [`corr_mem`](Self::corr_mem) build their caches over that window:
+    /// covariances from its block plane instead of from the slot's
+    /// centered series. The caller guarantees the day values at
+    /// `offset..offset + slot_len` are the slot's predicted values;
     /// per-series moments are bit-identical either way (see
     /// [`CorrelationCache::from_day_window`]).
     ///
@@ -81,8 +81,8 @@ impl<'a> SlotContext<'a> {
     ///
     /// Panics if either cache covers a different number of series than
     /// the context has VMs, or the slot window reaches outside the day.
-    /// A correlation query panics if the window is not aligned to the
-    /// caches' blocks.
+    /// [`corr_cpu`](Self::corr_cpu) and [`corr_mem`](Self::corr_mem)
+    /// panic if the window is not aligned to the caches' blocks.
     pub fn with_day_window(mut self, cpu: &'a DayCache, mem: &'a DayCache, offset: usize) -> Self {
         assert_eq!(
             cpu.num_series(),
@@ -103,10 +103,10 @@ impl<'a> SlotContext<'a> {
         self
     }
 
-    /// A correlation cache over the slot's predicted CPU series —
-    /// borrowing the attached day cache's window when one is present,
-    /// otherwise building a fresh per-slot cache.
-    pub fn corr_cpu(&self) -> CorrelationCache<'_> {
+    /// A new correlation cache over the slot's predicted CPU series:
+    /// over the attached day cache's window when one is present,
+    /// otherwise over the centered series.
+    pub fn corr_cpu(&self) -> CorrelationCache {
         match &self.day {
             Some(d) => {
                 CorrelationCache::from_day_window(d.cpu, d.offset..d.offset + self.slot_len())
@@ -117,7 +117,7 @@ impl<'a> SlotContext<'a> {
 
     /// A correlation cache over the slot's predicted memory series; see
     /// [`corr_cpu`](Self::corr_cpu).
-    pub fn corr_mem(&self) -> CorrelationCache<'_> {
+    pub fn corr_mem(&self) -> CorrelationCache {
         match &self.day {
             Some(d) => {
                 CorrelationCache::from_day_window(d.mem, d.offset..d.offset + self.slot_len())
@@ -381,8 +381,8 @@ mod tests {
         let slot_mem = slot_cpu.clone();
         let ctx =
             SlotContext::new(&slot_cpu, &slot_mem, &server, 100).with_day_window(&day, &day, 4);
-        let mut windowed = ctx.corr_cpu();
-        let mut fresh = ntc_trace::CorrelationCache::new(&slot_cpu);
+        let windowed = ctx.corr_cpu();
+        let fresh = ntc_trace::CorrelationCache::new(&slot_cpu);
         for i in 0..3 {
             assert_eq!(windowed.variance(i), fresh.variance(i));
             for j in 0..3 {

@@ -664,8 +664,7 @@ impl Engine {
     /// every cell forecasts its own days.
     /// Each distinct fleet is generated once in both modes, and both
     /// plan every slot on the same numerical path: inside [`WeekSim`],
-    /// the policy alone decides whether day-level moment caches serve
-    /// its plans.
+    /// the policy alone decides whether block planes serve its plans.
     #[must_use]
     pub fn caching(mut self, enabled: bool) -> Self {
         self.caching = enabled;
@@ -982,7 +981,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// Fallible construction — the backend and the simulator builder —
 /// reports a structured [`CellError`] attributed to its stage instead
 /// of panicking; everything past setup is caught by the
-/// `catch_unwind` wrapper in [`drain_cells`]. The error is boxed so
+/// `catch_unwind` wrapper in [`claim_cell`]. The error is boxed so
 /// the per-cell `Result` stays pointer-sized on the failure side.
 fn run_cell(
     spec: &ExperimentSpec,

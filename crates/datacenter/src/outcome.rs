@@ -118,11 +118,6 @@ impl WeekOutcome {
     pub fn active_servers_series(&self) -> Vec<usize> {
         self.slots.iter().map(|s| s.active_servers).collect()
     }
-
-    /// Per-slot violation series (the Fig. 4 y-axis).
-    pub fn violations_series(&self) -> Vec<usize> {
-        self.slots.iter().map(|s| s.violations).collect()
-    }
 }
 
 #[cfg(test)]

@@ -34,54 +34,16 @@ pub struct WeekSim<'a> {
     backend: Box<dyn SlotBackend>,
 }
 
-/// Lazily built day-level planning state of one run: the current day's
-/// forecast and moment caches, refreshed only when a planning slot
-/// crosses a day boundary (and skipped entirely on plan-cache hits).
-struct DayState {
-    forecast: Option<Arc<DayForecast>>,
-    forecast_day: Option<usize>,
-    moments: Option<(DayCache, DayCache)>,
-    moments_day: Option<usize>,
-}
-
-impl DayState {
-    fn new() -> Self {
-        Self {
-            forecast: None,
-            forecast_day: None,
-            moments: None,
-            moments_day: None,
-        }
-    }
-
-    /// The shared day-boundary refresh: rebuilds `cache` via `build`
-    /// only when it does not already describe `day`. Both the forecast
-    /// and the moment caches roll forward through this one helper, so
-    /// the two stages cannot drift apart in their staleness rules.
-    fn refresh<T>(
-        cache: &mut Option<T>,
-        cached_day: &mut Option<usize>,
-        day: usize,
-        build: impl FnOnce() -> T,
-    ) -> bool {
-        if *cached_day == Some(day) {
-            return false;
-        }
-        *cache = Some(build());
-        *cached_day = Some(day);
-        true
-    }
-}
-
 /// Builder for [`WeekSim`], collecting the two optional settings — the
 /// QoS frequency floor and the accounting backend — before validating
 /// the fleet horizon.
 ///
 /// How a plan is computed is not a setting: a policy that re-plans
-/// more than once a day (EPACT) answers its slot windows from one
-/// [`DayCache`](ntc_trace::DayCache) pair per planning day, while a
-/// once-a-day consolidator (COAT, COAT-OPT) rebuilds the moments of
-/// its single window, which is cheaper for one window.
+/// more than once a day (EPACT) scores each window from block planes
+/// of that window (a [`DayCache`](ntc_trace::DayCache) pair over the
+/// window's predictions), while a once-a-day consolidator (COAT,
+/// COAT-OPT) scores its single window from the centered series, which
+/// is cheaper for the few covariances it reads.
 ///
 /// Obtained from [`WeekSim::builder`]; finish with
 /// [`build`](WeekSimBuilder::build) (fallible) or
@@ -228,8 +190,8 @@ impl<'a> WeekSim<'a> {
     /// counters returned; the public wrappers pass [`RunCaches::none`].
     ///
     /// A slot whose plan is already in the shared cache skips *all* of
-    /// its prediction work — forecast, day-moment build and packing —
-    /// and goes straight to replay.
+    /// its prediction work — forecast, block planes and packing — and
+    /// goes straight to replay.
     pub(crate) fn run_counted(
         &self,
         policy: &dyn AllocationPolicy,
@@ -244,7 +206,9 @@ impl<'a> WeekSim<'a> {
         let governor = DvfsGovernor::new(&self.server);
 
         let mut stats = CacheStats::default();
-        let mut state = DayState::new();
+        // The forecast of the last planned day: the only planning state
+        // kept across slots.
+        let mut forecast: Option<(usize, Arc<DayForecast>)> = None;
 
         // EPACT re-plans every slot; the consolidation baselines follow
         // daily patterns and keep one plan in force for 24 slots.
@@ -271,13 +235,26 @@ impl<'a> WeekSim<'a> {
             // Stage 1+2 — forecast & plan, refreshed at period starts.
             if slot % period == 0 {
                 fault::enter(CellStage::Plan);
-                // Shared-plan fast path first: a hit skips forecasting,
-                // moment building and packing for the whole period.
+                // Shared-plan fast path first: a hit skips forecasting
+                // and packing for the whole period.
                 let (new_plan, computed) =
                     fetch_or_compute(caches.plans.and_then(|row| row.get(slot)), || {
-                        self.plan_slot(
-                            policy, predictor, caches, slot, period, slots, &mut state, &mut stats,
-                        )
+                        // Forecast lazily: only planning days are
+                        // forecast, and a day whose plans all hit is
+                        // never forecast.
+                        let day = slot / slots_per_day;
+                        if let Some(p) = predictor {
+                            if forecast.as_ref().is_none_or(|(d, _)| *d != day) {
+                                fault::enter(CellStage::Forecast);
+                                forecast =
+                                    Some((day, self.day_forecast(p, day, caches, &mut stats)));
+                                // Back in the plan stage once the day's
+                                // forecast stands.
+                                fault::enter(CellStage::Plan);
+                            }
+                        }
+                        let day_forecast = forecast.as_ref().map(|(_, fc)| &**fc);
+                        self.plan_slot(policy, day_forecast, slot, period, slots)
                     });
                 if computed {
                     stats.plan_misses += 1;
@@ -361,80 +338,28 @@ impl<'a> WeekSim<'a> {
         )
     }
 
-    /// Plans one slot: ensures the day's forecast (and, for a policy
-    /// that re-plans within the day, its moment caches) is current,
-    /// builds the prediction windows and runs the policy.
+    /// Plans the period starting at `slot` from `forecast`, the
+    /// forecast of the slot's day (`None` plans from the actual
+    /// traces): builds the prediction windows and runs the policy.
     /// Called only on plan-cache misses (or uncached runs).
-    #[allow(clippy::too_many_arguments)]
     fn plan_slot(
         &self,
         policy: &dyn AllocationPolicy,
-        predictor: Option<&dyn Predictor>,
-        caches: &RunCaches<'_>,
+        forecast: Option<&DayForecast>,
         slot: usize,
         period: usize,
         slots: usize,
-        state: &mut DayState,
-        stats: &mut CacheStats,
     ) -> SlotPlan {
         let grid = self.fleet.grid();
         let sps = grid.samples_per_slot();
-        let per_day = grid.samples_per_day();
-        let slots_per_day = per_day / sps;
-        let day = slot / slots_per_day;
+        let slots_per_day = grid.samples_per_day() / sps;
         let start = self.eval_start + slot * sps;
 
         // Prediction window covering the whole allocation period.
         let window_len = sps * period.min(slots - slot);
         let offset = (slot % slots_per_day) * sps;
-
-        // Refresh the day-ahead forecast lazily: only planning days are
-        // forecast, and a day whose plans all hit is never forecast. A
-        // new forecast invalidates the moment caches built from it.
-        if let Some(p) = predictor {
-            if DayState::refresh(&mut state.forecast, &mut state.forecast_day, day, || {
-                fault::enter(CellStage::Forecast);
-                self.day_forecast(p, day, caches, stats)
-            }) {
-                state.moments = None;
-                state.moments_day = None;
-            }
-            // Back in the plan stage once the day's forecast stands.
-            fault::enter(CellStage::Plan);
-        }
-
-        // Day-level moment caches: one build per day serves every
-        // re-plan of that day with O(1) windowed covariances, each slot
-        // filling its window's block plane once. Only a policy that
-        // re-plans within the day reads more than one window of them; a
-        // once-a-day consolidator reads a single window, whose lazy
-        // scoring the per-slot rebuild serves for less than a full
-        // O(V²·len) plane.
-        if period < slots_per_day {
-            let day_start = self.eval_start + day * per_day;
-            let forecast = &state.forecast;
-            let fleet = self.fleet;
-            // Every plan window is aligned to the slot grid, so the
-            // caches answer it from a block plane of pair products.
-            DayState::refresh(&mut state.moments, &mut state.moments_day, day, || {
-                match (forecast, predictor) {
-                    (Some(fc), Some(_)) => (
-                        DayCache::with_block_size(&fc.cpu, sps),
-                        DayCache::with_block_size(&fc.mem, sps),
-                    ),
-                    _ => {
-                        let (cpu, mem) = actual_windows(fleet, day_start..day_start + per_day);
-                        (
-                            DayCache::with_block_size(&cpu, sps),
-                            DayCache::with_block_size(&mem, sps),
-                        )
-                    }
-                }
-            });
-        }
-
-        let (pred_cpu, pred_mem): (Vec<TimeSeries>, Vec<TimeSeries>) = match &state.forecast {
-            Some(fc) if predictor.is_some() => (
+        let (pred_cpu, pred_mem): (Vec<TimeSeries>, Vec<TimeSeries>) = match forecast {
+            Some(fc) => (
                 fc.cpu
                     .iter()
                     .map(|s| s.window(offset..offset + window_len))
@@ -444,13 +369,18 @@ impl<'a> WeekSim<'a> {
                     .map(|s| s.window(offset..offset + window_len))
                     .collect(),
             ),
-            _ => actual_windows(self.fleet, start..start + window_len),
+            None => actual_windows(self.fleet, start..start + window_len),
         };
-        let mut ctx = SlotContext::new(&pred_cpu, &pred_mem, &self.server, self.max_servers);
-        if let Some((dc_cpu, dc_mem)) = &state.moments {
-            if offset + window_len <= per_day {
-                ctx = ctx.with_day_window(dc_cpu, dc_mem, offset);
-            }
+        let ctx = SlotContext::new(&pred_cpu, &pred_mem, &self.server, self.max_servers);
+        // A policy that re-plans within the day scores its window from
+        // block planes, one block per slot: the bits of the same window
+        // of a whole day cut into slots, and cheaper than centered dots
+        // for its eager scans. A once-a-day consolidator reads too few
+        // covariances for a full O(V²·len) plane to pay.
+        if period < slots_per_day {
+            let cpu = DayCache::with_block_size(&pred_cpu, sps);
+            let mem = DayCache::with_block_size(&pred_mem, sps);
+            return policy.allocate(&ctx.with_day_window(&cpu, &mem, 0));
         }
         policy.allocate(&ctx)
     }
@@ -511,9 +441,8 @@ pub(crate) fn forecast_series(
     predictor.forecast(&series.window(0..history_end), per_day)
 }
 
-/// Per-VM CPU and memory windows of the actual traces over `range` —
-/// the shared series cut both the moment build (oracle arm) and the
-/// oracle prediction windows draw from.
+/// Per-VM CPU and memory windows of the actual traces over `range`:
+/// the oracle's prediction windows.
 fn actual_windows(fleet: &Fleet, range: Range<usize>) -> (Vec<TimeSeries>, Vec<TimeSeries>) {
     (
         fleet

@@ -1,4 +1,4 @@
-//! Memoized Pearson-correlation terms for the allocator hot loops.
+//! Pearson-correlation terms for the allocator hot loops.
 //!
 //! Algorithms 1 and 2 score every unallocated VM against the current
 //! server pattern `Patt` by the correlation of the VM with the server's
@@ -14,13 +14,17 @@
 //! * `var(S + u) = var(S) + var(u) + 2·cov(S, u)` — the pattern variance
 //!   updates in O(1) from terms already on hand.
 //!
-//! [`CorrelationCache`] precomputes the per-series moments once per slot
-//! and memoizes pairwise covariances on first use; [`PatternStats`] and
-//! [`LazyPatternStats`] carry `var(S)` and the `cov(S, ·)` terms for one
-//! server pattern. Together they reduce a candidate scan from O(len)
-//! per candidate to O(1) (O(|S|) for the lazy form), with each pairwise
-//! covariance computed at most once per slot — the redundancy hoist the
-//! `ntc_datacenter::Engine` sweep relies on.
+//! [`CorrelationCache`] computes the per-series moments once per slot
+//! and each pairwise covariance when it is asked for; [`PatternStats`]
+//! and [`LazyPatternStats`] carry `var(S)` and the `cov(S, ·)` terms for
+//! one server pattern. Together they reduce a candidate scan from
+//! O(len) per candidate to O(1) (O(|S|) for the lazy form) — the
+//! redundancy hoist the `ntc_datacenter::Engine` sweep relies on. A
+//! cache keeps no memo of pairwise terms, because no scan would hit
+//! one: COAT, COAT-OPT and Algorithm 2 read `cov(u, v)` only while
+//! placing the later of `u` and `v`, and Algorithm 1, whose eager rows
+//! read each pair twice, gets a windowed cache from the week
+//! simulation, where a covariance is one plane lookup.
 //!
 //! The numerical contract mirrors [`stats`](crate::stats) exactly:
 //! population moments, a `1e-12` degenerate-σ floor mapping to φ = 0,
@@ -48,28 +52,28 @@
 //! Both sum the same `cov(u, v)` terms in admission order starting from
 //! `+0.0` and score through one φ formula, so they agree bit for bit.
 //!
-//! # Day-level windows and the block-plane algebra
+//! # Windowed caches and the block-plane algebra
 //!
-//! A cache can also *borrow* a slot-aligned window of a [`DayCache`]
-//! (see [`CorrelationCache::from_day_window`]), which hoists the
-//! per-slot work one level further: the day cache keeps one block plane
-//! holding, per pair, `Σxy` over the window (the blocks' dot products
-//! summed in block order), so the window `[a, b)` of width `w` answers
+//! A cache can also be built over a block-aligned window of a
+//! [`DayCache`] (see [`CorrelationCache::from_day_window`]). It then
+//! computes and owns the window's *block plane*: per pair, `Σxy` over
+//! the window (the blocks' dot products summed in block order), so the
+//! window `[a, b)` of width `w` answers
 //!
 //! ```text
 //! cov(x, y) = Σxy / w − mean_x · mean_y
 //! ```
 //!
-//! without re-centering the series, and one day cache serves all 24
-//! hourly re-plans. The means are not taken from the plane. The
-//! uncentered variance form `Σxx / w − mean²` cancels catastrophically
-//! on near-constant windows (AR(1) traces pinned at their floor), which
-//! can land σ on the wrong side of the `1e-12` degeneracy floor
-//! relative to the exact two-pass computation. A windowed cache
-//! therefore computes per-series means and variances *exactly* (same
-//! two-pass code as the owning constructor, over the same bits) and
-//! reserves the plane for the pairwise covariances, where ulp-level
-//! drift only matters on exact score ties.
+//! without re-centering the series, and Algorithm 1's eager row streams
+//! through one contiguous plane row. The means are not taken from the
+//! plane. The uncentered variance form `Σxx / w − mean²` cancels
+//! catastrophically on near-constant windows (AR(1) traces pinned at
+//! their floor), which can land σ on the wrong side of the `1e-12`
+//! degeneracy floor relative to the exact two-pass computation. A
+//! windowed cache therefore computes per-series means and variances
+//! *exactly* (same two-pass code as the owning constructor, over the
+//! same bits) and reserves the plane for the pairwise covariances,
+//! where ulp-level drift only matters on exact score ties.
 //!
 //! # Examples
 //!
@@ -80,21 +84,34 @@
 //!     TimeSeries::from_values(vec![30.0, 30.0, 5.0, 5.0]),
 //!     TimeSeries::from_values(vec![5.0, 5.0, 30.0, 30.0]),
 //! ];
-//! let mut cache = CorrelationCache::new(&vms);
+//! let cache = CorrelationCache::new(&vms);
 //! let mut pattern = cache.pattern();
-//! pattern.admit(&mut cache, 0);
+//! pattern.admit(&cache, 0);
 //! // The night VM matches the day pattern's complement perfectly.
 //! assert!((pattern.complement_correlation(&cache, 1) - 1.0).abs() < 1e-12);
 //! ```
 
 use std::ops::Range;
 
-use crate::windowed::Error;
 use crate::{stats, DayCache, TimeSeries};
 
-/// Not-yet-memoized marker for pairwise covariance slots. Input series
-/// are asserted finite, so a genuine covariance can never be NaN.
-const UNSET: f64 = f64::NAN;
+/// The common length of a non-empty set of equal-length series: the one
+/// input check of [`CorrelationCache::new`] and
+/// [`DayCache::with_block_size`].
+///
+/// # Panics
+///
+/// Panics if `series` is empty or the series lengths differ.
+#[track_caller]
+pub(crate) fn series_set_len(series: &[TimeSeries]) -> usize {
+    assert!(!series.is_empty(), "correlation cache needs a series set");
+    let len = series[0].len();
+    assert!(
+        series.iter().all(|s| s.len() == len),
+        "all series must cover the same slot"
+    );
+    len
+}
 
 /// The eager accumulator for one server pattern `S`: `var(S)`, `σ(S)`
 /// and the running `cov(S, ·)` row over every series, for scans that
@@ -108,55 +125,46 @@ pub struct PatternStats {
     cov_with: Vec<f64>,
 }
 
-/// Where a cache's series values and covariance terms live: owned and
-/// centered per slot (the classic path), or borrowed as a window of a
-/// day-level block-plane cache.
+/// Where a cache's covariances come from: the slot's centered series,
+/// or a window's block plane.
 #[derive(Debug, Clone)]
-enum Backing<'d> {
-    Owned {
-        /// Row-major `num_series × len` mean-centered values.
-        centered: Vec<f64>,
-        /// Row-major `num_series × num_series`, `UNSET` until memoized.
-        cov: Vec<f64>,
-    },
+enum Backing {
+    /// Row-major `num_series × len` mean-centered values.
+    Owned(Vec<f64>),
     Windowed {
-        day: &'d DayCache,
-        window: Range<usize>,
+        /// Entry `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is the window's
+        /// `Σxy` of series `lo` and `hi`.
+        plane: Vec<f64>,
         /// Exact per-series window means (two-pass, not plane-derived).
         means: Vec<f64>,
     },
 }
 
-/// Per-slot cache of the Pearson terms shared by every candidate scan:
-/// per-series population moments (eager) and pairwise covariances
-/// (memoized on first use).
+/// The Pearson terms of one slot's series shared by every candidate
+/// scan: per-series population moments, computed on construction, and
+/// pairwise covariances, computed on each call.
 ///
-/// Create one per allocation call and thread it through
-/// [`PatternStats`] or [`LazyPatternStats`]; see the
-/// [crate docs](crate) for the algebra.
+/// Build one per allocation call and pass it to [`PatternStats`] or
+/// [`LazyPatternStats`]; see the [crate docs](crate) for the algebra.
 #[derive(Debug, Clone)]
-pub struct CorrelationCache<'d> {
+pub struct CorrelationCache {
     num_series: usize,
     len: usize,
     vars: Vec<f64>,
     stds: Vec<f64>,
-    backing: Backing<'d>,
+    backing: Backing,
 }
 
-impl CorrelationCache<'static> {
+impl CorrelationCache {
     /// Builds the cache for a slot's per-VM series, computing each
     /// series' population mean, variance and standard deviation.
     ///
-    /// Fails with [`Error::EmptySeriesSet`] on an empty slice and
-    /// [`Error::RaggedSeries`] when the series lengths differ.
-    pub fn try_new(series: &[TimeSeries]) -> Result<Self, Error> {
-        if series.is_empty() {
-            return Err(Error::EmptySeriesSet);
-        }
-        let len = series[0].len();
-        if series.iter().any(|s| s.len() != len) {
-            return Err(Error::RaggedSeries);
-        }
+    /// # Panics
+    ///
+    /// Panics if `series` is empty or the series lengths differ.
+    #[track_caller]
+    pub fn new(series: &[TimeSeries]) -> Self {
+        let len = series_set_len(series);
         let num_series = series.len();
         let mut centered = Vec::with_capacity(num_series * len);
         let mut vars = Vec::with_capacity(num_series);
@@ -168,52 +176,29 @@ impl CorrelationCache<'static> {
             vars.push(var);
             stds.push(var.sqrt());
         }
-        Ok(Self {
+        Self {
             num_series,
             len,
             vars,
             stds,
-            backing: Backing::Owned {
-                centered,
-                cov: vec![UNSET; num_series * num_series],
-            },
-        })
-    }
-
-    /// Panicking form of [`try_new`](Self::try_new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `series` is empty or the series lengths differ.
-    #[track_caller]
-    pub fn new(series: &[TimeSeries]) -> Self {
-        match Self::try_new(series) {
-            Ok(cache) => cache,
-            Err(e) => panic!("{e}"),
+            backing: Backing::Owned(centered),
         }
     }
-}
 
-impl<'d> CorrelationCache<'d> {
     /// Builds a cache over `window` of a [`DayCache`] without copying
-    /// or re-centering the series: covariances come from the day's
-    /// block plane, while per-series means and variances are computed
-    /// exactly from the raw window so degenerate-σ decisions (the
-    /// `1e-12` floor) are bit-identical to [`new`](Self::new) on the
-    /// same values — see the [crate docs](crate).
+    /// or re-centering the series: it computes the window's block plane
+    /// for the covariances, while per-series means and variances are
+    /// computed exactly from the raw window so degenerate-σ decisions
+    /// (the `1e-12` floor) are bit-identical to [`new`](Self::new) on
+    /// the same values — see the [crate docs](crate).
     ///
     /// # Panics
     ///
-    /// Panics if `window` reaches outside the day. A covariance query
-    /// panics if `window` is not aligned to the day's blocks.
-    pub fn from_day_window(day: &'d DayCache, window: Range<usize>) -> Self {
-        assert!(
-            window.start <= window.end && window.end <= day.len(),
-            "window {}..{} outside day of {} samples",
-            window.start,
-            window.end,
-            day.len()
-        );
+    /// Panics if `window` reaches outside the day or does not start and
+    /// end on the day's block boundaries.
+    #[track_caller]
+    pub fn from_day_window(day: &DayCache, window: Range<usize>) -> Self {
+        let plane = day.block_plane(&window);
         let num_series = day.num_series();
         let mut means = Vec::with_capacity(num_series);
         let mut vars = Vec::with_capacity(num_series);
@@ -230,7 +215,7 @@ impl<'d> CorrelationCache<'d> {
             len: window.len(),
             vars,
             stds,
-            backing: Backing::Windowed { day, window, means },
+            backing: Backing::Windowed { plane, means },
         }
     }
 
@@ -251,30 +236,22 @@ impl<'d> CorrelationCache<'d> {
     }
 
     /// Population covariance of series `i` and `j` (matching
-    /// [`stats::covariance`]), computed on first use and memoized —
-    /// per-slot for an owning cache, per-day for a windowed one.
-    pub fn covariance(&mut self, i: usize, j: usize) -> f64 {
-        let (num_series, len) = (self.num_series, self.len);
-        match &mut self.backing {
-            Backing::Owned { centered, cov } => {
-                let slot = i * num_series + j;
-                let cached = cov[slot];
-                if !cached.is_nan() {
-                    return cached;
-                }
+    /// [`stats::covariance`]). `cov(i, j)` and `cov(j, i)` have the
+    /// same bits. Series shorter than 2 samples yield 0.
+    pub fn covariance(&self, i: usize, j: usize) -> f64 {
+        let len = self.len;
+        if len < 2 {
+            return 0.0;
+        }
+        match &self.backing {
+            Backing::Owned(centered) => {
                 let a = &centered[i * len..(i + 1) * len];
                 let b = &centered[j * len..(j + 1) * len];
-                let c = if len < 2 {
-                    0.0
-                } else {
-                    a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>() / len as f64
-                };
-                cov[slot] = c;
-                cov[j * num_series + i] = c;
-                c
+                a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>() / len as f64
             }
-            Backing::Windowed { day, window, means } => {
-                day.window_covariance_with_means(i, j, window.clone(), means[i], means[j])
+            Backing::Windowed { plane, means } => {
+                let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
+                plane[hi * (hi + 1) / 2 + lo] * (1.0 / len as f64) - means[i] * means[j]
             }
         }
     }
@@ -282,25 +259,40 @@ impl<'d> CorrelationCache<'d> {
     /// Adds `cov(u, v)` into `acc[v]` for every series `v` — the bulk
     /// form of [`covariance`](Self::covariance) behind
     /// [`PatternStats::admit`]. The per-pair arithmetic is identical to
-    /// the scalar calls in order and value; bulking only amortizes the
-    /// dispatch, and for a windowed cache the day-cache borrow, across
-    /// the whole row — the difference between the day-level cache
-    /// winning and losing the EPACT hot loop.
-    pub fn accumulate_covariance_row(&mut self, u: usize, acc: &mut [f64]) {
+    /// the scalar calls in order and value; for a windowed cache the
+    /// bulk form streams through the plane, which is what lets the
+    /// windowed cache win the EPACT hot loop.
+    pub fn accumulate_covariance_row(&self, u: usize, acc: &mut [f64]) {
         assert_eq!(acc.len(), self.num_series, "one accumulator per series");
-        if let Backing::Windowed { day, window, means } = &self.backing {
-            day.accumulate_window_covariances(u, window.clone(), means, acc);
+        let Backing::Windowed { plane, means } = &self.backing else {
+            for (v, acc_v) in acc.iter_mut().enumerate() {
+                *acc_v += self.covariance(u, v);
+            }
+            return;
+        };
+        if self.len < 2 {
             return;
         }
-        for (v, acc_v) in acc.iter_mut().enumerate() {
-            *acc_v += self.covariance(u, v);
+        let inv_w = 1.0 / self.len as f64;
+        let mean_u = means[u];
+        // Split at `u`: the `v ≤ u` half of the triangular row is
+        // contiguous in the plane and vectorizes.
+        let base = u * (u + 1) / 2;
+        for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
+            *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
+        }
+        for (acc_v, (v, &mean_v)) in acc[u + 1..]
+            .iter_mut()
+            .zip(means.iter().enumerate().skip(u + 1))
+        {
+            *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
         }
     }
 
-    /// Pearson correlation of series `i` and `j`, memoizing the
-    /// covariance term. Matches [`stats::pearson_correlation`]: zero if
-    /// either σ is below `1e-12`, clamped into `[-1, 1]`.
-    pub fn correlation(&mut self, i: usize, j: usize) -> f64 {
+    /// Pearson correlation of series `i` and `j`. Matches
+    /// [`stats::pearson_correlation`]: zero if either σ is below
+    /// `1e-12`, clamped into `[-1, 1]`.
+    pub fn correlation(&self, i: usize, j: usize) -> f64 {
         let (si, sj) = (self.stds[i], self.stds[j]);
         if si < 1e-12 || sj < 1e-12 {
             return 0.0;
@@ -340,8 +332,8 @@ impl PatternStats {
     }
 
     /// Folds series `u` into the pattern sum, updating `var(S)` and the
-    /// running `cov(S, ·)` vector from cached pairwise terms.
-    pub fn admit(&mut self, cache: &mut CorrelationCache<'_>, u: usize) {
+    /// running `cov(S, ·)` vector from the cache's pairwise terms.
+    pub fn admit(&mut self, cache: &CorrelationCache, u: usize) {
         // Read cov(S, u) *before* the cov_with update below folds
         // cov(u, u) into it.
         self.var += cache.variance(u) + 2.0 * self.cov_with[u];
@@ -361,7 +353,7 @@ impl PatternStats {
     ///
     /// Degenerate σ (below `1e-12`) on either side yields 0, matching
     /// [`stats::pearson_correlation`] on the materialized complement.
-    pub fn complement_correlation(&self, cache: &CorrelationCache<'_>, v: usize) -> f64 {
+    pub fn complement_correlation(&self, cache: &CorrelationCache, v: usize) -> f64 {
         complement_phi(self.std, cache.std_dev(v), self.cov_with[v])
     }
 }
@@ -386,7 +378,7 @@ impl LazyPatternStats {
     /// `cov(S, v) = Σ_{u ∈ S} cov(u, v)`, summed from `+0.0` over the
     /// members in admission order: the very additions the eager
     /// [`PatternStats`] row makes, so the two agree bit for bit.
-    pub fn covariance_with(&self, cache: &mut CorrelationCache<'_>, v: usize) -> f64 {
+    pub fn covariance_with(&self, cache: &CorrelationCache, v: usize) -> f64 {
         // Not `Iterator::sum`: its float identity is −0.0, and the
         // eager row starts from +0.0.
         self.members
@@ -398,12 +390,7 @@ impl LazyPatternStats {
     /// complementary series, given `cov_sv` from
     /// [`covariance_with`](Self::covariance_with); the same formula as
     /// [`PatternStats::complement_correlation`].
-    pub fn complement_correlation(
-        &self,
-        cache: &CorrelationCache<'_>,
-        v: usize,
-        cov_sv: f64,
-    ) -> f64 {
+    pub fn complement_correlation(&self, cache: &CorrelationCache, v: usize, cov_sv: f64) -> f64 {
         complement_phi(self.variance().sqrt(), cache.std_dev(v), cov_sv)
     }
 
@@ -411,7 +398,7 @@ impl LazyPatternStats {
     /// [`covariance_with`](Self::covariance_with)`(cache, u)` taken
     /// before this admission, which the scan that chose this pattern
     /// already computed.
-    pub fn admit(&mut self, cache: &CorrelationCache<'_>, u: usize, cov_su: f64) {
+    pub fn admit(&mut self, cache: &CorrelationCache, u: usize, cov_su: f64) {
         self.var += cache.variance(u) + 2.0 * cov_su;
         self.members.push(u);
     }
@@ -446,11 +433,16 @@ mod tests {
     #[test]
     fn covariance_matches_stats_bitwise() {
         let vms = fixtures(6, 24);
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         for i in 0..6 {
             for j in 0..6 {
                 let direct = stats::covariance(vms[i].values(), vms[j].values());
                 assert_eq!(cache.covariance(i, j), direct, "pair ({i}, {j})");
+                assert_eq!(
+                    cache.covariance(i, j).to_bits(),
+                    cache.covariance(j, i).to_bits(),
+                    "pair ({i}, {j}) is symmetric"
+                );
             }
         }
     }
@@ -458,7 +450,7 @@ mod tests {
     #[test]
     fn correlation_matches_stats_bitwise() {
         let vms = fixtures(5, 16);
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         for i in 0..5 {
             for j in 0..5 {
                 let direct = stats::pearson_correlation(vms[i].values(), vms[j].values());
@@ -470,11 +462,11 @@ mod tests {
     #[test]
     fn complement_correlation_matches_materialized_complement() {
         let vms = fixtures(8, 24);
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         let mut pattern = cache.pattern();
         let mut sum = TimeSeries::zeros(24);
         for &u in &[3, 0, 5] {
-            pattern.admit(&mut cache, u);
+            pattern.admit(&cache, u);
             sum.add_in_place(&vms[u]);
         }
         for (v, vm) in vms.iter().enumerate() {
@@ -490,11 +482,11 @@ mod tests {
     #[test]
     fn pattern_variance_tracks_sum_variance() {
         let vms = fixtures(6, 12);
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         let mut pattern = cache.pattern();
         let mut sum = TimeSeries::zeros(12);
         for u in [1, 4, 2, 0] {
-            pattern.admit(&mut cache, u);
+            pattern.admit(&cache, u);
             sum.add_in_place(&vms[u]);
             let direct = stats::variance(sum.values());
             assert!(
@@ -511,9 +503,9 @@ mod tests {
             TimeSeries::constant(8, 10.0),
             TimeSeries::from_values((0..8).map(|t| t as f64).collect()),
         ];
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         let mut pattern = cache.pattern();
-        pattern.admit(&mut cache, 0);
+        pattern.admit(&cache, 0);
         // σ(S) = 0 -> φ = 0 toward anything, as with the materialized
         // complement path.
         assert_eq!(pattern.complement_correlation(&cache, 1), 0.0);
@@ -525,9 +517,9 @@ mod tests {
         let day = TimeSeries::from_values(vec![30.0, 30.0, 5.0, 5.0]);
         let night = TimeSeries::from_values(vec![5.0, 5.0, 30.0, 30.0]);
         let vms = vec![day, night];
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         let mut pattern = cache.pattern();
-        pattern.admit(&mut cache, 0);
+        pattern.admit(&cache, 0);
         assert!((pattern.complement_correlation(&cache, 1) - 1.0).abs() < 1e-12);
         assert!((pattern.complement_correlation(&cache, 0) + 1.0).abs() < 1e-12);
     }
@@ -535,13 +527,13 @@ mod tests {
     #[test]
     fn reset_clears_the_pattern() {
         let vms = fixtures(4, 8);
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         let mut pattern = cache.pattern();
-        pattern.admit(&mut cache, 0);
-        pattern.admit(&mut cache, 2);
+        pattern.admit(&cache, 0);
+        pattern.admit(&cache, 2);
         pattern.reset();
         assert_eq!(pattern.variance(), 0.0);
-        pattern.admit(&mut cache, 1);
+        pattern.admit(&cache, 1);
         let direct = vms[1].complementary().correlation(&vms[3]);
         assert!((pattern.complement_correlation(&cache, 3) - direct).abs() < 1e-9);
     }
@@ -549,7 +541,7 @@ mod tests {
     #[test]
     fn short_series_have_zero_moments() {
         let vms = vec![TimeSeries::constant(1, 5.0), TimeSeries::constant(1, 9.0)];
-        let mut cache = CorrelationCache::new(&vms);
+        let cache = CorrelationCache::new(&vms);
         assert_eq!(cache.variance(0), 0.0);
         assert_eq!(cache.covariance(0, 1), 0.0);
         assert_eq!(cache.correlation(0, 1), 0.0);
@@ -563,20 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_bad_input() {
-        assert!(matches!(
-            CorrelationCache::try_new(&[]),
-            Err(crate::Error::EmptySeriesSet)
-        ));
-        let vms = vec![TimeSeries::zeros(4), TimeSeries::zeros(5)];
-        assert!(matches!(
-            CorrelationCache::try_new(&vms),
-            Err(crate::Error::RaggedSeries)
-        ));
-        assert!(CorrelationCache::try_new(&fixtures(2, 4)).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "needs a series set")]
     fn empty_input_panics() {
         let _ = CorrelationCache::new(&[]);
@@ -587,13 +565,13 @@ mod tests {
         let series = fixtures(8, 24);
         let day = crate::DayCache::with_block_size(&series, 6);
         let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(6..18)).collect();
-        let mut owned = CorrelationCache::new(&copies);
-        let mut windowed = CorrelationCache::from_day_window(&day, 6..18);
+        let owned = CorrelationCache::new(&copies);
+        let windowed = CorrelationCache::from_day_window(&day, 6..18);
         let mut p_owned = owned.pattern();
         let mut p_windowed = windowed.pattern();
         for u in [2, 5, 0] {
-            p_owned.admit(&mut owned, u);
-            p_windowed.admit(&mut windowed, u);
+            p_owned.admit(&owned, u);
+            p_windowed.admit(&windowed, u);
         }
         for v in 0..8 {
             let a = p_owned.complement_correlation(&owned, v);
@@ -612,33 +590,33 @@ mod tests {
             TimeSeries::from_values((0..24).map(|t| (t % 5) as f64).collect()),
         ];
         let day = crate::DayCache::with_block_size(&series, 3);
-        let mut windowed = CorrelationCache::from_day_window(&day, 3..15);
+        let windowed = CorrelationCache::from_day_window(&day, 3..15);
         assert_eq!(windowed.std_dev(0), 0.0);
         assert_eq!(windowed.correlation(0, 1), 0.0);
         let mut pattern = windowed.pattern();
-        pattern.admit(&mut windowed, 0);
+        pattern.admit(&windowed, 0);
         assert_eq!(pattern.complement_correlation(&windowed, 1), 0.0);
     }
 
     /// Admits `order` into an eager and a lazy pattern over `cache` and
     /// checks, before every admission, that the two agree bit for bit
     /// on `cov(S, v)` and φ for every candidate and on `var(S)` after it.
-    fn assert_lazy_matches_eager(mut cache: CorrelationCache<'_>, order: &[usize]) {
+    fn assert_lazy_matches_eager(cache: &CorrelationCache, order: &[usize]) {
         let mut eager = cache.pattern();
         let mut lazy = LazyPatternStats::new();
         for &u in order {
             for v in 0..cache.num_series() {
-                let cov = lazy.covariance_with(&mut cache, v);
+                let cov = lazy.covariance_with(cache, v);
                 assert_eq!(cov.to_bits(), eager.cov_with[v].to_bits(), "cov(S, {v})");
                 assert_eq!(
-                    lazy.complement_correlation(&cache, v, cov).to_bits(),
-                    eager.complement_correlation(&cache, v).to_bits(),
+                    lazy.complement_correlation(cache, v, cov).to_bits(),
+                    eager.complement_correlation(cache, v).to_bits(),
                     "φ of {v}"
                 );
             }
-            let cov_u = lazy.covariance_with(&mut cache, u);
-            eager.admit(&mut cache, u);
-            lazy.admit(&cache, u, cov_u);
+            let cov_u = lazy.covariance_with(cache, u);
+            eager.admit(cache, u);
+            lazy.admit(cache, u, cov_u);
             assert_eq!(lazy.variance().to_bits(), eager.variance().to_bits());
         }
     }
@@ -673,9 +651,9 @@ mod tests {
             let k0 = first.min(blocks - 1);
             let window = k0 * block..(k0 + width).min(blocks) * block;
             let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
-            assert_lazy_matches_eager(CorrelationCache::new(&copies), &order);
+            assert_lazy_matches_eager(&CorrelationCache::new(&copies), &order);
             let day = DayCache::with_block_size(&series, block);
-            assert_lazy_matches_eager(CorrelationCache::from_day_window(&day, window), &order);
+            assert_lazy_matches_eager(&CorrelationCache::from_day_window(&day, window), &order);
         }
 
         /// A windowed cache over a random block-aligned window of a day
@@ -683,7 +661,10 @@ mod tests {
         /// variances and stds bitwise (same two-pass code over the same
         /// bits), covariances with `stats::covariance` on the window
         /// slices to ulp-level tolerance (block plane vs centered
-        /// accumulation).
+        /// accumulation). A windowed cache over the copied window cut
+        /// into the same blocks — the slot-level planes the week
+        /// simulation builds — must agree with the day-level window bit
+        /// for bit.
         #[test]
         fn day_window_matches_owned_cache_on_window_copy(
             (n, block, blocks) in (2usize..8, 1usize..13, 1usize..6),
@@ -699,11 +680,15 @@ mod tests {
             let window = k0 * block..(k0 + width).min(blocks) * block;
             let copies: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
             let owned = CorrelationCache::new(&copies);
-            let mut windowed = CorrelationCache::from_day_window(&day, window.clone());
+            let windowed = CorrelationCache::from_day_window(&day, window.clone());
+            let cut = DayCache::with_block_size(&copies, block);
+            let slot = CorrelationCache::from_day_window(&cut, 0..window.len());
             assert_eq!(windowed.num_series(), n);
             for (i, x) in copies.iter().enumerate() {
                 assert_eq!(windowed.variance(i).to_bits(), owned.variance(i).to_bits(), "var {i} {window:?}");
                 assert_eq!(windowed.std_dev(i).to_bits(), owned.std_dev(i).to_bits(), "std {i} {window:?}");
+                assert_eq!(slot.variance(i).to_bits(), windowed.variance(i).to_bits(), "cut var {i} {window:?}");
+                assert_eq!(slot.std_dev(i).to_bits(), windowed.std_dev(i).to_bits(), "cut std {i} {window:?}");
                 for (j, y) in copies.iter().enumerate() {
                     let direct = stats::covariance(x.values(), y.values());
                     let scale = direct.abs().max(1.0);
@@ -711,6 +696,17 @@ mod tests {
                         (windowed.covariance(i, j) - direct).abs() < 1e-9 * scale,
                         "cov ({i}, {j}) window {window:?}"
                     );
+                    assert_eq!(
+                        slot.covariance(i, j).to_bits(),
+                        windowed.covariance(i, j).to_bits(),
+                        "cut cov ({i}, {j}) window {window:?}"
+                    );
+                }
+                let (mut row_slot, mut row_day) = (vec![0.0; n], vec![0.0; n]);
+                slot.accumulate_covariance_row(i, &mut row_slot);
+                windowed.accumulate_covariance_row(i, &mut row_day);
+                for (a, b) in row_slot.iter().zip(&row_day) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "cut row {i} window {window:?}");
                 }
             }
         }

@@ -12,18 +12,19 @@
 //! * [`stats`] — Pearson correlation (the φ similarity of Eq. 2),
 //!   Euclidean distance (the Dist term of Eq. 2) and supporting moments;
 //! * [`CorrelationCache`] / [`PatternStats`] / [`LazyPatternStats`] —
-//!   memoized pairwise Pearson terms and running-pattern correlations
-//!   for the allocator candidate scans of Algorithms 1 and 2 and COAT;
-//! * [`DayCache`] — a day of series answering slot-aligned windowed
-//!   covariances from one block plane, so one cache serves all hourly
-//!   re-plans of a day.
+//!   a slot's per-series moments and pairwise Pearson terms, and
+//!   running-pattern correlations, for the allocator candidate scans of
+//!   Algorithms 1 and 2 and COAT;
+//! * [`DayCache`] — a day of series cut into blocks, from whose
+//!   block-aligned windows a [`CorrelationCache`] computes its
+//!   covariances as one block plane.
 //!
 //! # Correlation algebra
 //!
 //! Algorithms 1 and 2 and COAT score a candidate VM `v` by φ, the
 //! Pearson correlation of `v` with a server pattern `S`'s complement
-//! `max(S) − S`. Three identities let the scans work from memoized
-//! pairwise terms instead of materialized series:
+//! `max(S) − S`. Three identities let the scans work from pairwise
+//! terms instead of materialized series:
 //!
 //! ```text
 //! φ = corr(max(S) − S, v) = −cov(S, v) / (σ(S) · σ(v))
@@ -39,11 +40,11 @@
 //! same terms in admission order from `+0.0`, so they agree bit for
 //! bit.
 //!
-//! A [`CorrelationCache`] either owns a slot's centered series or
-//! borrows a window of a [`DayCache`]. The day cache copies a day once
-//! and, for a window that starts and ends on block boundaries, keeps a
-//! *block plane*: per pair, `Σxy` over the window, the blocks' dot
-//! products summed in block order from `+0.0`. The covariance is then
+//! A [`CorrelationCache`] is a plain value. It holds either a slot's
+//! centered series or, when built over a window of a [`DayCache`] that
+//! starts and ends on block boundaries, that window's *block plane*:
+//! per pair, `Σxy` over the window, the blocks' dot products summed in
+//! block order from `+0.0`. The covariance is then
 //!
 //! ```text
 //! cov(x, y) = Σxy / w − mean_x · mean_y      (w = window width)
@@ -79,4 +80,4 @@ mod windowed;
 pub use corr::{CorrelationCache, LazyPatternStats, PatternStats};
 pub use grid::SampleGrid;
 pub use series::TimeSeries;
-pub use windowed::{DayCache, Error};
+pub use windowed::DayCache;

@@ -1,40 +1,36 @@
-//! Day-level cache of pairwise product sums over slot-aligned windows.
+//! A day of per-VM series cut into blocks: the source of windowed
+//! correlation caches.
 //!
-//! The `ntc_datacenter` week simulation produces one day-ahead forecast
-//! per day and then re-plans EPACT on every hourly slot of that day —
-//! 24 windows into the *same* underlying series. Rebuilding a
-//! [`CorrelationCache`](crate::CorrelationCache) from scratch per slot
-//! re-walks every series 24 times. [`DayCache`] copies the day once and
-//! answers the covariances of a slot window from a *block plane*.
-//!
-//! Every window starts and ends on a block boundary (the simulation
-//! passes its samples per slot as the block). For an aligned window
-//! `[a, b)` of width `w = b − a`, the plane holds, per unordered pair of
-//! series,
+//! [`DayCache`] holds the raw values of a series set and the block size
+//! every window must align to, and computes nothing until asked.
+//! [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
+//! asks it for the *block plane* of one window `[a, b)` of width
+//! `w = b − a` that starts and ends on block boundaries. The plane
+//! holds, per unordered pair of series,
 //!
 //! ```text
 //! Σxy = 0.0 + Σ_k block_dot(x[block k], y[block k])    (blocks of [a, b), in order)
 //! cov(x, y) = Σxy / w − mean_x · mean_y
 //! ```
 //!
-//! The first query of a window computes every pair's `Σxy` into *one*
-//! contiguous `num_pairs`-wide plane (1.4 MB at 600 VMs), which serves
-//! all later queries of the same window; the admit loop then streams
-//! through it. A query of another window recomputes the plane in place,
-//! so the cache holds one plane however many slots the day has.
+//! in *one* contiguous `num_pairs`-wide row (1.4 MB at 600 VMs), which
+//! the windowed cache owns and the admit loop streams through. A plane
+//! depends only on the window's values and its blocks, so a day cache
+//! over a slot's own prediction windows, cut into blocks of one slot,
+//! yields the bits of the same window of a whole day's cache; the week
+//! simulation builds its planes that way, one pair per plan.
 //!
-//! The means come from the caller and are exact:
-//! [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-//! computes per-series means and variances two-pass from the raw
-//! window. The uncentered form `Σxx / w − mean²` cancels
-//! catastrophically on near-constant windows, so the plane never serves
-//! a variance; it serves only the pairwise covariances, where ulp-level
-//! drift matters only on exact score ties.
+//! The means are computed by the windowed cache, exactly, two-pass from
+//! the raw window, and so are the per-series variances. The uncentered
+//! form `Σxx / w − mean²` cancels catastrophically on near-constant
+//! windows, so the plane never serves a variance; it serves only the
+//! pairwise covariances, where ulp-level drift matters only on exact
+//! score ties.
 //!
 //! # Examples
 //!
 //! ```
-//! use ntc_trace::{stats, DayCache, TimeSeries};
+//! use ntc_trace::{stats, CorrelationCache, DayCache, TimeSeries};
 //!
 //! let day = DayCache::with_block_size(
 //!     &[
@@ -43,74 +39,33 @@
 //!     ],
 //!     2,
 //! );
-//! let (x, y) = ([3.0, 4.0], [2.0, 1.0]); // the window 2..4
-//! let cov = day.window_covariance_with_means(0, 1, 2..4, stats::mean(&x), stats::mean(&y));
-//! assert!((cov - stats::covariance(&x, &y)).abs() < 1e-12);
+//! let window = CorrelationCache::from_day_window(&day, 2..4);
+//! let (x, y) = ([3.0, 4.0], [2.0, 1.0]);
+//! assert!((window.covariance(0, 1) - stats::covariance(&x, &y)).abs() < 1e-12);
 //! ```
 
-use std::cell::RefCell;
 use std::ops::Range;
 
+use crate::corr::series_set_len;
 use crate::TimeSeries;
 
-/// Why a series set cannot back a cache.
-///
-/// The [`std::fmt::Display`] text is also the panic message of the
-/// panicking constructors, [`CorrelationCache::new`](crate::CorrelationCache::new)
-/// and [`DayCache::with_block_size`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Error {
-    /// The series set was empty.
-    EmptySeriesSet,
-    /// The series in the set have differing lengths.
-    RaggedSeries,
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::EmptySeriesSet => write!(f, "correlation cache needs a series set"),
-            Error::RaggedSeries => write!(f, "all series must cover the same slot"),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// The block plane: `Σ x·y` over one aligned window for every pair.
-#[derive(Debug)]
-struct Plane {
-    /// The window `sums` holds, as the block range `(first, end)`;
-    /// `None` until the first query.
-    blocks: Option<(usize, usize)>,
-    /// Entry `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is `0.0 + Σ_k block_dot`
-    /// over `blocks` in block order (for one block, exactly that
-    /// block's `block_dot`). The whole plane is filled on the window's
-    /// first query: the week simulation builds a day cache only for a
-    /// per-slot re-planner, whose packing of a slot compares nearly
-    /// every pair anyway.
-    sums: Vec<f64>,
-}
-
-/// A day of per-VM series answering covariances over block-aligned
-/// windows from one lazily filled block plane; see the
-/// [crate docs](crate) for the algebra.
+/// A day of per-VM series whose block-aligned windows back
+/// [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window);
+/// see the [crate docs](crate) for the algebra.
 #[derive(Debug)]
 pub struct DayCache {
     num_series: usize,
     len: usize,
-    /// Block granularity: every queried window starts and ends on a
-    /// multiple of it.
+    /// Block granularity: every window starts and ends on a multiple
+    /// of it.
     block: usize,
     /// Row-major `num_series × len` raw values.
     values: Vec<f64>,
-    plane: RefCell<Plane>,
 }
 
 impl DayCache {
-    /// Builds the day cache for windows aligned to `block` samples (the
-    /// week simulation passes its samples per slot). Construction only
-    /// copies the raw values; the plane is filled on first query.
+    /// Builds the day cache for windows aligned to `block` samples.
+    /// Construction only copies the raw values.
     ///
     /// # Panics
     ///
@@ -118,13 +73,7 @@ impl DayCache {
     /// `block` is zero or does not divide the day length.
     #[track_caller]
     pub fn with_block_size(series: &[TimeSeries], block: usize) -> Self {
-        if series.is_empty() {
-            panic!("{}", Error::EmptySeriesSet);
-        }
-        let len = series[0].len();
-        if series.iter().any(|s| s.len() != len) {
-            panic!("{}", Error::RaggedSeries);
-        }
+        let len = series_set_len(series);
         assert!(
             block > 0 && len.is_multiple_of(block),
             "block of {block} samples does not divide the day of {len} samples"
@@ -139,10 +88,6 @@ impl DayCache {
             len,
             block,
             values,
-            plane: RefCell::new(Plane {
-                blocks: None,
-                sums: Vec::new(),
-            }),
         }
     }
 
@@ -162,118 +107,25 @@ impl DayCache {
     }
 
     /// Raw values of series `i`.
-    pub fn series(&self, i: usize) -> &[f64] {
+    pub(crate) fn series(&self, i: usize) -> &[f64] {
         &self.values[i * self.len..(i + 1) * self.len]
     }
 
-    /// Population covariance of series `i` and `j` over `window`, from
-    /// the block plane and the window means supplied by the caller —
-    /// [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-    /// computes them exactly. Windows shorter than 2 yield 0, matching
-    /// [`stats::covariance`](crate::stats::covariance).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` reaches outside the day or does not start and
-    /// end on block boundaries.
-    pub fn window_covariance_with_means(
-        &self,
-        i: usize,
-        j: usize,
-        window: Range<usize>,
-        mean_i: f64,
-        mean_j: f64,
-    ) -> f64 {
-        self.check_window(&window);
-        let w = window.len();
-        if w < 2 {
-            return 0.0;
-        }
-        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
-        let plane = &mut *self.plane.borrow_mut();
-        let products = self.plane_for(plane, &window)[hi * (hi + 1) / 2 + lo];
-        products * (1.0 / w as f64) - mean_i * mean_j
-    }
-
-    /// Adds `cov(u, v)` over `window` into `acc[v]` for every series
-    /// `v`, with the window means supplied by the caller — the bulk
-    /// form of
-    /// [`window_covariance_with_means`](Self::window_covariance_with_means)
-    /// behind the allocator's admit loop. A single `RefCell` borrow and
-    /// one window check serve the whole row; the per-value arithmetic
-    /// is identical to the scalar form. Windows shorter than 2 add zero
-    /// everywhere.
-    ///
-    /// # Panics
-    ///
-    /// As for
-    /// [`window_covariance_with_means`](Self::window_covariance_with_means),
-    /// and if `means` or `acc` does not hold one entry per series.
-    pub fn accumulate_window_covariances(
-        &self,
-        u: usize,
-        window: Range<usize>,
-        means: &[f64],
-        acc: &mut [f64],
-    ) {
-        assert_eq!(means.len(), self.num_series, "one mean per series");
-        assert_eq!(acc.len(), self.num_series, "one accumulator per series");
-        self.check_window(&window);
-        let w = window.len();
-        if w < 2 {
-            return;
-        }
-        let inv_w = 1.0 / w as f64;
-        let mean_u = means[u];
-        let plane = &mut *self.plane.borrow_mut();
-        let plane = self.plane_for(plane, &window);
-        // Split at `u`: the `v ≤ u` half of the triangular row is
-        // contiguous in the plane and vectorizes.
-        let base = u * (u + 1) / 2;
-        for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
-            *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
-        }
-        for (acc_v, (v, &mean_v)) in acc[u + 1..]
-            .iter_mut()
-            .zip(means.iter().enumerate().skip(u + 1))
-        {
-            *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
-        }
-    }
-
-    /// The plane of the aligned `window`, recomputed in place unless it
-    /// already holds that window. Each pair's entry is
-    /// `0.0 + Σ_k block_dot` over the window's blocks in block order,
+    /// The block plane of `window`: entry `hi·(hi+1)/2 + lo` (for
+    /// `lo ≤ hi`) is `0.0 + Σ_k block_dot` over the window's blocks in
+    /// block order (for one block, exactly that block's `block_dot`),
     /// so a window's plane has the same bits whenever it is computed.
     /// The four-lane dot breaks the loop-carried fma chain of the naive
     /// running sum; the summation order differs from
     /// [`stats::covariance`](crate::stats::covariance) by design (the
     /// windowed covariances are ulp-tolerant, see the module docs).
-    fn plane_for<'s>(&self, plane: &'s mut Plane, window: &Range<usize>) -> &'s [f64] {
-        let g = self.block;
-        let blocks = (window.start / g, window.end / g);
-        if plane.blocks != Some(blocks) {
-            plane.sums.clear();
-            plane
-                .sums
-                .reserve_exact(self.num_series * (self.num_series + 1) / 2);
-            for hi in 0..self.num_series {
-                let xb = self.series(hi);
-                for lo in 0..=hi {
-                    let xa = self.series(lo);
-                    let products = (blocks.0..blocks.1).fold(0.0, |sum, k| {
-                        let span = k * g..(k + 1) * g;
-                        sum + block_dot(&xa[span.clone()], &xb[span])
-                    });
-                    plane.sums.push(products);
-                }
-            }
-            plane.blocks = Some(blocks);
-        }
-        &plane.sums
-    }
-
-    fn check_window(&self, window: &Range<usize>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside the day or does not start and
+    /// end on block boundaries.
+    #[track_caller]
+    pub(crate) fn block_plane(&self, window: &Range<usize>) -> Vec<f64> {
         assert!(
             window.start <= window.end && window.end <= self.len,
             "window {}..{} outside day of {} samples",
@@ -281,18 +133,45 @@ impl DayCache {
             window.end,
             self.len
         );
+        let g = self.block;
         assert!(
-            window.start.is_multiple_of(self.block) && window.end.is_multiple_of(self.block),
-            "window {}..{} not aligned to blocks of {} samples",
+            window.start.is_multiple_of(g) && window.end.is_multiple_of(g),
+            "window {}..{} not aligned to blocks of {g} samples",
             window.start,
-            window.end,
-            self.block
+            window.end
         );
+        let rows: Vec<&[f64]> = (0..self.num_series)
+            .map(|i| &self.series(i)[window.clone()])
+            .collect();
+        let mut sums = Vec::with_capacity(self.num_series * (self.num_series + 1) / 2);
+        for (hi, xb) in rows.iter().enumerate() {
+            let row = rows[..=hi].iter();
+            if window.len() == g {
+                // One block (an EPACT slot): the fold reduces to one
+                // dot, inlined here rather than paying a call per pair.
+                sums.extend(row.map(|xa| 0.0 + block_dot(xa, xb)));
+            } else {
+                sums.extend(row.map(|xa| block_sum(xa, xb, g)));
+            }
+        }
+        sums
     }
+}
+
+/// `0.0 + Σ_k block_dot` over the `g`-sample blocks of `xa` and `xb`, in
+/// block order. Kept out of line: inlined into the pair loop, its
+/// running sum is spilled to the stack, which made a 24-block plane
+/// fill a third slower.
+#[inline(never)]
+fn block_sum(xa: &[f64], xb: &[f64], g: usize) -> f64 {
+    xa.chunks_exact(g)
+        .zip(xb.chunks_exact(g))
+        .fold(0.0, |sum, (a, b)| sum + block_dot(a, b))
 }
 
 /// Dot product with four independent accumulator lanes, so the fma
 /// chain pipelines instead of serializing on one running sum.
+#[inline]
 fn block_dot(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 4];
     let mut ca = a.chunks_exact(4);
@@ -313,7 +192,7 @@ fn block_dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats;
+    use crate::{stats, CorrelationCache};
 
     fn fixtures(n: usize, len: usize) -> Vec<TimeSeries> {
         (0..n)
@@ -348,19 +227,13 @@ mod tests {
         let series = fixtures(4, 48);
         let day = DayCache::with_block_size(&series, 6);
         for (a, b) in [(0, 48), (0, 12), (12, 24), (36, 48), (6, 18), (42, 48)] {
+            let window = CorrelationCache::from_day_window(&day, a..b);
             for (i, x) in series.iter().enumerate() {
                 let w = &x.values()[a..b];
                 for (j, y) in series.iter().enumerate() {
                     let v = &y.values()[a..b];
-                    let fast = day.window_covariance_with_means(
-                        i,
-                        j,
-                        a..b,
-                        stats::mean(w),
-                        stats::mean(v),
-                    );
                     assert!(
-                        (fast - stats::covariance(w, v)).abs() < 1e-9,
+                        (window.covariance(i, j) - stats::covariance(w, v)).abs() < 1e-9,
                         "covariance ({i}, {j}) window {a}..{b}"
                     );
                 }
@@ -371,10 +244,14 @@ mod tests {
     #[test]
     fn degenerate_windows_are_zero() {
         let day = DayCache::with_block_size(&fixtures(2, 8), 1);
-        assert_eq!(day.window_covariance_with_means(0, 1, 3..3, 0.0, 0.0), 0.0);
-        assert_eq!(day.window_covariance_with_means(0, 1, 3..4, 1.0, 2.0), 0.0);
+        assert_eq!(
+            CorrelationCache::from_day_window(&day, 3..3).covariance(0, 1),
+            0.0
+        );
+        let single = CorrelationCache::from_day_window(&day, 3..4);
+        assert_eq!(single.covariance(0, 1), 0.0);
         let mut acc = vec![0.0; 2];
-        day.accumulate_window_covariances(0, 3..4, &[1.0, 2.0], &mut acc);
+        single.accumulate_covariance_row(0, &mut acc);
         assert_eq!(acc, [0.0, 0.0]);
     }
 
@@ -385,7 +262,7 @@ mod tests {
     fn variance_never_negative_on_constant_windows() {
         let series = vec![TimeSeries::constant(16, 123.456789)];
         let day = DayCache::with_block_size(&series, 2);
-        let window = crate::CorrelationCache::from_day_window(&day, 2..14);
+        let window = CorrelationCache::from_day_window(&day, 2..14);
         let direct = stats::variance(&series[0].values()[2..14]);
         assert_eq!(window.variance(0).to_bits(), direct.to_bits());
         assert!(window.variance(0) >= 0.0);
@@ -394,9 +271,9 @@ mod tests {
     /// Aligned windows read the block plane: scalar and bulk
     /// covariances must equal `0.0 + Σ_k block_dot` over the window's
     /// blocks bit for bit, for one-block and wider windows alike, for
-    /// both orderings of each pair, and in whatever order the windows
-    /// are queried (each query of another window recomputes the one
-    /// plane).
+    /// both orderings of each pair, and in whatever order the windows'
+    /// caches are built (each owns its plane; the day cache holds
+    /// values only).
     #[test]
     fn aligned_windows_match_block_dot_sums_in_any_order() {
         let series = fixtures(5, 48);
@@ -423,28 +300,19 @@ mod tests {
             for order in orders {
                 for &q in &order {
                     let window = &windows[q];
-                    let means: Vec<f64> = (0..5)
-                        .map(|i| stats::mean(&series[i].values()[window.clone()]))
-                        .collect();
+                    let cache = CorrelationCache::from_day_window(&day, window.clone());
                     for u in 0..5 {
                         let mut acc = vec![0.0; 5];
-                        day.accumulate_window_covariances(u, window.clone(), &means, &mut acc);
-                        for v in 0..5 {
+                        cache.accumulate_covariance_row(u, &mut acc);
+                        for (v, bulk) in acc.iter().enumerate() {
                             let expected = reference(u, v, window);
-                            let scalar = day.window_covariance_with_means(
-                                u,
-                                v,
-                                window.clone(),
-                                means[u],
-                                means[v],
-                            );
                             assert_eq!(
-                                scalar.to_bits(),
+                                cache.covariance(u, v).to_bits(),
                                 expected.to_bits(),
                                 "({u}, {v}) {window:?}"
                             );
                             assert_eq!(
-                                acc[v].to_bits(),
+                                bulk.to_bits(),
                                 (0.0 + expected).to_bits(),
                                 "bulk ({u}, {v}) {window:?}"
                             );
@@ -460,7 +328,7 @@ mod tests {
         let message = panic_message(|| {
             DayCache::with_block_size(&[], 12);
         });
-        assert_eq!(message, Error::EmptySeriesSet.to_string());
+        assert_eq!(message, "correlation cache needs a series set");
     }
 
     #[test]
@@ -469,17 +337,24 @@ mod tests {
         let message = panic_message(|| {
             DayCache::with_block_size(&series, 1);
         });
-        assert_eq!(message, Error::RaggedSeries.to_string());
+        assert_eq!(message, "all series must cover the same slot");
     }
 
+    /// Both constructors share one input check, whose messages are the
+    /// wording of the original asserts.
     #[test]
     fn error_wording_matches_legacy_asserts() {
         assert_eq!(
-            Error::EmptySeriesSet.to_string(),
+            panic_message(|| {
+                CorrelationCache::new(&[]);
+            }),
             "correlation cache needs a series set"
         );
+        let ragged = vec![TimeSeries::zeros(4), TimeSeries::zeros(5)];
         assert_eq!(
-            Error::RaggedSeries.to_string(),
+            panic_message(|| {
+                CorrelationCache::new(&ragged);
+            }),
             "all series must cover the same slot"
         );
     }
@@ -494,13 +369,13 @@ mod tests {
     #[should_panic(expected = "not aligned to blocks")]
     fn unaligned_window_query_panics() {
         let day = DayCache::with_block_size(&fixtures(2, 48), 12);
-        let _ = day.window_covariance_with_means(0, 1, 6..18, 0.0, 0.0);
+        let _ = CorrelationCache::from_day_window(&day, 6..24);
     }
 
     #[test]
     #[should_panic(expected = "not aligned to blocks")]
     fn unaligned_bulk_query_panics() {
         let day = DayCache::with_block_size(&fixtures(2, 48), 12);
-        day.accumulate_window_covariances(0, 12..30, &[0.0; 2], &mut [0.0; 2]);
+        let _ = CorrelationCache::from_day_window(&day, 12..30);
     }
 }

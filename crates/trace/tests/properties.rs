@@ -1,6 +1,6 @@
 //! Property-based tests for the time-series substrate.
 
-use ntc_trace::{stats, DayCache, TimeSeries};
+use ntc_trace::{stats, CorrelationCache, DayCache, TimeSeries};
 use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -81,8 +81,8 @@ proptest! {
         prop_assert!(stats::quantile(&v, lo) <= stats::quantile(&v, hi));
     }
 
-    /// The day cache's block-plane covariances (and variances, as
-    /// `cov(x, x)`), given exact window means, must agree with the
+    /// A windowed cache's block-plane covariances (and variances, as
+    /// `cov(x, x)`), with its exact window means, must agree with the
     /// direct `stats` computations on the copied sub-window for every
     /// random block-aligned window of a random day. Values are <= 100
     /// and days are 64 samples, so the uncentered form's cancellation
@@ -101,15 +101,15 @@ proptest! {
         let (start, end) = (k0 * block, (k0 + width).min(blocks) * block);
         let series = [TimeSeries::from_values(a.clone()), TimeSeries::from_values(b.clone())];
         let day = DayCache::with_block_size(&series, block);
+        let window = CorrelationCache::from_day_window(&day, start..end);
         let wa = &a[start..end];
         let wb = &b[start..end];
-        let (ma, mb) = (stats::mean(wa), stats::mean(wb));
-        let variance = day.window_covariance_with_means(1, 1, start..end, mb, mb);
+        let variance = window.covariance(1, 1);
         prop_assert!((variance - stats::variance(wb)).abs() < 1e-6);
         let direct = stats::covariance(wa, wb);
-        let fast = day.window_covariance_with_means(0, 1, start..end, ma, mb);
+        let fast = window.covariance(0, 1);
         prop_assert!((fast - direct).abs() < 1e-6, "cov {fast} vs {direct} on [{start}, {end})");
         // covariance is symmetric through the triangular pair storage
-        prop_assert!(day.window_covariance_with_means(1, 0, start..end, mb, ma) == fast);
+        prop_assert!(window.covariance(1, 0) == fast);
     }
 }

@@ -212,6 +212,9 @@ proptest! {
         // decide nothing; from ~32 VMs on, EPACT meets score near-ties
         // that ulp-level differences resolve either way (about one
         // plan in 2,000), so the sizes in between test the fast path.
+        // EPACT's slot-level planes, built as WeekSim builds them from
+        // the slot's own predictions, hold the day-level window's bits,
+        // so their plans must equal the day-level ones at every size.
         let fleet = ClusterTraceGenerator::google_like(num_vms, seed).generate();
         let grid = fleet.grid();
         let (sps, per_day) = (grid.samples_per_slot(), grid.samples_per_day());
@@ -235,16 +238,33 @@ proptest! {
                     &SlotContext::new(&cpu, &mem, &server, 600)
                         .with_day_window(&dc_cpu, &dc_mem, window.start),
                 );
-                let at = format!("{} on {window:?} of day {day}, seed {seed}", policy.name());
-                prop_assert_eq!(rebuilt.assignments(), cached.assignments(), "{}", at);
-                prop_assert_eq!(rebuilt.num_servers(), cached.num_servers(), "{}", at);
-                prop_assert_eq!(rebuilt.planned_freq(), cached.planned_freq(), "{}", at);
-                prop_assert_eq!(
-                    (rebuilt.dvfs_floor(), rebuilt.dvfs_ceiling()),
-                    (cached.dvfs_floor(), cached.dvfs_ceiling()),
-                    "{}",
-                    at
-                );
+                let slot_level = (window.len() == sps).then(|| {
+                    let (slot_cpu, slot_mem) = (
+                        DayCache::with_block_size(&cpu, sps),
+                        DayCache::with_block_size(&mem, sps),
+                    );
+                    policy.allocate(
+                        &SlotContext::new(&cpu, &mem, &server, 600)
+                            .with_day_window(&slot_cpu, &slot_mem, 0),
+                    )
+                });
+                let arms = std::iter::once(("rebuilt", &rebuilt))
+                    .chain(slot_level.as_ref().map(|plan| ("slot-level", plan)));
+                for (arm, plan) in arms {
+                    let at = format!(
+                        "{} {arm} on {window:?} of day {day}, seed {seed}",
+                        policy.name()
+                    );
+                    prop_assert_eq!(plan.assignments(), cached.assignments(), "{}", at);
+                    prop_assert_eq!(plan.num_servers(), cached.num_servers(), "{}", at);
+                    prop_assert_eq!(plan.planned_freq(), cached.planned_freq(), "{}", at);
+                    prop_assert_eq!(
+                        (plan.dvfs_floor(), plan.dvfs_ceiling()),
+                        (cached.dvfs_floor(), cached.dvfs_ceiling()),
+                        "{}",
+                        at
+                    );
+                }
             }
         }
     }
