@@ -269,7 +269,8 @@ fn repeated_flags_fail() {
 
 #[test]
 fn zero_counts_and_fleetless_seed_lists_exit_1() {
-    // Each of these used to panic (exit 101 with a backtrace).
+    // Each of these used to panic (exit 101 with a backtrace); the
+    // negative QoS floor panicked inside a cell's setup stage.
     let path = std::env::temp_dir().join("ntcdc_fleetless_spec.json");
     std::fs::write(
         &path,
@@ -282,9 +283,24 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
 }"#,
     )
     .unwrap();
+    let floor_path = std::env::temp_dir().join("ntcdc_negative_floor_spec.json");
+    std::fs::write(
+        &floor_path,
+        r#"{
+  "name": "negative-floor",
+  "fleets": [{"num_vms": 10, "seed": 3}],
+  "policies": ["epact"],
+  "servers": ["ntc"],
+  "qos_floors_mhz": [-500],
+  "max_servers": 100
+}"#,
+    )
+    .unwrap();
     let spec = path.to_str().unwrap();
-    let cases: [&[&str]; 5] = [
+    let floor_spec = floor_path.to_str().unwrap();
+    let cases: [&[&str]; 6] = [
         &["sweep", "--spec", spec, "--seeds", "1,2"],
+        &["sweep", "--spec", floor_spec],
         &["fig1", "--servers", "0"],
         &["week", "--vms", "0"],
         &["fig7", "--vms", "0"],
@@ -302,4 +318,5 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
         assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
     }
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&floor_path).ok();
 }

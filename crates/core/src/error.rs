@@ -1,12 +1,12 @@
-/// Errors of the calls whose callers handle them: the experiment
-/// engine's spec validation and per-cell setup
-/// (`ntc_datacenter::WeekSimBuilder::build`,
-/// `ntc_datacenter::BackendSpec::try_build`).
+/// Errors of the one call whose callers handle them: the experiment
+/// engine's spec validation (`ntc_datacenter::Engine::run`), which
+/// rejects a bad spec before any cell starts.
 ///
-/// Every other constructor of the policy layer (`SlotContext::new`,
-/// `SlotPlan::new`, the allocators) treats bad input as a bug and
-/// asserts; where a check exists in both forms (no VMs, no servers) the
-/// panic message is this `Display` text.
+/// Every constructor (`SlotContext::new`, `SlotPlan::new`, the
+/// allocators, `ntc_datacenter::WeekSimBuilder::build_or_panic`) treats
+/// bad input as a bug and asserts; where a check exists in both forms
+/// (no VMs, no servers, a short horizon) the panic message is this
+/// `Display` text.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
@@ -28,21 +28,10 @@ pub enum Error {
         /// The offending scale factor.
         scale: f64,
     },
-    /// An accounting backend could not be constructed for its server
-    /// platform (reported per cell by the experiment engine instead of
-    /// panicking mid-sweep).
-    BackendInit {
-        /// The backend's label (`"analytic"`, `"archsim"`).
-        backend: String,
-        /// What went wrong.
-        reason: String,
-    },
-    /// A fault deliberately injected into one sweep cell by the
-    /// engine's fault-injection instrument (testing only; never
-    /// produced by a production code path).
-    FaultInjected {
-        /// Spec-order index of the targeted cell.
-        cell: usize,
+    /// A QoS frequency floor is negative, NaN or infinite.
+    BadQosFloor {
+        /// The offending floor, MHz.
+        mhz: f64,
     },
 }
 
@@ -61,12 +50,10 @@ impl std::fmt::Display for Error {
                 f,
                 "static-power scale must be finite and non-negative (got {scale})"
             ),
-            Self::BackendInit { backend, reason } => {
-                write!(f, "backend {backend} failed to initialize: {reason}")
-            }
-            Self::FaultInjected { cell } => {
-                write!(f, "injected fault in cell {cell}")
-            }
+            Self::BadQosFloor { mhz } => write!(
+                f,
+                "QoS floor must be finite and non-negative (got {mhz} MHz)"
+            ),
         }
     }
 }
@@ -98,13 +85,9 @@ mod tests {
                 "finite and non-negative",
             ),
             (
-                Error::BackendInit {
-                    backend: "archsim".to_string(),
-                    reason: "missing kernel".to_string(),
-                },
-                "failed to initialize",
+                Error::BadQosFloor { mhz: -500.0 },
+                "QoS floor must be finite and non-negative (got -500 MHz)",
             ),
-            (Error::FaultInjected { cell: 3 }, "injected fault in cell 3"),
         ];
         for (err, needle) in cases {
             let text = err.to_string();

@@ -379,53 +379,16 @@ impl BackendSpec {
         }
     }
 
-    /// Instantiates the backend for `server`'s platform, reporting
-    /// construction failures as a structured
-    /// [`ntc_core::Error::BackendInit`] instead of panicking — the
-    /// experiment engine turns these into per-cell failures
-    /// ([`CellError`](crate::CellError)) so one misconfigured backend
-    /// arm cannot tear down a sweep.
-    ///
-    /// For archsim, every memory class's kernel mapping is resolved
-    /// here, up front: a missing kernel surfaces as a setup-stage
-    /// error rather than a panic in the account stage's memo fill.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ntc_core::Error::BackendInit`] if the backend cannot
-    /// serve `server`'s platform.
-    pub fn try_build(&self, server: ServerSpec) -> Result<Box<dyn SlotBackend>, ntc_core::Error> {
-        match self {
-            BackendSpec::Analytic => Ok(Box::new(AnalyticBackend)),
-            BackendSpec::Archsim => {
-                for class in [MemClass::Low, MemClass::Mid, MemClass::High] {
-                    if Kernel::by_name(class.kernel_name()).is_none() {
-                        return Err(ntc_core::Error::BackendInit {
-                            backend: self.label().to_string(),
-                            reason: format!(
-                                "no archsim kernel named {:?} for memory class {class:?}",
-                                class.kernel_name()
-                            ),
-                        });
-                    }
-                }
-                Ok(Box::new(match server {
-                    ServerSpec::Ntc => ArchsimBackend::ntc(),
-                    ServerSpec::Conventional => ArchsimBackend::x86_baseline(),
-                }))
+    /// Instantiates the backend for `server`'s platform: archsim
+    /// simulates the NTC server or the x86 QoS-reference host.
+    pub fn build(&self, server: ServerSpec) -> Box<dyn SlotBackend> {
+        match (self, server) {
+            (BackendSpec::Analytic, _) => Box::new(AnalyticBackend),
+            (BackendSpec::Archsim, ServerSpec::Ntc) => Box::new(ArchsimBackend::ntc()),
+            (BackendSpec::Archsim, ServerSpec::Conventional) => {
+                Box::new(ArchsimBackend::x86_baseline())
             }
         }
-    }
-
-    /// Instantiates the backend for `server`'s platform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if construction fails — use
-    /// [`try_build`](Self::try_build) where a structured error is
-    /// wanted (the engine does).
-    pub fn build(&self, server: ServerSpec) -> Box<dyn SlotBackend> {
-        self.try_build(server).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -546,12 +509,11 @@ mod tests {
 
     #[test]
     fn try_build_resolves_every_memory_class_kernel() {
-        // The archsim kernel mapping is validated at construction, so
-        // the account-stage memo fill can never hit a missing kernel.
-        for spec in [BackendSpec::Analytic, BackendSpec::Archsim] {
-            for server in [ServerSpec::Ntc, ServerSpec::Conventional] {
-                assert!(spec.try_build(server).is_ok(), "{spec}/{server:?}");
-            }
+        // Every memory class names a paper kernel, so the archsim
+        // account stage's memo fill can never hit a missing one.
+        for class in [MemClass::Low, MemClass::Mid, MemClass::High] {
+            let name = class.kernel_name();
+            assert!(Kernel::by_name(name).is_some(), "{class:?}: {name}");
         }
     }
 

@@ -23,15 +23,15 @@
 //! day forecast from the shared table.
 //!
 //! Cells are also *fault-isolated*: each one runs under
-//! [`std::panic::catch_unwind`], and a panicking or erroring cell
-//! becomes a structured [`CellError`] in
-//! [`SweepResult::failed`] instead of tearing down the sweep — every
-//! healthy cell's result is bit-identical to a clean run. The spec's
-//! [`FailurePolicy`] chooses between finishing the remaining cells
-//! (the default) and aborting them via a shared flag
-//! ([`FailurePolicy::FailFast`]); see the [`fault`](crate::fault)
-//! module for the full failure model and the deterministic
-//! fault-injection instrument that proves the isolation guarantee.
+//! [`std::panic::catch_unwind`], and a panicking cell becomes a
+//! structured [`CellError`] in [`SweepResult::failed`] instead of
+//! tearing down the sweep — every healthy cell's result is
+//! bit-identical to a clean run. The spec's [`FailurePolicy`] chooses
+//! between finishing the remaining cells (the default) and aborting
+//! them via a shared flag ([`FailurePolicy::FailFast`]); see the
+//! [`fault`](crate::fault) module for the full failure model and the
+//! deterministic fault-injection instrument that proves the isolation
+//! guarantee.
 //!
 //! # Examples
 //!
@@ -330,6 +330,11 @@ impl ExperimentSpec {
                 return Err(Error::BadStaticPowerScale { scale });
             }
         }
+        for &mhz in self.qos_floors_mhz.iter().flatten() {
+            if !mhz.is_finite() || mhz < 0.0 {
+                return Err(Error::BadQosFloor { mhz });
+            }
+        }
         Ok(())
     }
 }
@@ -429,9 +434,8 @@ pub struct CellOutcome {
 }
 
 /// A finished sweep — possibly partial: cells that completed in spec
-/// order, plus a [`CellError`] for every cell that panicked, reported
-/// a structured error, or was skipped by
-/// [`FailurePolicy::FailFast`]. A clean sweep has an empty
+/// order, plus a [`CellError`] for every cell that panicked or was
+/// skipped by [`FailurePolicy::FailFast`]. A clean sweep has an empty
 /// [`failures`](SweepResult::failures) vector and behaves exactly as
 /// before.
 #[derive(Debug, Clone)]
@@ -594,9 +598,11 @@ impl GroupOutcome {
 ///
 /// Cells are pulled off a shared atomic counter by `threads` scoped
 /// workers and written into their spec-order slots, so results are
-/// bit-identical however the cells are scheduled (including
-/// [`Engine::run_sequential`]). Each cell runs under `catch_unwind`;
-/// see [`SweepResult::failed`] and the [`fault`](crate::fault) module.
+/// bit-identical however the cells are scheduled; a
+/// `with_threads(1)` engine runs them all on the calling thread, the
+/// reference every parallel run must match. Each cell runs under
+/// `catch_unwind`; see [`SweepResult::failed`] and the
+/// [`fault`](crate::fault) module.
 #[derive(Debug, Clone)]
 pub struct Engine {
     threads: usize,
@@ -614,14 +620,7 @@ impl Engine {
     /// An engine sized from [`std::thread::available_parallelism`]
     /// (1 if that is unavailable).
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self {
-            threads,
-            caching: true,
-            fault: None,
-        }
+        Self::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// An engine with an explicit worker count, clamped to at least 1 —
@@ -683,30 +682,14 @@ impl Engine {
     ///
     /// Returns an error only for a sweep that cannot start at all: any
     /// fleet is empty or shorter than two weeks, `max_servers == 0`, a
-    /// static-power scale is negative or non-finite, or the (valid)
-    /// spec expands to no cells. *Per-cell* failures — panics or
-    /// errors inside a running cell — do not surface here: the sweep
-    /// completes under the spec's [`FailurePolicy`] and reports them
-    /// in [`SweepResult::failed`].
+    /// static-power scale or QoS floor is negative or non-finite, or
+    /// the (valid) spec expands to no cells. These are all the
+    /// conditions a cell's setup relies on, so no spec error reaches a
+    /// cell.
+    /// *Per-cell* failures — panics inside a running cell — do not
+    /// surface here: the sweep completes under the spec's
+    /// [`FailurePolicy`] and reports them in [`SweepResult::failed`].
     pub fn run(&self, spec: &ExperimentSpec) -> Result<SweepResult, Error> {
-        self.run_with_workers(spec, self.threads)
-    }
-
-    /// Runs every cell on the calling thread — same code path, one
-    /// worker; the reference the parallel run must match bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::run`].
-    pub fn run_sequential(&self, spec: &ExperimentSpec) -> Result<SweepResult, Error> {
-        self.run_with_workers(spec, 1)
-    }
-
-    fn run_with_workers(
-        &self,
-        spec: &ExperimentSpec,
-        threads: usize,
-    ) -> Result<SweepResult, Error> {
         let started = Instant::now();
         // Axis contents are validated before emptiness so an invalid
         // *and* empty spec reports its actual root cause, not the
@@ -728,11 +711,11 @@ impl Engine {
         // Forecasting sweeps fit every day forecast up front, across
         // the whole pool; the cells then find each one filled.
         let sweep_cache = match &caches.forecasts {
-            Some(forecasts) => forecast_up_front(spec, &caches.fleets, forecasts, threads),
+            Some(forecasts) => forecast_up_front(spec, &caches.fleets, forecasts, self.threads),
             None => CacheStats::default(),
         };
 
-        let workers = threads.min(cells.len()).max(1);
+        let workers = self.threads.min(cells.len()).max(1);
         let abort = AtomicBool::new(false);
         // OnceLock slots are poison-free by construction: a worker
         // panic can never turn into a second PoisonError panic at
@@ -818,13 +801,13 @@ fn for_each_claimed(workers: usize, count: usize, job: impl Fn(usize) + Sync) {
 /// Runs claimed cell `i` and writes its `Result` into its spec-order
 /// slot.
 ///
-/// The cell runs under `catch_unwind`: a panic becomes a
-/// [`CellError`] attributed to the stage the worker's thread-local
-/// tracker last entered (the whole cell runs on this thread, so the
-/// tracker is exact). Under [`FailurePolicy::FailFast`] any failure
-/// raises the shared abort flag and unstarted cells are recorded as
-/// [`FailureCause::Skipped`]; cells already running on other workers
-/// finish normally.
+/// The cell runs under `catch_unwind`, and a panic is the one way it
+/// fails: the panic becomes a [`CellError`] attributed to the stage
+/// the worker's thread-local tracker last entered (the whole cell runs
+/// on this thread, so the tracker is exact). Under
+/// [`FailurePolicy::FailFast`] any failure raises the shared abort flag
+/// and unstarted cells are recorded as [`FailureCause::Skipped`]; cells
+/// already running on other workers finish normally.
 fn claim_cell(
     i: usize,
     cell: &CellSpec,
@@ -834,34 +817,25 @@ fn claim_cell(
     run: &RunControl<'_>,
 ) {
     let result = if run.abort.load(Ordering::Relaxed) {
-        Err(CellError::new(
-            i,
-            *cell,
-            cell.label(spec.ablation),
-            FailureCause::Skipped,
-        ))
+        Err(FailureCause::Skipped)
     } else {
         fault::arm(run.fault.as_ref(), i);
-        let caught = catch_unwind(AssertUnwindSafe(|| run_cell(spec, caches, i, cell)));
+        let caught = catch_unwind(AssertUnwindSafe(|| run_cell(spec, caches, cell)));
         fault::disarm();
-        match caught {
-            // The inner error is boxed only to keep the hot
-            // Result small; unbox for the public slot type.
-            Ok(result) => result.map_err(|boxed| *boxed),
-            Err(payload) => Err(CellError::new(
-                i,
-                *cell,
-                cell.label(spec.ablation),
-                FailureCause::Panic {
-                    stage: fault::current_stage(),
-                    payload: panic_message(payload),
-                },
-            )),
-        }
+        caught.map_err(|payload| FailureCause::Panic {
+            stage: fault::current_stage(),
+            payload: panic_message(payload),
+        })
     };
     if result.is_err() && run.policy == FailurePolicy::FailFast {
         run.abort.store(true, Ordering::Relaxed);
     }
+    let result = result.map_err(|cause| CellError {
+        index: i,
+        label: cell.label(spec.ablation),
+        cell: *cell,
+        cause,
+    });
     slot.set(result)
         .expect("each cell index is claimed exactly once");
 }
@@ -978,45 +952,20 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// initializer leaves its `OnceLock` unset, so a faulted cell cannot
 /// corrupt a shared cache either — siblings recompute the same value.)
 ///
-/// Fallible construction — the backend and the simulator builder —
-/// reports a structured [`CellError`] attributed to its stage instead
-/// of panicking; everything past setup is caught by the
-/// `catch_unwind` wrapper in [`claim_cell`]. The error is boxed so
-/// the per-cell `Result` stays pointer-sized on the failure side.
-fn run_cell(
-    spec: &ExperimentSpec,
-    caches: &SweepCaches,
-    index: usize,
-    cell: &CellSpec,
-) -> Result<CellOutcome, Box<CellError>> {
+/// Nothing here reports an error: [`ExperimentSpec::validate`] has
+/// already rejected every spec the setup stage could not build, so
+/// whatever does go wrong is a panic, caught in [`claim_cell`].
+fn run_cell(spec: &ExperimentSpec, caches: &SweepCaches, cell: &CellSpec) -> CellOutcome {
     let started = Instant::now();
-    let fail = |stage: CellStage, error: Error| {
-        Box::new(CellError::new(
-            index,
-            *cell,
-            cell.label(spec.ablation),
-            FailureCause::Error { stage, error },
-        ))
-    };
     fault::enter(CellStage::Fleet);
-    if let Some(error) = fault::injected_error(CellStage::Fleet, index) {
-        return Err(fail(CellStage::Fleet, error));
-    }
     let fleet = fleet_of(&caches.fleets, &cell.fleet);
     fault::enter(CellStage::Setup);
-    if let Some(error) = fault::injected_error(CellStage::Setup, index) {
-        return Err(fail(CellStage::Setup, error));
-    }
-    let backend = cell
-        .backend
-        .try_build(cell.server)
-        .map_err(|e| fail(CellStage::Setup, e))?;
-    let mut builder =
-        WeekSim::builder(&fleet, cell.server_model(), spec.max_servers).backend(backend);
+    let mut builder = WeekSim::builder(&fleet, cell.server_model(), spec.max_servers)
+        .backend(cell.backend.build(cell.server));
     if let Some(mhz) = cell.qos_floor_mhz {
         builder = builder.qos_floor(Frequency::from_mhz(mhz));
     }
-    let sim = builder.build().map_err(|e| fail(CellStage::Setup, e))?;
+    let sim = builder.build_or_panic();
     let policy = cell.policy.build(spec.ablation);
     let per_day = fleet.grid().samples_per_day();
     let run_caches = RunCaches {
@@ -1028,12 +977,12 @@ fn run_cell(
     };
     let predictor = spec.predictor.build(per_day);
     let (outcome, cache) = sim.run_counted(policy.as_ref(), predictor.as_deref(), &run_caches);
-    Ok(CellOutcome {
+    CellOutcome {
         cell: *cell,
         outcome,
         cache,
         wall: started.elapsed(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1134,41 +1083,35 @@ mod tests {
 
     #[test]
     fn faulted_cell_becomes_a_failure_not_a_crash() {
+        // A panic is reported at the stage it struck, whether the
+        // engine (fleet, setup) or the slot pipeline was running.
         let spec = tiny_spec();
-        let sweep = Engine::with_threads(2)
-            .inject_fault(FaultSpec::panic_at(1, CellStage::Account))
-            .run(&spec)
-            .unwrap();
-        assert_eq!(sweep.total_cells(), 3);
-        assert!(!sweep.is_complete());
-        assert_eq!(sweep.succeeded().len(), 2);
-        let failure = &sweep.failed()[0];
-        assert_eq!(failure.index, 1);
-        assert_eq!(failure.label, "COAT/NTC");
-        assert_eq!(failure.stage(), Some(CellStage::Account));
-        assert_eq!(failure.kind_label(), "panic");
-        assert!(failure.message().contains("injected fault"));
-    }
-
-    #[test]
-    fn error_fault_reports_the_setup_stage() {
-        let spec = tiny_spec();
-        let sweep = Engine::with_threads(1)
-            .inject_fault(FaultSpec::error_at(0))
-            .run(&spec)
-            .unwrap();
-        assert_eq!(sweep.succeeded().len(), 2);
-        let failure = &sweep.failed()[0];
-        assert_eq!(failure.index, 0);
-        assert_eq!(failure.stage(), Some(CellStage::Setup));
-        assert_eq!(failure.kind_label(), "error");
-        assert!(matches!(
-            failure.cause,
-            crate::fault::FailureCause::Error {
-                error: Error::FaultInjected { cell: 0 },
-                ..
-            }
-        ));
+        for stage in [
+            CellStage::Fleet,
+            CellStage::Setup,
+            CellStage::Plan,
+            CellStage::Govern,
+            CellStage::Account,
+        ] {
+            let sweep = Engine::with_threads(2)
+                .inject_fault(FaultSpec::panic_at(1, stage))
+                .run(&spec)
+                .unwrap();
+            assert_eq!(sweep.total_cells(), 3);
+            assert!(!sweep.is_complete());
+            assert_eq!(sweep.succeeded().len(), 2);
+            let failure = &sweep.failed()[0];
+            assert_eq!(failure.index, 1);
+            assert_eq!(failure.label, "COAT/NTC");
+            assert_eq!(failure.stage(), Some(stage));
+            assert_eq!(failure.kind_label(), "panic");
+            assert_eq!(
+                failure.to_string(),
+                format!(
+                    "cell 1 (COAT/NTC) panicked at stage {stage}: injected fault at stage {stage}"
+                )
+            );
+        }
     }
 
     #[test]
@@ -1204,6 +1147,21 @@ mod tests {
             let err = Engine::with_threads(2).run(&spec).unwrap_err();
             assert!(
                 matches!(err, Error::BadStaticPowerScale { .. }),
+                "{bad} must be rejected, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_qos_floor_is_rejected() {
+        // A floor no frequency can take is a spec error, reported
+        // before any cell runs rather than as a failed cell.
+        for bad in [-500.0, f64::NAN, f64::INFINITY] {
+            let mut spec = tiny_spec();
+            spec.qos_floors_mhz = vec![None, Some(bad)];
+            let err = Engine::with_threads(2).run(&spec).unwrap_err();
+            assert!(
+                matches!(err, Error::BadQosFloor { .. }),
                 "{bad} must be rejected, got {err:?}"
             );
         }

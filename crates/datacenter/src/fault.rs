@@ -1,14 +1,16 @@
-//! The engine's failure model: per-cell error capture, sweep-level
+//! The engine's failure model: per-cell panic capture, sweep-level
 //! failure policies, and deterministic fault injection.
 //!
 //! Every cell of a sweep is an independent run, so one misbehaving cell
-//! must never cost the results of the others. The engine wraps each
-//! cell in [`std::panic::catch_unwind`] and converts both panics and
-//! structured [`ntc_core::Error`]s into a [`CellError`] carrying the
-//! cell's spec-order index, its label and full [`CellSpec`] identity,
-//! the pipeline [`CellStage`] that was executing, and the cause. A
-//! [`SweepResult`](crate::SweepResult) then holds the partial results:
-//! completed cells in `cells`, failures in `failures`, with
+//! must never cost the results of the others. A running cell fails one
+//! way: it panics. The engine wraps each cell in
+//! [`std::panic::catch_unwind`] and converts the caught panic into a
+//! [`CellError`] carrying the cell's spec-order index, its label and
+//! full [`CellSpec`] identity, the pipeline [`CellStage`] that was
+//! executing, and the panic payload. A bad spec never gets that far:
+//! [`Engine::run`](crate::Engine::run) rejects it before any cell
+//! starts. A [`SweepResult`](crate::SweepResult) then holds the partial
+//! results: completed cells in `cells`, failures in `failures`, with
 //! [`failed`](crate::SweepResult::failed) /
 //! [`succeeded`](crate::SweepResult::succeeded) accessors.
 //!
@@ -24,26 +26,23 @@
 //! The isolation guarantee is only worth having if it is provable, so
 //! the engine carries a deterministic fault-injection instrument:
 //! [`Engine::inject_fault`](crate::Engine::inject_fault) arms a
-//! [`FaultSpec`] that panics (or reports an error) the moment the
-//! targeted cell enters the targeted stage. The integration tests
-//! fault one cell of a multi-cell sweep and assert every other cell is
-//! bit-identical to a clean run — which holds because all cross-cell
-//! caches are `OnceLock`-based: a panicking initializer leaves the
-//! lock unset, and any sibling re-initializes it from the same pure
-//! function of the spec.
+//! [`FaultSpec`] that panics the moment the targeted cell enters the
+//! targeted stage. The integration tests fault one cell of a
+//! multi-cell sweep and assert every other cell is bit-identical to a
+//! clean run — which holds because all cross-cell caches are
+//! `OnceLock`-based: a panicking initializer leaves the lock unset, and
+//! any sibling re-initializes it from the same pure function of the
+//! spec.
 //!
 //! # Stage tracking
 //!
 //! Workers record the stage they are executing in a thread-local
 //! (`fault::enter`); a cell runs entirely on one worker, so when a panic is
 //! caught the thread-local still names the stage that was active. The
-//! same hook is where armed panic faults fire, which keeps the
-//! injection points and the attribution points identical by
-//! construction.
+//! same hook is where armed faults fire, which keeps the injection
+//! points and the attribution points identical by construction.
 
 use std::cell::Cell;
-
-use ntc_core::Error;
 
 use crate::engine::CellSpec;
 
@@ -89,24 +88,10 @@ impl std::fmt::Display for CellStage {
     }
 }
 
-/// How a [`FaultSpec`] manifests when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic with an "injected fault" payload — exercises the
-    /// `catch_unwind` capture path.
-    Panic,
-    /// Report [`ntc_core::Error::FaultInjected`] from a fallible stage
-    /// — exercises the structured-error capture path. Only the
-    /// [`Fleet`](CellStage::Fleet) and [`Setup`](CellStage::Setup)
-    /// stages have a fallible path; error faults armed deeper in the
-    /// pipeline never fire.
-    Error,
-}
-
 /// A deliberate fault in one cell of a sweep: the test-only injection
 /// instrument behind [`Engine::inject_fault`](crate::Engine::inject_fault).
 ///
-/// Firing is deterministic — the fault triggers the first time cell
+/// Firing is deterministic — the fault panics the first time cell
 /// `cell` enters stage `stage`, wherever the scheduler placed that
 /// cell — so a faulted sweep is exactly reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,28 +100,12 @@ pub struct FaultSpec {
     pub cell: usize,
     /// The pipeline stage at which the fault fires.
     pub stage: CellStage,
-    /// Panic or structured error.
-    pub kind: FaultKind,
 }
 
 impl FaultSpec {
     /// A fault that panics when cell `cell` enters `stage`.
     pub fn panic_at(cell: usize, stage: CellStage) -> Self {
-        Self {
-            cell,
-            stage,
-            kind: FaultKind::Panic,
-        }
-    }
-
-    /// A fault that makes cell `cell`'s setup stage report
-    /// [`ntc_core::Error::FaultInjected`] instead of panicking.
-    pub fn error_at(cell: usize) -> Self {
-        Self {
-            cell,
-            stage: CellStage::Setup,
-            kind: FaultKind::Error,
-        }
+        Self { cell, stage }
     }
 }
 
@@ -173,13 +142,6 @@ pub enum FailureCause {
         /// The panic payload (or a placeholder for non-string payloads).
         payload: String,
     },
-    /// A fallible stage reported a structured error.
-    Error {
-        /// The stage that reported the error.
-        stage: CellStage,
-        /// The structured error.
-        error: Error,
-    },
     /// The cell never ran: an earlier failure aborted the sweep under
     /// [`FailurePolicy::FailFast`].
     Skipped,
@@ -187,7 +149,7 @@ pub enum FailureCause {
 
 /// One failed (or skipped) cell of a sweep, with enough context to act
 /// on: which cell (index + label + full spec identity), which pipeline
-/// stage, and the panic payload or structured error.
+/// stage, and the panic payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellError {
     /// Spec-order index of the cell ([`ExperimentSpec::cells`]
@@ -205,40 +167,28 @@ pub struct CellError {
 }
 
 impl CellError {
-    pub(crate) fn new(index: usize, cell: CellSpec, label: String, cause: FailureCause) -> Self {
-        Self {
-            index,
-            label,
-            cell,
-            cause,
-        }
-    }
-
     /// The stage that was executing when the cell failed, or `None`
     /// for a cell skipped by fail-fast before it started.
     pub fn stage(&self) -> Option<CellStage> {
         match &self.cause {
-            FailureCause::Panic { stage, .. } | FailureCause::Error { stage, .. } => Some(*stage),
+            FailureCause::Panic { stage, .. } => Some(*stage),
             FailureCause::Skipped => None,
         }
     }
 
-    /// Short tag for the failure class: `"panic"`, `"error"` or
-    /// `"skipped"`.
+    /// Short tag for the failure class: `"panic"` or `"skipped"`.
     pub fn kind_label(&self) -> &'static str {
         match &self.cause {
             FailureCause::Panic { .. } => "panic",
-            FailureCause::Error { .. } => "error",
             FailureCause::Skipped => "skipped",
         }
     }
 
     /// Human-readable description of the cause alone (the panic
-    /// payload, the error's `Display` text, or the skip notice).
+    /// payload or the skip notice).
     pub fn message(&self) -> String {
         match &self.cause {
             FailureCause::Panic { payload, .. } => payload.clone(),
-            FailureCause::Error { error, .. } => error.to_string(),
             FailureCause::Skipped => "aborted by fail-fast before starting".to_string(),
         }
     }
@@ -249,13 +199,9 @@ impl std::fmt::Display for CellError {
         match self.stage() {
             Some(stage) => write!(
                 f,
-                "cell {} ({}) {} at stage {stage}: {}",
+                "cell {} ({}) panicked at stage {stage}: {}",
                 self.index,
                 self.label,
-                match self.cause {
-                    FailureCause::Panic { .. } => "panicked",
-                    _ => "failed",
-                },
                 self.message()
             ),
             None => write!(f, "cell {} ({}) {}", self.index, self.label, self.message()),
@@ -271,34 +217,19 @@ thread_local! {
     /// panic-capture time.
     static CURRENT_STAGE: Cell<CellStage> = const { Cell::new(CellStage::Fleet) };
     /// The fault armed for the cell currently running on this worker.
-    static ARMED: Cell<Option<(CellStage, FaultKind)>> = const { Cell::new(None) };
+    static ARMED: Cell<Option<CellStage>> = const { Cell::new(None) };
 }
 
 /// Marks the calling worker as executing `stage` of its current cell,
-/// and fires an armed panic fault targeting that stage. Called by the
+/// and fires an armed fault targeting that stage. Called by the
 /// engine (fleet/setup) and by the [`WeekSim`](crate::WeekSim) slot
 /// pipeline (forecast/plan/govern/account); the cost is two
 /// thread-local accesses, far below per-stage work.
 pub(crate) fn enter(stage: CellStage) {
     CURRENT_STAGE.with(|s| s.set(stage));
-    if let Some((at, FaultKind::Panic)) = ARMED.with(Cell::get) {
-        if at == stage {
-            ARMED.with(|a| a.set(None)); // fire exactly once
-            panic!("injected fault at stage {stage}");
-        }
-    }
-}
-
-/// The injected structured error for `stage` and `cell`, if an
-/// error-kind fault targeting it is armed. Consulted only on the
-/// fallible engine-side stages.
-pub(crate) fn injected_error(stage: CellStage, cell: usize) -> Option<Error> {
-    match ARMED.with(Cell::get) {
-        Some((at, FaultKind::Error)) if at == stage => {
-            ARMED.with(|a| a.set(None));
-            Some(Error::FaultInjected { cell })
-        }
-        _ => None,
+    if ARMED.with(Cell::get) == Some(stage) {
+        ARMED.with(|a| a.set(None)); // fire exactly once
+        panic!("injected fault at stage {stage}");
     }
 }
 
@@ -306,7 +237,7 @@ pub(crate) fn injected_error(stage: CellStage, cell: usize) -> Option<Error> {
 /// resets the stage tracker for the new cell.
 pub(crate) fn arm(fault: Option<&FaultSpec>, index: usize) {
     CURRENT_STAGE.with(|s| s.set(CellStage::Fleet));
-    let armed = fault.filter(|f| f.cell == index).map(|f| (f.stage, f.kind));
+    let armed = fault.filter(|f| f.cell == index).map(|f| f.stage);
     ARMED.with(|a| a.set(armed));
 }
 
@@ -361,19 +292,6 @@ mod tests {
         arm(Some(&FaultSpec::panic_at(7, CellStage::Plan)), 3);
         enter(CellStage::Plan);
         assert_eq!(current_stage(), CellStage::Plan);
-        disarm();
-    }
-
-    #[test]
-    fn error_fault_reports_fault_injected() {
-        arm(Some(&FaultSpec::error_at(2)), 2);
-        assert_eq!(injected_error(CellStage::Fleet, 2), None);
-        assert_eq!(
-            injected_error(CellStage::Setup, 2),
-            Some(Error::FaultInjected { cell: 2 })
-        );
-        // fired once, then disarmed
-        assert_eq!(injected_error(CellStage::Setup, 2), None);
         disarm();
     }
 }

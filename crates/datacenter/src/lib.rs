@@ -26,24 +26,25 @@
 //!
 //! # Failure model
 //!
-//! Sweeps over many cells are fault-isolated: a panicking or erroring
-//! cell becomes a structured [`CellError`] (index, label, pipeline
-//! stage, cause) in [`SweepResult::failed`], while every other cell's
-//! result stays bit-identical to a clean run. The spec's
-//! [`FailurePolicy`] chooses between finishing the remaining cells
-//! (the default) and aborting them (`FailFast`; `ntcdc sweep
-//! --fail-fast` on the CLI). The [`fault`] module documents the model
+//! Sweeps over many cells are fault-isolated. A running cell fails one
+//! way, by panicking: [`Engine::run`] rejects a bad spec before any
+//! cell starts, and a caught panic becomes a structured [`CellError`]
+//! (index, label, pipeline stage, payload) in [`SweepResult::failed`],
+//! while every other cell's result stays bit-identical to a clean run.
+//! The spec's [`FailurePolicy`] chooses between finishing the
+//! remaining cells (the default) and aborting them (`FailFast`; `ntcdc
+//! sweep --fail-fast` on the CLI). The [`fault`] module documents the model
 //! and the deterministic fault-injection instrument
 //! ([`Engine::inject_fault`]) that proves the isolation guarantee:
 //!
 //! ```
-//! use ntc_datacenter::{Engine, ExperimentSpec, FaultSpec};
+//! use ntc_datacenter::{CellStage, Engine, ExperimentSpec, FaultSpec};
 //!
 //! let mut spec = ExperimentSpec::default_sweep();
 //! spec.fleets[0].num_vms = 16; // keep the doctest fast
 //! spec.max_servers = 200;
 //! let sweep = Engine::new()
-//!     .inject_fault(FaultSpec::error_at(0)) // fault the first cell
+//!     .inject_fault(FaultSpec::panic_at(0, CellStage::Setup)) // fault the first cell
 //!     .run(&spec)
 //!     .unwrap();
 //! assert_eq!(sweep.succeeded().len(), 5);
@@ -71,6 +72,6 @@ pub use engine::{
     AblationFlags, CellOutcome, CellSpec, Engine, ExperimentSpec, FleetSpec, GroupOutcome,
     PolicySpec, PredictorSpec, ServerSpec, SweepResult,
 };
-pub use fault::{CellError, CellStage, FailureCause, FailurePolicy, FaultKind, FaultSpec};
+pub use fault::{CellError, CellStage, FailureCause, FailurePolicy, FaultSpec};
 pub use outcome::{MeanStd, SlotOutcome, WeekOutcome};
 pub use weeksim::{WeekSim, WeekSimBuilder};

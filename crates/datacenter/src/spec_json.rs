@@ -281,15 +281,25 @@ fn parse_predictor(tag: &str) -> Result<PredictorSpec, String> {
     }
 }
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// every control character escaped, since JSON allows none raw.
 fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Parses arbitrary JSON text into a [`Value`] tree (crate-internal:
@@ -481,9 +491,9 @@ impl Value {
     }
 }
 
-/// Minimal recursive-descent JSON parser (no escapes beyond the ones
-/// [`escape`] emits, no exponents in the grammar we accept — plenty for
-/// the spec format, zero dependencies).
+/// Minimal recursive-descent JSON parser: every escape and number form
+/// of standard JSON, so a spec written by another tool reads too; zero
+/// dependencies.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -623,15 +633,20 @@ impl<'a> Parser<'a> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    let escaped = self.bytes.get(self.pos + 1).ok_or("unterminated escape")?;
+                    let escaped = *self.bytes.get(self.pos + 1).ok_or("unterminated escape")?;
+                    self.pos += 2;
                     out.push(match escaped {
                         b'"' => '"',
                         b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
                         b'n' => '\n',
+                        b'r' => '\r',
                         b't' => '\t',
-                        other => return Err(format!("unsupported escape \\{}", *other as char)),
+                        b'u' => self.unicode_escape()?,
+                        other => return Err(format!("unsupported escape \\{}", other as char)),
                     });
-                    self.pos += 2;
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar: lean on str validity.
@@ -645,15 +660,42 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The character of a `\uXXXX` escape whose `\u` is consumed. A
+    /// UTF-16 surrogate pair, written as two escapes, joins into one
+    /// character; a lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let start = self.pos;
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            }
+        }
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate \\u{code:04x} at byte {start}"))
+    }
+
+    /// Exactly four hex digits, as a `\u` escape carries them.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("\\u escape at byte {} needs four hex digits", self.pos))?;
+        self.pos += 4;
+        let digits = std::str::from_utf8(digits).expect("ASCII hex digits");
+        Ok(u32::from_str_radix(digits, 16).expect("four hex digits"))
+    }
+
+    /// A number: the run of characters a JSON number may hold (sign,
+    /// digits, fraction, exponent), checked by Rust's own parsers.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
         while self
             .bytes
             .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || *b == b'.')
+            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             self.pos += 1;
         }
@@ -807,6 +849,11 @@ mod tests {
         assert!(from_json(r#"{"name": }"#).is_err());
         assert!(from_json("{} trailing").is_err());
         assert!(from_json(r#"{"fleet": {"num_vms": -3, "seed": 1}}"#).is_err());
+        // A lone surrogate, and a \u escape short of four hex digits.
+        let err = from_json(r#"{"name": "\ud800"}"#).unwrap_err();
+        assert!(err.contains("lone surrogate"), "{err}");
+        let err = from_json(r#"{"name": "\u12"}"#).unwrap_err();
+        assert!(err.contains("four hex digits"), "{err}");
     }
 
     #[test]
@@ -844,6 +891,24 @@ mod tests {
         ]);
         let text = v.render();
         assert_eq!(parse_value(&text).unwrap(), v);
+
+        // Every control character is escaped, so the only raw ones
+        // left are the layout's newlines; non-ASCII text stays as is.
+        let controls: String = ('\u{0}'..' ').collect();
+        let v = Value::String(format!("{controls}é\u{1F600}"));
+        let text = v.render();
+        assert_eq!(parse_value(&text).unwrap(), v);
+        assert!(!text.chars().any(|c| c < ' ' && c != '\n'), "{text:?}");
+
+        // The escapes and number forms another JSON writer may use.
+        assert_eq!(
+            parse_value(r#"["caf\u00e9 \ud83d\ude00 \/\b\f\r", 1e-5, 2E+3]"#).unwrap(),
+            Value::Array(vec![
+                Value::String("café \u{1F600} /\u{8}\u{c}\r".into()),
+                Value::Number(1e-5),
+                Value::Number(2000.0),
+            ])
+        );
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub struct WeekSim<'a> {
 /// is cheaper for the few covariances it reads.
 ///
 /// Obtained from [`WeekSim::builder`]; finish with
-/// [`build`](WeekSimBuilder::build) (fallible) or
 /// [`build_or_panic`](WeekSimBuilder::build_or_panic).
 #[derive(Debug)]
 pub struct WeekSimBuilder<'a> {
@@ -84,45 +83,30 @@ impl<'a> WeekSimBuilder<'a> {
         self
     }
 
-    /// Validates the configuration and builds the simulator.
+    /// Builds the simulator.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns an error if the fleet horizon is shorter than two weeks
-    /// of 5-minute samples (training week + evaluation week) or
-    /// `max_servers == 0`.
-    pub fn build(self) -> Result<WeekSim<'a>, ntc_core::Error> {
-        if self.max_servers == 0 {
-            return Err(ntc_core::Error::NoServers);
-        }
-        let have = self.fleet.grid().len();
-        if have < 2 * EVAL_WEEK {
-            return Err(ntc_core::Error::HorizonTooShort {
-                have,
-                need: 2 * EVAL_WEEK,
-            });
-        }
-        Ok(WeekSim {
+    /// Panics with the text of [`ntc_core::Error::NoServers`] if
+    /// `max_servers == 0`, or of [`ntc_core::Error::HorizonTooShort`]
+    /// if the fleet horizon is shorter than two weeks of 5-minute
+    /// samples (training week + evaluation week).
+    #[track_caller]
+    pub fn build_or_panic(self) -> WeekSim<'a> {
+        assert!(self.max_servers > 0, "{}", ntc_core::Error::NoServers);
+        let (have, need) = (self.fleet.grid().len(), 2 * EVAL_WEEK);
+        assert!(
+            have >= need,
+            "{}",
+            ntc_core::Error::HorizonTooShort { have, need }
+        );
+        WeekSim {
             fleet: self.fleet,
             server: self.server,
             max_servers: self.max_servers,
             eval_start: eval_start(self.fleet),
             qos_floor: self.qos_floor,
             backend: self.backend.unwrap_or_else(|| Box::new(AnalyticBackend)),
-        })
-    }
-
-    /// Builds the simulator, panicking on invalid configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet horizon is shorter than two weeks or
-    /// `max_servers == 0`.
-    #[track_caller]
-    pub fn build_or_panic(self) -> WeekSim<'a> {
-        match self.build() {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
         }
     }
 }
@@ -131,7 +115,7 @@ impl<'a> WeekSim<'a> {
     /// Starts a builder over `fleet` with `max_servers` physical servers
     /// of the given model; chain the optional knobs (e.g.
     /// [`qos_floor`](WeekSimBuilder::qos_floor)) and finish with
-    /// [`WeekSimBuilder::build`].
+    /// [`WeekSimBuilder::build_or_panic`].
     pub fn builder(
         fleet: &'a Fleet,
         server: ServerPowerModel,

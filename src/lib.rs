@@ -97,12 +97,13 @@
 //!
 //! # Failure model: one bad cell cannot sink the sweep
 //!
-//! Every cell runs isolated behind a panic boundary. A cell that
-//! panics or reports an error becomes a structured
-//! [`CellError`](datacenter::CellError) — carrying the cell's index,
-//! label, full [`CellSpec`](datacenter::CellSpec), the pipeline stage
-//! that failed, and the panic payload or
-//! [`Error`](policy::Error) — while every other cell completes
+//! Every cell runs isolated behind a panic boundary, and a panic is the
+//! one way a running cell fails: `Engine::run` rejects a bad spec with
+//! an [`Error`](policy::Error) before any cell starts. A cell that
+//! panics becomes a structured [`CellError`](datacenter::CellError) —
+//! carrying the cell's index, label, full
+//! [`CellSpec`](datacenter::CellSpec), the pipeline stage that failed,
+//! and the panic payload — while every other cell completes
 //! bit-identically to a clean run. The
 //! [`succeeded`](datacenter::SweepResult::succeeded) and
 //! [`failed`](datacenter::SweepResult::failed) accessors partition
@@ -112,7 +113,7 @@
 //! `ntcdc sweep --fail-fast`) aborts the not-yet-started cells after
 //! the first failure instead, reporting them as skipped. The
 //! test-only [`FaultSpec`](datacenter::FaultSpec) axis injects a
-//! panic or error into one cell of one run to prove the isolation:
+//! panic into one cell of one run to prove the isolation:
 //!
 //! ```
 //! use ntc_dc::datacenter::{CellStage, Engine, ExperimentSpec, FaultSpec};
@@ -121,14 +122,14 @@
 //! spec.fleets[0].num_vms = 16; // doctest-sized
 //! spec.max_servers = 200;
 //! let sweep = Engine::new()
-//!     .inject_fault(FaultSpec::error_at(0)) // cell 0 fails in setup
+//!     .inject_fault(FaultSpec::panic_at(0, CellStage::Setup)) // cell 0 fails in setup
 //!     .run(&spec)
 //!     .unwrap();
 //! assert_eq!(sweep.succeeded().len(), 5); // the other 5 cells are intact
 //! let failed = &sweep.failed()[0];
 //! assert_eq!(failed.index, 0);
 //! assert_eq!(failed.stage(), Some(CellStage::Setup));
-//! println!("{failed}"); // "cell 0 (EPACT/NTC) failed in setup: ..."
+//! println!("{failed}"); // "cell 0 (EPACT/NTC) panicked at stage setup: ..."
 //! ```
 //!
 //! Failed cells surface everywhere downstream: the sweep JSON export
@@ -159,14 +160,11 @@
 //!
 //! Each policy- and simulation-layer type has one constructor, which
 //! asserts its invariants with a `#[track_caller]` panic: bad input
-//! there is a bug in the caller. Only the experiment engine's calls are
-//! fallible, returning the shared
-//! [`ntc_core::Error`](policy::Error) so that a sweep can report a bad
-//! spec or a failed cell instead of unwinding: `Engine::run` validates
-//! the spec before fanning out, and each cell builds its simulator with
-//! `WeekSimBuilder::build` and its backend with `BackendSpec::try_build`
-//! (`build_or_panic` and `BackendSpec::build` are their panicking
-//! forms).
+//! there is a bug in the caller; `WeekSimBuilder`'s one finisher,
+//! `build_or_panic`, is such a check. Only `Engine::run` is fallible:
+//! it checks the spec before fanning out and returns the shared
+//! [`ntc_core::Error`](policy::Error) for a sweep that cannot start,
+//! so that a CLI user gets one error line instead of a failed cell.
 
 #![warn(missing_docs)]
 

@@ -35,7 +35,7 @@ fn multi_axis_sweep() -> ExperimentSpec {
 fn parallel_sweep_is_bit_identical_to_sequential() {
     let spec = small_sweep();
     let parallel = Engine::new().run(&spec).expect("parallel run");
-    let sequential = Engine::new().run_sequential(&spec).expect("sequential run");
+    let sequential = Engine::with_threads(1).run(&spec).expect("sequential run");
     assert!(Engine::new().threads() >= 1);
     assert_eq!(parallel.cells.len(), 6);
     // WeekOutcome derives PartialEq over every slot metric, so this is
@@ -53,7 +53,7 @@ fn multi_axis_sweep_is_bit_identical_to_sequential() {
     // able to change a single bit of any outcome.
     let spec = multi_axis_sweep();
     let parallel = Engine::new().run(&spec).expect("parallel run");
-    let sequential = Engine::new().run_sequential(&spec).expect("sequential run");
+    let sequential = Engine::with_threads(1).run(&spec).expect("sequential run");
     assert_eq!(parallel.cells.len(), 8);
     assert_eq!(parallel.outcomes(), sequential.outcomes());
 
@@ -78,7 +78,7 @@ fn cached_sweep_is_bit_identical_to_uncached() {
     let cached = Engine::new().run(&spec).expect("cached run");
     let uncached = Engine::with_threads(1)
         .caching(false)
-        .run_sequential(&spec)
+        .run(&spec)
         .expect("uncached run");
     assert_eq!(cached.outcomes(), uncached.outcomes());
     assert_eq!(cached.seed_groups(), uncached.seed_groups());
@@ -244,7 +244,7 @@ fn forecasting_sweep_is_bit_identical_however_scheduled() {
     for predictor in [PredictorSpec::Arima, PredictorSpec::SeasonalNaive] {
         let spec = forecasting_sweep(predictor);
         let parallel = Engine::new().run(&spec).expect("parallel run");
-        let sequential = Engine::new().run_sequential(&spec).expect("sequential run");
+        let sequential = Engine::with_threads(1).run(&spec).expect("sequential run");
         let uncached = Engine::with_threads(1)
             .caching(false)
             .run(&spec)
@@ -275,9 +275,7 @@ fn fault_injection_forecast_stage_isolates_arima_cells() {
     // fails that cell alone, and the others stay bit-identical to a
     // clean sequential run.
     let spec = forecasting_sweep(PredictorSpec::Arima);
-    let clean = Engine::with_threads(1)
-        .run_sequential(&spec)
-        .expect("clean run");
+    let clean = Engine::with_threads(1).run(&spec).expect("clean run");
     assert!(clean.is_complete());
 
     let faulted = Engine::new()
@@ -330,9 +328,7 @@ fn fault_injection_keep_going_isolates_healthy_cells() {
     // other cell: the survivors of the faulted parallel sweep must be
     // bit-identical to a clean single-threaded sequential run.
     let spec = fault_sweep();
-    let clean = Engine::with_threads(1)
-        .run_sequential(&spec)
-        .expect("clean run");
+    let clean = Engine::with_threads(1).run(&spec).expect("clean run");
     assert_eq!(clean.cells.len(), 4);
     assert!(clean.is_complete());
 
@@ -404,7 +400,7 @@ fn fault_injection_fail_fast_aborts_remaining_cells() {
     let mut spec = fault_sweep();
     spec.failure_policy = FailurePolicy::FailFast;
     let clean = Engine::with_threads(1)
-        .run_sequential(&fault_sweep())
+        .run(&fault_sweep())
         .expect("clean run");
 
     let faulted = Engine::with_threads(1)
@@ -430,24 +426,6 @@ fn fault_injection_fail_fast_aborts_remaining_cells() {
         assert_eq!(failure.kind_label(), "skipped");
         assert!(failure.message().contains("fail-fast"));
     }
-}
-
-#[test]
-fn fault_injection_error_kind_reports_structured_error() {
-    // An error-kind fault exercises the non-panic failure path end to
-    // end: the cell fails in the setup stage with a structured
-    // ntc_core::Error instead of a payload string.
-    let spec = fault_sweep();
-    let faulted = Engine::new()
-        .inject_fault(FaultSpec::error_at(2))
-        .run(&spec)
-        .expect("sweep");
-    assert_eq!(faulted.succeeded().len(), 3);
-    let failure = &faulted.failed()[0];
-    assert_eq!(failure.index, 2);
-    assert_eq!(failure.stage(), Some(CellStage::Setup));
-    assert_eq!(failure.kind_label(), "error");
-    assert!(failure.message().contains("injected fault in cell 2"));
 }
 
 #[test]
