@@ -124,31 +124,32 @@ pub fn table1(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ntc-dc fig1 [--servers N]`
+/// `ntc-dc fig1 [--servers N] [--csv]`
 pub fn fig1(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--servers", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig1", args, FLAGS)?;
     let servers = flags.count("--servers", 80)?;
-    for (label, model) in [
-        ("(a) NTC", ServerPowerModel::ntc()),
-        ("(b) E5-2620", ServerPowerModel::conventional_e5_2620()),
-    ] {
+    let ntc = experiments::fig1(ServerPowerModel::ntc(), servers);
+    let conv = experiments::fig1(ServerPowerModel::conventional_e5_2620(), servers);
+    if flags.switch("--csv") {
+        print!(
+            "{}",
+            export::fig1_csv(&[("ntc", &ntc), ("conventional", &conv)])
+        );
+        return Ok(());
+    }
+    for (label, curves) in [("(a) NTC", &ntc), ("(b) E5-2620", &conv)] {
         println!("== Fig. 1{label}, {servers} servers ==");
-        let curves = experiments::fig1(model, servers);
-        if flags.switch("--csv") {
-            print!("{}", export::fig1_csv(&curves));
-        } else {
-            for c in &curves {
-                let cells: Vec<String> = c
-                    .points
-                    .iter()
-                    .map(|(f, p)| match p {
-                        Some(p) => format!("{:.1}G:{:.2}kW", f.as_ghz(), p.as_kilowatts()),
-                        None => format!("{:.1}G:-", f.as_ghz()),
-                    })
-                    .collect();
-                println!("util {:>3.0}%  {}", c.utilization, cells.join("  "));
-            }
+        for c in curves {
+            let cells: Vec<String> = c
+                .points
+                .iter()
+                .map(|(f, p)| match p {
+                    Some(p) => format!("{:.1}G:{:.2}kW", f.as_ghz(), p.as_kilowatts()),
+                    None => format!("{:.1}G:-", f.as_ghz()),
+                })
+                .collect();
+            println!("util {:>3.0}%  {}", c.utilization, cells.join("  "));
         }
     }
     Ok(())
@@ -207,7 +208,7 @@ pub fn week(args: &[String]) -> Result<(), String> {
 /// `ntc-dc sweep [--spec FILE] [--vms N] [--seed S] [--seeds A,B,C]
 /// [--static-power-scales X,Y] [--backends analytic,archsim]
 /// [--threads N] [--arima] [--fail-fast] [--emit-spec] [--json]
-/// [--no-cache] [--cache-stats]`
+/// [--cache-stats]`
 ///
 /// A sweep with failed cells prints (or, with `--json`, emits) the
 /// per-cell failures and returns an error, so the process exits
@@ -226,10 +227,12 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         ("--fail-fast", Arity::Switch),
         ("--emit-spec", Arity::Switch),
         ("--json", Arity::Switch),
-        ("--no-cache", Arity::Switch),
         ("--cache-stats", Arity::Switch),
     ];
     let flags = Flags::parse("sweep", args, FLAGS)?;
+    if flags.value("--seed").is_some() && flags.value("--seeds").is_some() {
+        return Err("--seed and --seeds cannot be combined".to_string());
+    }
     let mut spec = match flags.value("--spec") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -280,8 +283,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     let engine = match flags.parsed("--threads")? {
         Some(threads) => Engine::with_threads(threads),
         None => Engine::new(),
-    }
-    .caching(!flags.switch("--no-cache"));
+    };
     let sweep = engine.run(&spec).map_err(|e| e.to_string())?;
 
     if flags.switch("--json") {

@@ -62,8 +62,7 @@ fn usage() -> &'static str {
      \x20 sweep  [--spec FILE] [--vms N] [--seed S] [--seeds A,B,C]\n\
      \x20        [--static-power-scales X,Y] [--max-servers N]\n\
      \x20        [--backends analytic,archsim] [--threads N] [--arima]\n\
-     \x20        [--fail-fast] [--emit-spec] [--json] [--no-cache]\n\
-     \x20        [--cache-stats]\n\
+     \x20        [--fail-fast] [--emit-spec] [--json] [--cache-stats]\n\
      \x20                            parallel sweep over an ExperimentSpec;\n\
      \x20                            multiple seeds print mean±std groups;\n\
      \x20                            --backends sweeps the accounting\n\

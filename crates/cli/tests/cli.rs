@@ -52,6 +52,27 @@ fn validate_reports_zero_deviation() {
 }
 
 #[test]
+fn fig1_csv_is_one_table() {
+    // Both panels share one header; a `panel` column tells them apart,
+    // with no banner lines or second header in between.
+    let (ok, out, err) = run(&["fig1", "--csv", "--servers", "40"]);
+    assert!(ok, "{err}");
+    let mut lines = out.lines();
+    assert_eq!(
+        lines.next(),
+        Some("panel,utilization_pct,freq_mhz,power_kw")
+    );
+    let panels: Vec<&str> = lines
+        .map(|line| {
+            assert_eq!(line.split(',').count(), 4, "{line}");
+            line.split(',').next().unwrap()
+        })
+        .collect();
+    assert!(panels.contains(&"ntc") && panels.contains(&"conventional"));
+    assert!(panels.iter().all(|p| ["ntc", "conventional"].contains(p)));
+}
+
+#[test]
 fn fig2_emits_csv() {
     let (ok, out, _) = run(&["fig2"]);
     assert!(ok);
@@ -265,12 +286,20 @@ fn repeated_flags_fail() {
     assert!(!ok, "{out}");
     assert!(out.is_empty(), "no spec may be emitted: {out}");
     assert_eq!(err, "error: --vms given more than once\n");
+    // `--seed` would set every fleet of the `--seeds` set to one seed,
+    // running duplicate cells.
+    let (ok, out, err) = run(&["sweep", "--seeds", "1,2", "--seed", "5"]);
+    assert!(!ok, "{out}");
+    assert!(out.is_empty(), "nothing may run: {out}");
+    assert_eq!(err, "error: --seed and --seeds cannot be combined\n");
 }
 
 #[test]
 fn zero_counts_and_fleetless_seed_lists_exit_1() {
     // Each of these used to panic (exit 101 with a backtrace); the
-    // negative QoS floor panicked inside a cell's setup stage.
+    // negative QoS floor panicked inside a cell's setup stage. A fleet
+    // of 2^59 + 2 weeks overflows its sample count, which unchecked
+    // release arithmetic wraps to a runnable two weeks.
     let path = std::env::temp_dir().join("ntcdc_fleetless_spec.json");
     std::fs::write(
         &path,
@@ -296,11 +325,20 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
 }"#,
     )
     .unwrap();
+    let long_path = std::env::temp_dir().join("ntcdc_overlong_spec.json");
+    std::fs::write(
+        &long_path,
+        r#"{"fleets": [{"num_vms": 10, "seed": 3, "weeks": 576460752303423490}],
+  "policies": ["epact"], "servers": ["ntc"], "max_servers": 100}"#,
+    )
+    .unwrap();
     let spec = path.to_str().unwrap();
     let floor_spec = floor_path.to_str().unwrap();
-    let cases: [&[&str]; 6] = [
+    let long_spec = long_path.to_str().unwrap();
+    let cases: [&[&str]; 7] = [
         &["sweep", "--spec", spec, "--seeds", "1,2"],
         &["sweep", "--spec", floor_spec],
+        &["sweep", "--spec", long_spec, "--json"],
         &["fig1", "--servers", "0"],
         &["week", "--vms", "0"],
         &["fig7", "--vms", "0"],
@@ -319,4 +357,5 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&floor_path).ok();
+    std::fs::remove_file(&long_path).ok();
 }

@@ -21,6 +21,11 @@ pub enum Error {
         /// Samples required (two weeks).
         need: usize,
     },
+    /// A fleet's horizon has more samples than a `usize` can count.
+    HorizonTooLong {
+        /// The horizon in weeks.
+        weeks: usize,
+    },
     /// An experiment spec contains no runnable cells.
     EmptySpec,
     /// A static-power scale factor is negative, NaN or infinite.
@@ -44,6 +49,10 @@ impl std::fmt::Display for Error {
                 f,
                 "fleet must carry a training week plus the evaluation week \
                  ({have} samples, need {need})"
+            ),
+            Self::HorizonTooLong { weeks } => write!(
+                f,
+                "fleet horizon of {weeks} weeks has more samples than can be counted"
             ),
             Self::EmptySpec => write!(f, "experiment spec needs at least one cell"),
             Self::BadStaticPowerScale { scale } => write!(
@@ -78,6 +87,12 @@ mod tests {
                     need: 4032,
                 },
                 "training week",
+            ),
+            (
+                Error::HorizonTooLong {
+                    weeks: 576_460_752_303_423_490,
+                },
+                "fleet horizon of 576460752303423490 weeks has more samples than can be counted",
             ),
             (Error::EmptySpec, "at least one cell"),
             (

@@ -21,14 +21,12 @@
 //!
 //! # The backend contract (cache soundness)
 //!
-//! The engine's cross-cell caches
-//! ([`Engine::caching`](crate::Engine::caching)) share plans and
-//! day-ahead forecasts across every cell whose *planning inputs*
-//! coincide — including cells that differ only in backend. That
-//! sharing is sound if and only if a backend **conserves the upstream
-//! stages**: it may read the governed operating points but must not
-//! influence what is forecast, how VMs are packed, or which frequency
-//! the governor picks. Concretely, `account` must be a pure function of
+//! The [`Engine`](crate::Engine) shares plans and day-ahead forecasts
+//! across every cell whose *planning inputs* coincide — including cells
+//! that differ only in backend. That sharing is sound if and only if a
+//! backend **conserves the upstream stages**: it may read the governed
+//! operating points but must not influence what is forecast, how VMs
+//! are packed, or which frequency the governor picks. Concretely, `account` must be a pure function of
 //! `(server model, governed slot)` — no feedback into planning state.
 //!
 //! Both built-in backends are pure accounting, so the engine's plan key
@@ -225,13 +223,6 @@ struct SimPoint {
 /// the server's busy fraction, and a sample whose class misses the 2×
 /// QoS degradation bound ([`QosBaseline::paper_table1`]) at its served
 /// frequency counts as a violation on top of the demand violations.
-///
-/// This struct is also the crate's single archsim entry point: the
-/// figure/table runners in [`crate::experiments`] query
-/// [`exec_time`](Self::exec_time) /
-/// [`normalized_time`](Self::normalized_time) /
-/// [`min_qos_frequency`](Self::min_qos_frequency) instead of touching
-/// `ServerSim` directly.
 #[derive(Debug)]
 pub struct ArchsimBackend {
     sim: ServerSim,
@@ -258,33 +249,6 @@ impl ArchsimBackend {
     /// The Xeon X5650 QoS-reference host itself.
     pub fn x86_baseline() -> Self {
         Self::new(Platform::xeon_x5650())
-    }
-
-    /// The underlying interval-model simulator.
-    pub fn sim(&self) -> &ServerSim {
-        &self.sim
-    }
-
-    /// The QoS baseline the backend judges degradation against.
-    pub fn baseline(&self) -> &QosBaseline {
-        &self.baseline
-    }
-
-    /// Execution time of `kernel` on this platform at `f`.
-    pub fn exec_time(&self, kernel: &Kernel, f: Frequency) -> Seconds {
-        self.sim.run(kernel, f).exec_time
-    }
-
-    /// Execution time normalized to the QoS limit (≤ 1.0 meets QoS) —
-    /// the y-axis of Fig. 2.
-    pub fn normalized_time(&self, kernel: &Kernel, f: Frequency) -> f64 {
-        self.baseline.normalized_time(&self.sim, kernel, f)
-    }
-
-    /// The lowest of `levels` at which `kernel` still meets QoS, or
-    /// `None` if none does.
-    pub fn min_qos_frequency(&self, kernel: &Kernel, levels: &[Frequency]) -> Option<Frequency> {
-        self.baseline.min_qos_frequency(&self.sim, kernel, levels)
     }
 
     /// The memoized operating point of `class` at `f`. The governor

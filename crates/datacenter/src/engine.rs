@@ -13,8 +13,8 @@
 //! behind an `Arc`, however many cells share it and however the workers
 //! interleave.
 //!
-//! A forecasting sweep (ARIMA or seasonal-naive predictor, caching on)
-//! fits its forecasts before any cell runs. The same workers first
+//! A forecasting sweep (ARIMA or seasonal-naive predictor) fits its
+//! forecasts before any cell runs. The same workers first
 //! generate each distinct fleet, then claim chunks of the (fleet, day,
 //! VM, CPU/memory) series of the 7 evaluation days, so the fits spread
 //! over the whole pool instead of queueing behind the one cell that
@@ -99,11 +99,6 @@ pub struct FleetSpec {
 impl FleetSpec {
     /// 5-minute samples in one week — the generator's grid granularity.
     pub const WEEK_SAMPLES: usize = 7 * 24 * 12;
-
-    /// Total samples this fleet's traces will carry once generated.
-    pub fn samples(&self) -> usize {
-        self.weeks * Self::WEEK_SAMPLES
-    }
 
     /// Materializes the fleet.
     pub fn generate(&self) -> Fleet {
@@ -317,12 +312,12 @@ impl ExperimentSpec {
             if fleet.num_vms == 0 {
                 return Err(Error::NoVms);
             }
+            let Some(have) = fleet.weeks.checked_mul(FleetSpec::WEEK_SAMPLES) else {
+                return Err(Error::HorizonTooLong { weeks: fleet.weeks });
+            };
             let need = 2 * FleetSpec::WEEK_SAMPLES;
-            if fleet.samples() < need {
-                return Err(Error::HorizonTooShort {
-                    have: fleet.samples(),
-                    need,
-                });
+            if have < need {
+                return Err(Error::HorizonTooShort { have, need });
             }
         }
         for &scale in &self.static_power_scales {
@@ -423,13 +418,12 @@ pub struct CellOutcome {
     pub cell: CellSpec,
     /// The evaluated week.
     pub outcome: WeekOutcome,
-    /// Plan/forecast cache hits and misses of this cell's run (all
-    /// zeros when the engine runs with caching disabled).
+    /// Plan/forecast cache hits and misses of this cell's run.
     pub cache: CacheStats,
-    /// Wall-clock time this cell took on its worker (in an oracle or
-    /// uncached sweep, the first cell touching a fleet pays its
-    /// generation here; a forecasting sweep generates its fleets and
-    /// fits its forecasts before any cell starts).
+    /// Wall-clock time this cell took on its worker (in an oracle
+    /// sweep, the first cell touching a fleet pays its generation here;
+    /// a forecasting sweep generates its fleets and fits its forecasts
+    /// before any cell starts).
     pub wall: Duration,
 }
 
@@ -453,7 +447,7 @@ pub struct SweepResult {
     pub threads: usize,
     /// Cache counters recorded outside every cell: each day forecast
     /// the engine fitted up front, before the cells ran, is one
-    /// forecast miss here (see [`Engine::caching`]).
+    /// forecast miss here (see [`Engine`]).
     pub sweep_cache: CacheStats,
 }
 
@@ -603,10 +597,23 @@ impl GroupOutcome {
 /// reference every parallel run must match. Each cell runs under
 /// `catch_unwind`; see [`SweepResult::failed`] and the
 /// [`fault`](crate::fault) module.
+///
+/// The engine always shares work between cells. Each distinct fleet
+/// is generated once. Cells whose planning inputs coincide — QoS-floor
+/// and backend arms, or static-power-scale arms of a policy that plans
+/// at `Fmax` — share one plan per slot, and all cells over a fleet
+/// share its day-ahead forecasts. A forecasting sweep fits those
+/// forecasts before the cells start: its workers generate each
+/// distinct fleet, then claim chunks of the days' series. Each fitted
+/// day counts one forecast miss in [`SweepResult::sweep_cache`], and
+/// each cell that reads it one hit; a plan counts one miss where it is
+/// computed and one hit per cell that reuses it. Every shared value is
+/// a pure function of the spec, so each cell's outcome is bit-identical
+/// to the same cell run alone through [`WeekSim`], which plans every
+/// slot on the same numerical path.
 #[derive(Debug, Clone)]
 pub struct Engine {
     threads: usize,
-    caching: bool,
     fault: Option<FaultSpec>,
 }
 
@@ -629,7 +636,6 @@ impl Engine {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            caching: true,
             fault: None,
         }
     }
@@ -647,29 +653,6 @@ impl Engine {
         self
     }
 
-    /// Enables or disables cross-cell caching (default: on).
-    ///
-    /// When on, cells whose planning inputs coincide — e.g. QoS-floor
-    /// arms, or static-power-scale arms of a policy that plans at
-    /// `Fmax` — share one plan per slot, and all cells over a fleet
-    /// share its day-ahead forecasts. A forecasting sweep fits those
-    /// forecasts before the cells start: its workers generate each
-    /// distinct fleet, then claim chunks of the days' series. Each
-    /// fitted day counts one forecast miss in
-    /// [`SweepResult::sweep_cache`], and each cell that reads it one
-    /// hit. Every shared value is a pure function of the spec, so
-    /// results are bit-identical either way; `caching(false)` is the
-    /// uncached reference those results are tested against, in which
-    /// every cell forecasts its own days.
-    /// Each distinct fleet is generated once in both modes, and both
-    /// plan every slot on the same numerical path: inside [`WeekSim`],
-    /// the policy alone decides whether block planes serve its plans.
-    #[must_use]
-    pub fn caching(mut self, enabled: bool) -> Self {
-        self.caching = enabled;
-        self
-    }
-
     /// The worker-pool size.
     pub fn threads(&self) -> usize {
         self.threads
@@ -681,7 +664,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns an error only for a sweep that cannot start at all: any
-    /// fleet is empty or shorter than two weeks, `max_servers == 0`, a
+    /// fleet is empty, shorter than two weeks or too long to count its
+    /// samples in a `usize`, `max_servers == 0`, a
     /// static-power scale or QoS floor is negative or non-finite, or
     /// the (valid) spec expands to no cells. These are all the
     /// conditions a cell's setup relies on, so no spec error reaches a
@@ -701,10 +685,8 @@ impl Engine {
         }
         let caches = SweepCaches {
             fleets: OnceTable::new(1, spec.fleets.iter().copied()),
-            plans: self
-                .caching
-                .then(|| OnceTable::new(EVAL_SLOTS, cells.iter().map(|c| PlanKey::new(spec, c)))),
-            forecasts: (self.caching && spec.predictor != PredictorSpec::Oracle)
+            plans: OnceTable::new(EVAL_SLOTS, cells.iter().map(|c| PlanKey::new(spec, c))),
+            forecasts: (spec.predictor != PredictorSpec::Oracle)
                 .then(|| OnceTable::new(EVAL_DAYS, spec.fleets.iter().copied())),
         };
 
@@ -753,12 +735,12 @@ impl Engine {
 }
 
 /// Every shared table one sweep's workers draw on: the lazily
-/// generated fleets, one per distinct [`FleetSpec`], and, when caching
-/// is enabled, the deduplicated plan rows and per-fleet day forecasts.
+/// generated fleets, one per distinct [`FleetSpec`], the deduplicated
+/// plan rows and, in a forecasting sweep, the per-fleet day forecasts.
 #[derive(Debug)]
 struct SweepCaches {
     fleets: OnceTable<FleetSpec, Fleet>,
-    plans: Option<OnceTable<PlanKey, SlotPlan>>,
+    plans: OnceTable<PlanKey, SlotPlan>,
     forecasts: Option<OnceTable<FleetSpec, DayForecast>>,
 }
 
@@ -969,10 +951,7 @@ fn run_cell(spec: &ExperimentSpec, caches: &SweepCaches, cell: &CellSpec) -> Cel
     let policy = cell.policy.build(spec.ablation);
     let per_day = fleet.grid().samples_per_day();
     let run_caches = RunCaches {
-        plans: caches
-            .plans
-            .as_ref()
-            .map(|plans| plans.row(&PlanKey::new(spec, cell))),
+        plans: Some(caches.plans.row(&PlanKey::new(spec, cell))),
         forecasts: caches.forecasts.as_ref().map(|f| f.row(&cell.fleet)),
     };
     let predictor = spec.predictor.build(per_day);
@@ -1137,6 +1116,12 @@ mod tests {
         spec.fleets[0].weeks = 1;
         let err = Engine::with_threads(2).run(&spec).unwrap_err();
         assert!(matches!(err, Error::HorizonTooShort { .. }));
+        // The shortest horizon whose sample count overflows a `usize`:
+        // rejected in every build, not wrapped or panicking.
+        let weeks = usize::MAX / FleetSpec::WEEK_SAMPLES + 1;
+        spec.fleets[0].weeks = weeks;
+        let err = Engine::with_threads(2).run(&spec).unwrap_err();
+        assert_eq!(err, Error::HorizonTooLong { weeks });
     }
 
     #[test]

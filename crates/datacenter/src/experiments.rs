@@ -5,14 +5,15 @@
 //! layout). See EXPERIMENTS.md at the workspace root for the
 //! paper-vs-measured record.
 
-use ntc_archsim::{efficiency, Kernel, Platform};
+use ntc_archsim::qos::QosBaseline;
+use ntc_archsim::{efficiency, Kernel, Platform, ServerSim};
 use ntc_core::{Coat, CoatOpt, Epact};
 use ntc_forecast::ArimaPredictor;
 use ntc_power::{DataCenterPowerModel, ServerPowerModel};
 use ntc_units::{Frequency, Percent, Power};
 use ntc_workload::Fleet;
 
-use crate::backend::{ArchsimBackend, BackendSpec};
+use crate::backend::BackendSpec;
 use crate::engine::{
     AblationFlags, Engine, ExperimentSpec, FleetSpec, PolicySpec, PredictorSpec, ServerSpec,
 };
@@ -36,24 +37,21 @@ pub struct Table1Row {
 }
 
 /// Regenerates Table I by simulating the three workload classes on all
-/// three platforms (each through its [`ArchsimBackend`]).
+/// three platforms.
 pub fn table1() -> Vec<Table1Row> {
-    let x86 = ArchsimBackend::x86_baseline();
-    let cavium = ArchsimBackend::new(Platform::thunderx());
-    let ntc = ArchsimBackend::ntc();
     let two = Frequency::from_ghz(2.0);
+    let x86_freq = Platform::xeon_x5650().nominal_freq;
     Kernel::paper_classes()
         .into_iter()
         .map(|k| {
-            let x86_secs = x86
-                .exec_time(&k, Platform::xeon_x5650().nominal_freq)
-                .as_secs();
+            let secs = |platform, f| ServerSim::new(platform).run(&k, f).exec_time.as_secs();
+            let x86_secs = secs(Platform::xeon_x5650(), x86_freq);
             Table1Row {
                 workload: k.name().to_string(),
                 x86_secs,
                 qos_limit_secs: 2.0 * x86_secs,
-                cavium_secs: cavium.exec_time(&k, two).as_secs(),
-                ntc_secs: ntc.exec_time(&k, two).as_secs(),
+                cavium_secs: secs(Platform::thunderx(), two),
+                ntc_secs: secs(Platform::ntc_server(), two),
             }
         })
         .collect()
@@ -109,14 +107,15 @@ pub fn fig2_frequencies() -> Vec<Frequency> {
 /// Regenerates Fig. 2 on the NTC server against the paper's published
 /// x86 baseline.
 pub fn fig2() -> Vec<Fig2Series> {
-    let backend = ArchsimBackend::ntc();
+    let sim = ServerSim::new(Platform::ntc_server());
+    let baseline = QosBaseline::paper_table1();
     Kernel::paper_classes()
         .into_iter()
         .map(|k| Fig2Series {
             workload: k.name().to_string(),
             points: fig2_frequencies()
                 .into_iter()
-                .map(|f| (f, backend.normalized_time(&k, f)))
+                .map(|f| (f, baseline.normalized_time(&sim, &k, f)))
                 .collect(),
         })
         .collect()
@@ -133,13 +132,13 @@ pub struct Fig3Series {
 
 /// Regenerates Fig. 3: NTC-server efficiency across DVFS levels.
 pub fn fig3() -> Vec<Fig3Series> {
-    let backend = ArchsimBackend::ntc();
+    let sim = ServerSim::new(Platform::ntc_server());
     let model = ServerPowerModel::ntc();
     Kernel::paper_classes()
         .into_iter()
         .map(|k| Fig3Series {
             workload: k.name().to_string(),
-            points: efficiency::efficiency_curve(backend.sim(), &model, &k, &fig2_frequencies()),
+            points: efficiency::efficiency_curve(&sim, &model, &k, &fig2_frequencies()),
         })
         .collect()
 }

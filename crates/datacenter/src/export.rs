@@ -54,20 +54,23 @@ pub fn week_csv(outcomes: &[WeekOutcome]) -> String {
     out
 }
 
-/// Renders one Fig. 1 panel: `utilization_pct,freq_mhz,power_kw`
-/// (infeasible points omitted).
-pub fn fig1_csv(curves: &[Fig1Curve]) -> String {
-    let mut out = String::from("utilization_pct,freq_mhz,power_kw\n");
-    for c in curves {
-        for (f, p) in &c.points {
-            if let Some(p) = p {
-                let _ = writeln!(
-                    out,
-                    "{:.0},{:.0},{:.4}",
-                    c.utilization,
-                    f.as_mhz(),
-                    p.as_kilowatts()
-                );
+/// Renders Fig. 1 as one table of named panels:
+/// `panel,utilization_pct,freq_mhz,power_kw`, each row tagged with its
+/// panel's name (infeasible points omitted).
+pub fn fig1_csv(panels: &[(&str, &[Fig1Curve])]) -> String {
+    let mut out = String::from("panel,utilization_pct,freq_mhz,power_kw\n");
+    for (panel, curves) in panels {
+        for c in *curves {
+            for (f, p) in &c.points {
+                if let Some(p) = p {
+                    let _ = writeln!(
+                        out,
+                        "{panel},{:.0},{:.0},{:.4}",
+                        c.utilization,
+                        f.as_mhz(),
+                        p.as_kilowatts()
+                    );
+                }
             }
         }
     }
@@ -326,7 +329,7 @@ mod tests {
         assert!(fig2_csv(&[]).starts_with("workload,freq_mhz,"));
         assert!(fig3_csv(&[]).starts_with("workload,freq_mhz,"));
         assert!(fig7_csv(&[]).starts_with("static_w,"));
-        assert!(fig1_csv(&[]).starts_with("utilization_pct,"));
+        assert!(fig1_csv(&[]).starts_with("panel,utilization_pct,"));
     }
 
     #[test]

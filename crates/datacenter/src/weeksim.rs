@@ -325,7 +325,8 @@ impl<'a> WeekSim<'a> {
     /// Plans the period starting at `slot` from `forecast`, the
     /// forecast of the slot's day (`None` plans from the actual
     /// traces): builds the prediction windows and runs the policy.
-    /// Called only on plan-cache misses (or uncached runs).
+    /// Called only on plan-table misses (or in a run without a plan
+    /// table).
     fn plan_slot(
         &self,
         policy: &dyn AllocationPolicy,

@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 mod energy;
-mod error;
 mod frequency;
 mod memory;
 mod percent;
@@ -32,7 +31,6 @@ mod time;
 mod voltage;
 
 pub use energy::Energy;
-pub use error::UnitRangeError;
 pub use frequency::Frequency;
 pub use memory::MemBytes;
 pub use percent::Percent;
@@ -64,6 +62,5 @@ mod tests {
         assert_send_sync::<MemBytes>();
         assert_send_sync::<Seconds>();
         assert_send_sync::<Cycles>();
-        assert_send_sync::<UnitRangeError>();
     }
 }

@@ -2,16 +2,14 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use crate::UnitRangeError;
-
 /// A utilization percentage.
 ///
 /// CPU and memory utilizations in the paper are expressed as percentages of
 /// one server's capacity. A *single* sample is bounded by 0–100%, but
 /// aggregates (the sum of co-located VM demands, or a whole data center's
 /// requirement) may exceed 100%, so `Percent` itself only forbids negative
-/// and non-finite values; use [`Percent::try_new`] when the 0–100 bound must
-/// hold and [`Percent::is_saturated`] to detect overcommit.
+/// and non-finite values; use [`Percent::is_saturated`] to detect
+/// overcommit.
 ///
 /// # Examples
 ///
@@ -21,7 +19,6 @@ use crate::UnitRangeError;
 /// let a = Percent::new(35.0);
 /// let b = Percent::new(80.0);
 /// assert!((a + b).is_saturated());       // 115% — an overutilized server
-/// assert!(Percent::try_new(115.0).is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Percent(f64);
@@ -43,19 +40,6 @@ impl Percent {
             "percent must be finite and non-negative, got {p}"
         );
         Self(p)
-    }
-
-    /// Creates a percentage validated to lie in `[0, 100]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitRangeError`] if `p` is outside `[0, 100]` or not
-    /// finite.
-    pub fn try_new(p: f64) -> Result<Self, UnitRangeError> {
-        if !p.is_finite() || !(0.0..=100.0).contains(&p) {
-            return Err(UnitRangeError::new("percent", p, 0.0, 100.0));
-        }
-        Ok(Self(p))
     }
 
     /// Creates a percentage from a fraction in `[0, 1]` scale (0.35 → 35%).
@@ -180,10 +164,15 @@ mod tests {
 
     #[test]
     fn try_new_validates() {
-        assert!(Percent::try_new(100.0).is_ok());
-        assert!(Percent::try_new(100.01).is_err());
-        assert!(Percent::try_new(-0.01).is_err());
-        assert!(Percent::try_new(f64::NAN).is_err());
+        // `new` is the one constructor: a value above 100 is an
+        // aggregate, which `is_saturated` flags, and a negative or
+        // non-finite value panics.
+        assert!(Percent::new(100.01).is_saturated());
+        assert!(!Percent::new(99.99).is_saturated());
+        for bad in [-0.01, f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| Percent::new(bad));
+            assert!(built.is_err(), "{bad} must panic");
+        }
     }
 
     #[test]

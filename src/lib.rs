@@ -147,8 +147,7 @@
 //! The engine memoizes planning work across cells: fleets are generated
 //! once per seed, day-ahead forecasts are shared by every cell of a
 //! fleet, and cells that differ only in static-power scale reuse whole
-//! slot plans. `ntcdc sweep --cache-stats` prints the hit/miss totals
-//! (and `--no-cache` turns the sharing off):
+//! slot plans. `ntcdc sweep --cache-stats` prints the hit/miss totals:
 //!
 //! ```text
 //! $ ntcdc sweep --seeds 1,2 --static-power-scales 0.5,1.0 --arima --cache-stats

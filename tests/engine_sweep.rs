@@ -4,8 +4,10 @@
 
 use ntc_dc::datacenter::{
     BackendSpec, CellStage, Engine, ExperimentSpec, FailurePolicy, FaultSpec, PolicySpec,
-    PredictorSpec, ServerSpec,
+    PredictorSpec, ServerSpec, WeekOutcome, WeekSim,
 };
+use ntc_dc::forecast::{ArimaPredictor, SeasonalNaive};
+use ntc_dc::units::Frequency;
 
 fn small_sweep() -> ExperimentSpec {
     let mut spec = ExperimentSpec::default_sweep();
@@ -29,6 +31,35 @@ fn multi_axis_sweep() -> ExperimentSpec {
     spec.policies = vec![PolicySpec::Epact, PolicySpec::Coat];
     spec.max_servers = 150;
     spec
+}
+
+/// Every cell of `spec` run alone through the public `WeekSim` API,
+/// built as the engine builds it: the scaled server model, the cell's
+/// backend and QoS floor, the policy with the spec's ablation flags,
+/// and the spec's predictor. Nothing is shared between cells, so this
+/// is the reference every engine sweep must match bit for bit.
+fn per_cell_weeks(spec: &ExperimentSpec) -> Vec<WeekOutcome> {
+    spec.cells()
+        .iter()
+        .map(|cell| {
+            let fleet = cell.fleet.generate();
+            let mut builder = WeekSim::builder(&fleet, cell.server_model(), spec.max_servers)
+                .backend(cell.backend.build(cell.server));
+            if let Some(mhz) = cell.qos_floor_mhz {
+                builder = builder.qos_floor(Frequency::from_mhz(mhz));
+            }
+            let sim = builder.build_or_panic();
+            let policy = cell.policy.build(spec.ablation);
+            let per_day = fleet.grid().samples_per_day();
+            match spec.predictor {
+                PredictorSpec::Oracle => sim.run_with_oracle(policy.as_ref()),
+                PredictorSpec::Arima => sim.run(policy.as_ref(), &ArimaPredictor::daily(per_day)),
+                PredictorSpec::SeasonalNaive => {
+                    sim.run(policy.as_ref(), &SeasonalNaive::new(per_day))
+                }
+            }
+        })
+        .collect()
 }
 
 #[test]
@@ -68,20 +99,24 @@ fn multi_axis_sweep_is_bit_identical_to_sequential() {
 
 #[test]
 fn cached_sweep_is_bit_identical_to_uncached() {
-    // The golden equivalence for the cross-cell caches: a default
-    // (cached, parallel) sweep over 2 seeds x 2 static-power scales
-    // must reproduce the uncached sequential engine bit for bit, while
-    // actually deduplicating work — COAT plans purely at Fmax, so its
+    // The golden equivalence for the engine's shared fleets and plans:
+    // a parallel sweep over every axis a plan key may merge — 2 seeds
+    // x 2 static-power scales x 2 QoS floors x 2 backends x 3
+    // policies — must reproduce each cell run alone bit for bit, while
+    // actually deduplicating work: COAT plans purely at Fmax, so its
     // plans are shared across the two scale arms (7 planning slots x 2
-    // fleets of reuse at minimum).
-    let spec = multi_axis_sweep();
+    // fleets of reuse at minimum), and floor and backend arms share
+    // every plan.
+    let mut spec = multi_axis_sweep();
+    spec.qos_floors_mhz = vec![None, Some(1800.0)];
+    spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];
+    spec.policies = vec![PolicySpec::Epact, PolicySpec::Coat, PolicySpec::CoatOpt];
     let cached = Engine::new().run(&spec).expect("cached run");
-    let uncached = Engine::with_threads(1)
-        .caching(false)
-        .run(&spec)
-        .expect("uncached run");
-    assert_eq!(cached.outcomes(), uncached.outcomes());
-    assert_eq!(cached.seed_groups(), uncached.seed_groups());
+    assert_eq!(cached.cells.len(), 48);
+    let cells: Vec<_> = cached.cells.iter().map(|c| c.cell).collect();
+    assert_eq!(cells, spec.cells());
+    let alone = per_cell_weeks(&spec);
+    assert_eq!(cached.outcomes(), alone.iter().collect::<Vec<_>>());
 
     let totals = cached.cache_totals();
     assert!(
@@ -91,13 +126,6 @@ fn cached_sweep_is_bit_identical_to_uncached() {
     assert!(totals.plan_misses > 0, "someone must have planned");
     // Oracle sweep: no forecasts at all.
     assert_eq!(totals.forecast_hits + totals.forecast_misses, 0);
-
-    let uncached_totals = uncached.cache_totals();
-    assert_eq!(
-        (uncached_totals.plan_hits, uncached_totals.forecast_hits),
-        (0, 0),
-        "caching(false) must not share anything"
-    );
 }
 
 #[test]
@@ -239,19 +267,21 @@ fn forecasting_sweep(predictor: PredictorSpec) -> ExperimentSpec {
 #[test]
 fn forecasting_sweep_is_bit_identical_however_scheduled() {
     // The engine fits every day forecast up front across its workers;
-    // the parallel, single-worker and uncached per-cell schedules must
-    // still agree on every bit of every cell.
+    // the parallel and single-worker engines must still agree on every
+    // bit of every cell with each cell run alone, forecasting its own
+    // days.
     for predictor in [PredictorSpec::Arima, PredictorSpec::SeasonalNaive] {
         let spec = forecasting_sweep(predictor);
         let parallel = Engine::new().run(&spec).expect("parallel run");
         let sequential = Engine::with_threads(1).run(&spec).expect("sequential run");
-        let uncached = Engine::with_threads(1)
-            .caching(false)
-            .run(&spec)
-            .expect("uncached run");
+        let alone = per_cell_weeks(&spec);
         assert_eq!(parallel.cells.len(), 4, "{predictor:?}");
         assert_eq!(parallel.outcomes(), sequential.outcomes(), "{predictor:?}");
-        assert_eq!(parallel.outcomes(), uncached.outcomes(), "{predictor:?}");
+        assert_eq!(
+            parallel.outcomes(),
+            alone.iter().collect::<Vec<_>>(),
+            "{predictor:?}"
+        );
 
         // Cached: each (fleet, day) forecast is fitted once, before the
         // cells, and all 4 cells x 7 days of lookups hit.
@@ -261,10 +291,6 @@ fn forecasting_sweep_is_bit_identical_however_scheduled() {
             assert_eq!(totals.forecast_hits, 4 * 7, "{predictor:?}");
             assert_eq!(cached.sweep_cache.forecast_misses, 2 * 7);
         }
-        // Uncached: every cell forecasts every day itself.
-        let totals = uncached.cache_totals();
-        assert_eq!(totals.forecast_hits, 0, "{predictor:?}");
-        assert_eq!(totals.forecast_misses, 4 * 7, "{predictor:?}");
     }
 }
 
