@@ -1,4 +1,4 @@
-//! Subcommand implementations for the `ntc-dc` binary.
+//! Subcommand implementations for the `ntcdc` binary.
 
 use ntc_datacenter::{
     experiments, export, spec_json, BackendSpec, Engine, ExperimentSpec, FailurePolicy, FleetSpec,
@@ -108,7 +108,7 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// `ntc-dc table1`
+/// `ntcdc table1`
 pub fn table1(args: &[String]) -> Result<(), String> {
     Flags::parse("table1", args, &[])?;
     println!(
@@ -124,7 +124,7 @@ pub fn table1(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ntc-dc fig1 [--servers N] [--csv]`
+/// `ntcdc fig1 [--servers N] [--csv]`
 pub fn fig1(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--servers", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig1", args, FLAGS)?;
@@ -155,27 +155,30 @@ pub fn fig1(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ntc-dc fig2`
+/// `ntcdc fig2`
 pub fn fig2(args: &[String]) -> Result<(), String> {
     Flags::parse("fig2", args, &[])?;
     print!("{}", export::fig2_csv(&experiments::fig2()));
     Ok(())
 }
 
-/// `ntc-dc fig3`
+/// `ntcdc fig3`
 pub fn fig3(args: &[String]) -> Result<(), String> {
     Flags::parse("fig3", args, &[])?;
     print!("{}", export::fig3_csv(&experiments::fig3()));
     Ok(())
 }
 
-/// `ntc-dc week [--vms N] [--csv]`
+/// `ntcdc week [--vms N] [--csv]`
 pub fn week(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("week", args, FLAGS)?;
-    let vms = flags.count("--vms", 120)?;
-    let fleet = ClusterTraceGenerator::google_like(vms, 2018).generate();
-    let outcomes = experiments::fig4_5_6(&fleet, 600);
+    let fleet = FleetSpec {
+        num_vms: flags.count("--vms", 120)?,
+        seed: 2018,
+        weeks: 2,
+    };
+    let outcomes = experiments::fig4_5_6(fleet, 600);
     if flags.switch("--csv") {
         print!("{}", export::week_csv(&outcomes));
         return Ok(());
@@ -205,7 +208,7 @@ pub fn week(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ntc-dc sweep [--spec FILE] [--vms N] [--seed S] [--seeds A,B,C]
+/// `ntcdc sweep [--spec FILE] [--vms N] [--seed S] [--seeds A,B,C]
 /// [--static-power-scales X,Y] [--backends analytic,archsim]
 /// [--threads N] [--arima] [--fail-fast] [--emit-spec] [--json]
 /// [--cache-stats]`
@@ -389,7 +392,7 @@ fn fail_summary(sweep: &SweepResult) -> Result<(), String> {
     }
 }
 
-/// `ntc-dc fig7 [--vms N] [--csv]`
+/// `ntcdc fig7 [--vms N] [--csv]`
 pub fn fig7(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig7", args, FLAGS)?;
@@ -419,7 +422,7 @@ pub fn fig7(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ntc-dc validate`
+/// `ntcdc validate`
 pub fn validate(args: &[String]) -> Result<(), String> {
     Flags::parse("validate", args, &[])?;
     println!("{}", ntc_power::validation::report());
@@ -433,7 +436,7 @@ pub fn validate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `ntc-dc fleet-stats [--vms N]`
+/// `ntcdc fleet-stats [--vms N]`
 pub fn fleet_stats(args: &[String]) -> Result<(), String> {
     const FLAGS: FlagTable = &[("--vms", Arity::Value)];
     let vms = Flags::parse("fleet-stats", args, FLAGS)?.count("--vms", 600)?;

@@ -332,13 +332,18 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
   "policies": ["epact"], "servers": ["ntc"], "max_servers": 100}"#,
     )
     .unwrap();
+    // A spec fleet must name its seed: none defaults to 0.
+    let seedless_path = std::env::temp_dir().join("ntcdc_seedless_spec.json");
+    std::fs::write(&seedless_path, r#"{"fleets": [{"num_vms": 10}]}"#).unwrap();
     let spec = path.to_str().unwrap();
     let floor_spec = floor_path.to_str().unwrap();
     let long_spec = long_path.to_str().unwrap();
-    let cases: [&[&str]; 7] = [
+    let seedless_spec = seedless_path.to_str().unwrap();
+    let cases: [&[&str]; 8] = [
         &["sweep", "--spec", spec, "--seeds", "1,2"],
         &["sweep", "--spec", floor_spec],
         &["sweep", "--spec", long_spec, "--json"],
+        &["sweep", "--spec", seedless_spec],
         &["fig1", "--servers", "0"],
         &["week", "--vms", "0"],
         &["fig7", "--vms", "0"],
@@ -354,8 +359,12 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
         assert!(out.stdout.is_empty(), "{args:?} printed output");
         assert!(err.starts_with("error: "), "{args:?}: {err}");
         assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        if args.contains(&seedless_spec) {
+            assert!(err.contains("missing field fleets[0].seed"), "{err}");
+        }
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&floor_path).ok();
     std::fs::remove_file(&long_path).ok();
+    std::fs::remove_file(&seedless_path).ok();
 }

@@ -27,9 +27,8 @@
 //!
 //! * the QoS floor only shapes the online replay, never the plan;
 //! * the accounting backend only prices governed slots (the
-//!   conservation contract of [`crate::backend`]); its planning
-//!   fingerprint is folded into the key and is empty for both
-//!   built-ins, so `analytic` and `archsim` arms share plans;
+//!   conservation contract of [`crate::backend`]), so `analytic` and
+//!   `archsim` arms share plans;
 //! * a static-power scale changes the plan only through the quantities
 //!   the policy actually derives from the power model (`F_NTC_opt`, the
 //!   DVFS table, full-load powers). When those coincide across scales —

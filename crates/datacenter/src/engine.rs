@@ -185,7 +185,7 @@ impl PredictorSpec {
     }
 }
 
-/// Ablation switches applied across the sweep (DESIGN.md §7).
+/// Ablation switches applied across the sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AblationFlags {
     /// Drop the Eq. 2 distance term in EPACT's memory-dominated path,
@@ -196,12 +196,12 @@ pub struct AblationFlags {
 /// A declarative experiment sweep: the cross product of `fleets`,
 /// `static_power_scales`, `servers`, `qos_floors_mhz` and `policies`.
 ///
-/// This is the single entry point the CLI `sweep` subcommand, the
-/// examples and the benches all share; see
-/// [`spec_json`](crate::spec_json) for its JSON form. Multiple
-/// fleets model seed-averaged runs (same size, different seeds) or
-/// size sweeps; `static_power_scales` multiplies each server model's
-/// motherboard ("static") power — the Fig. 7 knob.
+/// This is the single entry point that the CLI's sweeps, the week
+/// runners of [`experiments`](crate::experiments) and the examples all
+/// share; see [`spec_json`](crate::spec_json) for its JSON form.
+/// Multiple fleets model seed-averaged runs (same size, different
+/// seeds) or size sweeps; `static_power_scales` multiplies each server
+/// model's motherboard ("static") power — the Fig. 7 knob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Display name of the sweep.

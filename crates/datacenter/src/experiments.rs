@@ -1,24 +1,22 @@
 //! Experiment runners — one per table/figure of the paper's evaluation.
 //!
 //! Each function returns the structured data behind the corresponding
-//! table or figure (and the benches/examples print them in the paper's
-//! layout). See EXPERIMENTS.md at the workspace root for the
-//! paper-vs-measured record.
+//! table or figure, and `ntcdc` and the examples print it in the
+//! paper's layout. Table I and Figs. 1–3 are per-platform model runs;
+//! every week of Figs. 4–7 and of the §V-A comparison runs through the
+//! sweep [`Engine`] as one [`ExperimentSpec`].
 
 use ntc_archsim::qos::QosBaseline;
 use ntc_archsim::{efficiency, Kernel, Platform, ServerSim};
-use ntc_core::{Coat, CoatOpt, Epact};
-use ntc_forecast::ArimaPredictor;
 use ntc_power::{DataCenterPowerModel, ServerPowerModel};
 use ntc_units::{Frequency, Percent, Power};
-use ntc_workload::Fleet;
 
 use crate::backend::BackendSpec;
 use crate::engine::{
     AblationFlags, Engine, ExperimentSpec, FleetSpec, PolicySpec, PredictorSpec, ServerSpec,
 };
 use crate::fault::FailurePolicy;
-use crate::{WeekOutcome, WeekSim};
+use crate::WeekOutcome;
 
 /// One row of Table I: a workload class's execution times across the
 /// three platforms, plus the QoS limit.
@@ -143,32 +141,76 @@ pub fn fig3() -> Vec<Fig3Series> {
         .collect()
 }
 
+/// One week per policy over `fleet` on the NTC server, with analytic
+/// accounting, baseline static power and no QoS floor.
+fn ntc_spec(
+    fleet: FleetSpec,
+    max_servers: usize,
+    predictor: PredictorSpec,
+    policies: &[PolicySpec],
+) -> ExperimentSpec {
+    ExperimentSpec {
+        name: "paper-week".to_string(),
+        fleets: vec![fleet],
+        static_power_scales: vec![1.0],
+        servers: vec![ServerSpec::Ntc],
+        qos_floors_mhz: vec![None],
+        backends: vec![BackendSpec::Analytic],
+        policies: policies.to_vec(),
+        predictor,
+        max_servers,
+        ablation: AblationFlags::default(),
+        failure_policy: FailurePolicy::default(),
+    }
+}
+
+/// Runs `spec` through the engine and returns every cell's week in
+/// spec order.
+///
+/// # Panics
+///
+/// Panics if the engine rejects the spec, or with the first failed
+/// cell, as that week run alone would.
+fn run_weeks(spec: &ExperimentSpec) -> Vec<WeekOutcome> {
+    let sweep = Engine::new()
+        .run(spec)
+        .unwrap_or_else(|e| panic!("invalid week spec: {e}"));
+    if let Some(failure) = sweep.failed().first() {
+        panic!("{failure}");
+    }
+    sweep.cells.into_iter().map(|c| c.outcome).collect()
+}
+
 /// Regenerates Figs. 4, 5 and 6 in one pass: the week-long comparison
-/// of EPACT, COAT and COAT-OPT with ARIMA predictions.
+/// of EPACT, COAT and COAT-OPT with ARIMA predictions, which all three
+/// policies share.
 ///
 /// Returns the outcomes in that order.
-pub fn fig4_5_6(fleet: &Fleet, max_servers: usize) -> [WeekOutcome; 3] {
-    let sim = WeekSim::new(fleet, ServerPowerModel::ntc(), max_servers);
-    let predictor = ArimaPredictor::daily(fleet.grid().samples_per_day());
-    [
-        sim.run(&Epact::new(), &predictor),
-        sim.run(&Coat::new(), &predictor),
-        sim.run(&CoatOpt::new(), &predictor),
-    ]
+///
+/// # Panics
+///
+/// Panics if the fleet is empty or shorter than two weeks, or if
+/// `max_servers` is zero.
+pub fn fig4_5_6(fleet: FleetSpec, max_servers: usize) -> [WeekOutcome; 3] {
+    use PolicySpec::{Coat, CoatOpt, Epact};
+    let policies = [Epact, Coat, CoatOpt];
+    let spec = ntc_spec(fleet, max_servers, PredictorSpec::Arima, &policies);
+    run_weeks(&spec).try_into().expect("one week per policy")
 }
 
 /// The §V-A claim quantified: EPACT against *both* extremes —
 /// consolidation (COAT) and load balancing — plus COAT-OPT, with oracle
 /// predictions. Returns outcomes in the order
 /// `[EPACT, COAT, COAT-OPT, LOAD-BAL]`.
-pub fn policy_comparison(fleet: &Fleet, max_servers: usize) -> [WeekOutcome; 4] {
-    let sim = WeekSim::new(fleet, ServerPowerModel::ntc(), max_servers);
-    [
-        sim.run_with_oracle(&Epact::new()),
-        sim.run_with_oracle(&Coat::new()),
-        sim.run_with_oracle(&CoatOpt::new()),
-        sim.run_with_oracle(&ntc_core::LoadBalance::new()),
-    ]
+///
+/// # Panics
+///
+/// Panics as [`fig4_5_6`] does.
+pub fn policy_comparison(fleet: FleetSpec, max_servers: usize) -> [WeekOutcome; 4] {
+    use PolicySpec::{Coat, CoatOpt, Epact, LoadBalance};
+    let policies = [Epact, Coat, CoatOpt, LoadBalance];
+    let spec = ntc_spec(fleet, max_servers, PredictorSpec::Oracle, &policies);
+    run_weeks(&spec).try_into().expect("one week per policy")
 }
 
 /// One Fig. 7 point: totals under a given static (motherboard) power.
@@ -190,8 +232,7 @@ pub struct Fig7Point {
 ///
 /// The sweep is one [`ExperimentSpec`] with `static_watts` expressed on
 /// the engine's static-power-scale axis (relative to the NTC server's
-/// baseline motherboard power), run through [`Engine::run`] — no
-/// private loop.
+/// baseline motherboard power).
 ///
 /// # Panics
 ///
@@ -200,28 +241,15 @@ pub struct Fig7Point {
 /// weeks.
 pub fn fig7(fleet: FleetSpec, max_servers: usize, static_watts: &[f64]) -> Vec<Fig7Point> {
     let baseline = ServerPowerModel::ntc().uncore().motherboard().as_watts();
-    let spec = ExperimentSpec {
-        name: "fig7-static-power".to_string(),
-        fleets: vec![fleet],
-        static_power_scales: static_watts.iter().map(|&w| w / baseline).collect(),
-        servers: vec![ServerSpec::Ntc],
-        qos_floors_mhz: vec![None],
-        backends: vec![BackendSpec::Analytic],
-        policies: vec![PolicySpec::Epact, PolicySpec::Coat],
-        predictor: PredictorSpec::Oracle,
-        max_servers,
-        ablation: AblationFlags::default(),
-        failure_policy: FailurePolicy::default(),
-    };
-    let sweep = Engine::new().run(&spec).expect("fig7 spec must be valid");
-    // Cells in spec order: scales outermost, [EPACT, COAT] per scale.
-    sweep
-        .cells
+    let policies = [PolicySpec::Epact, PolicySpec::Coat];
+    let mut spec = ntc_spec(fleet, max_servers, PredictorSpec::Oracle, &policies);
+    spec.static_power_scales = static_watts.iter().map(|&w| w / baseline).collect();
+    // Weeks in spec order: scales outermost, [EPACT, COAT] per scale.
+    run_weeks(&spec)
         .chunks_exact(2)
         .zip(static_watts)
         .map(|(pair, &w)| {
-            let epact = &pair[0].outcome;
-            let coat = &pair[1].outcome;
+            let (epact, coat) = (&pair[0], &pair[1]);
             Fig7Point {
                 static_power: Power::from_watts(w),
                 epact_energy: epact.total_energy(),
@@ -235,7 +263,6 @@ pub fn fig7(fleet: FleetSpec, max_servers: usize, static_watts: &[f64]) -> Vec<F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_workload::ClusterTraceGenerator;
 
     #[test]
     fn table1_reproduces_paper_ordering() {
@@ -348,8 +375,12 @@ mod tests {
     fn neither_consolidating_nor_balancing_wins() {
         // §V-A: "neither VM consolidation nor load balancing are the
         // best options" on NTC hardware — EPACT beats both extremes.
-        let fleet = ClusterTraceGenerator::google_like(48, 2024).generate();
-        let [epact, coat, _coat_opt, loadbal] = policy_comparison(&fleet, 600);
+        let fleet = FleetSpec {
+            num_vms: 48,
+            seed: 2024,
+            weeks: 2,
+        };
+        let [epact, coat, _coat_opt, loadbal] = policy_comparison(fleet, 600);
         assert!(
             epact.total_energy() < coat.total_energy(),
             "EPACT must beat consolidation: {:.1} vs {:.1} MJ",

@@ -83,21 +83,24 @@ fn fleet_value(fleet: &FleetSpec) -> Value {
     ])
 }
 
+/// A fleet names its size and seed; `weeks` defaults to 2, which the
+/// legacy single-fleet form relies on.
 fn parse_fleet(val: &Value, path: &str) -> Result<FleetSpec, String> {
-    let mut fleet = FleetSpec {
-        num_vms: 0,
-        seed: 0,
-        weeks: 2,
-    };
+    let (mut num_vms, mut seed, mut weeks) = (None, None, 2);
     for (fkey, fval) in val.as_object(path)? {
         match fkey.as_str() {
-            "num_vms" => fleet.num_vms = fval.as_usize(&format!("{path}.num_vms"))?,
-            "seed" => fleet.seed = fval.as_u64(&format!("{path}.seed"))?,
-            "weeks" => fleet.weeks = fval.as_usize(&format!("{path}.weeks"))?,
+            "num_vms" => num_vms = Some(fval.as_usize(&format!("{path}.num_vms"))?),
+            "seed" => seed = Some(fval.as_u64(&format!("{path}.seed"))?),
+            "weeks" => weeks = fval.as_usize(&format!("{path}.weeks"))?,
             other => return Err(format!("unknown field {path}.{other}")),
         }
     }
-    Ok(fleet)
+    let missing = |field: &str| format!("missing field {path}.{field}");
+    Ok(FleetSpec {
+        num_vms: num_vms.ok_or_else(|| missing("num_vms"))?,
+        seed: seed.ok_or_else(|| missing("seed"))?,
+        weeks,
+    })
 }
 
 /// Parses a spec from JSON text.
@@ -841,6 +844,13 @@ mod tests {
     fn rejects_missing_fleet() {
         let err = from_json(r#"{"name": "x"}"#).unwrap_err();
         assert!(err.contains("fleet"), "{err}");
+        // A fleet must name its size and seed; neither defaults to 0.
+        let err = from_json(r#"{"fleets": [{"num_vms": 10}]}"#).unwrap_err();
+        assert_eq!(err, "missing field fleets[0].seed");
+        let err = from_json(r#"{"fleets": [{"seed": 1}, {"num_vms": 10}]}"#).unwrap_err();
+        assert_eq!(err, "missing field fleets[0].num_vms");
+        let err = from_json(r#"{"fleet": {"num_vms": 10, "weeks": 2}}"#).unwrap_err();
+        assert_eq!(err, "missing field fleet.seed");
     }
 
     #[test]

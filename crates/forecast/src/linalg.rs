@@ -2,8 +2,8 @@
 //!
 //! The systems solved here are tiny (order ≤ a few dozen), so a plain
 //! Gaussian elimination with partial pivoting and a ridge-regularized
-//! normal-equation least squares are entirely adequate — a LAPACK
-//! binding would be unjustified (see DESIGN.md §6).
+//! normal-equation least squares are entirely adequate, and a LAPACK
+//! binding would be unjustified.
 
 /// Solves `A x = b` by Gaussian elimination with partial pivoting.
 ///

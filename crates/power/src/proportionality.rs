@@ -3,9 +3,8 @@
 //! A perfectly proportional server draws power linearly in utilization
 //! with zero idle power; a constant-power server is the opposite extreme.
 //! The index computed here summarizes where a [`ServerPowerModel`] falls
-//! between the two, and is used by the ablation benches to quantify the
-//! claim that FD-SOI NTC servers are dramatically more proportional than
-//! conventional ones.
+//! between the two, and quantifies the claim that FD-SOI NTC servers are
+//! dramatically more proportional than conventional ones.
 
 use ntc_units::{Frequency, Percent};
 

@@ -1,19 +1,20 @@
-//! Ablation benches for the design choices DESIGN.md §7 calls out:
+//! Ablations of EPACT's design choices:
 //!
-//! 1. correlation-aware matching (Alg. 1's φ term) vs plain first-fit;
-//! 2. ARIMA vs seasonal-naive prediction (violations and energy);
-//! 3. the energy-proportionality gap between the NTC and conventional
-//!    server that makes all of this matter.
+//! 1. Algorithm 1's correlation matching (the φ term) against plain
+//!    first-fit, over a week with ARIMA predictions;
+//! 2. the Eq. 2 distance term of Algorithm 2 on a memory-dominated
+//!    slot;
+//! 3. §V-A: EPACT against both extremes, consolidation (COAT) and load
+//!    balancing, plus COAT-OPT, with oracle predictions.
+//!
+//! Run with: `cargo run --release --example ablations [num_vms]`
+//! (defaults to 120 VMs).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use ntc_bench::bench_fleet;
-use ntc_core::{AllocationPolicy, Epact, OneDimAllocator, SlotContext, SlotPlan};
-use ntc_datacenter::WeekSim;
-use ntc_forecast::{ArimaPredictor, SeasonalNaive};
-use ntc_power::proportionality::ep_index;
-use ntc_power::ServerPowerModel;
-use ntc_trace::TimeSeries;
-use std::hint::black_box;
+use ntc_dc::datacenter::{experiments, FleetSpec, WeekSim};
+use ntc_dc::forecast::ArimaPredictor;
+use ntc_dc::policy::{AllocationPolicy, Epact, SlotContext, SlotPlan, TwoDimAllocator};
+use ntc_dc::power::{DataCenterPowerModel, ServerPowerModel};
+use ntc_dc::trace::TimeSeries;
 
 /// EPACT with Algorithm 1's correlation matching replaced by plain
 /// first-fit (the ablation's control arm).
@@ -28,7 +29,7 @@ impl AllocationPolicy for PlainFirstFit {
     fn allocate(&self, ctx: &SlotContext<'_>) -> SlotPlan {
         let server = ctx.server();
         let fmax = server.fmax();
-        let dc = ntc_power::DataCenterPowerModel::new(server.clone(), ctx.max_servers());
+        let dc = DataCenterPowerModel::new(server.clone(), ctx.max_servers());
         let fopt = dc.ntc_optimal_frequency();
         let cap = fopt.ratio(fmax) * 100.0;
         let cpu = ctx.predicted_cpu();
@@ -51,8 +52,8 @@ impl AllocationPolicy for PlainFirstFit {
     }
 }
 
-fn print_correlation_ablation() {
-    let fleet = bench_fleet();
+fn print_correlation_ablation(fleet: FleetSpec) {
+    let fleet = fleet.generate();
     let sim = WeekSim::new(&fleet, ServerPowerModel::ntc(), 600);
     let predictor = ArimaPredictor::daily(fleet.grid().samples_per_day());
     let with_corr = sim.run(&Epact::new(), &predictor);
@@ -73,37 +74,10 @@ fn print_correlation_ablation() {
     }
 }
 
-fn print_forecast_ablation() {
-    let fleet = bench_fleet();
-    let sim = WeekSim::new(&fleet, ServerPowerModel::ntc(), 600);
-    let per_day = fleet.grid().samples_per_day();
-    let arima = sim.run(&Epact::new(), &ArimaPredictor::daily(per_day));
-    let naive = sim.run(&Epact::new(), &SeasonalNaive::new(per_day));
-    let oracle = sim.run_with_oracle(&Epact::new());
-    println!("\n=== Ablation: predictor choice under EPACT ===");
-    println!(
-        "{:<16} {:>12} {:>16}",
-        "predictor", "violations", "energy (MJ)"
-    );
-    for (name, o) in [
-        ("ARIMA", &arima),
-        ("seasonal-naive", &naive),
-        ("oracle", &oracle),
-    ] {
-        println!(
-            "{:<16} {:>12} {:>16.1}",
-            name,
-            o.total_violations(),
-            o.total_energy().as_megajoules()
-        );
-    }
-}
-
 fn print_merit_ablation() {
     // Memory-dominated synthetic slot: Alg. 2 with the full Eq. 2 merit
     // vs the correlation-only variant. The distance term packs tighter,
     // so it should need no more servers.
-    use ntc_core::TwoDimAllocator;
     let slot = 12;
     let n = 48;
     let cpu: Vec<TimeSeries> = (0..n)
@@ -137,10 +111,8 @@ fn print_merit_ablation() {
     );
 }
 
-fn print_policy_comparison() {
-    use ntc_datacenter::experiments::policy_comparison;
-    let fleet = bench_fleet();
-    let outcomes = policy_comparison(&fleet, 600);
+fn print_policy_comparison(fleet: FleetSpec) {
+    let outcomes = experiments::policy_comparison(fleet, 600);
     println!("\n=== §V-A: EPACT vs both extremes (oracle predictions) ===");
     println!(
         "{:<10} {:>14} {:>16} {:>12}",
@@ -157,35 +129,17 @@ fn print_policy_comparison() {
     }
 }
 
-fn print_proportionality() {
-    let ntc = ServerPowerModel::ntc();
-    let conv = ServerPowerModel::conventional_e5_2620();
-    println!("\n=== Energy-proportionality indices (1 = ideal) ===");
-    println!(
-        "NTC server @ Fmax: {:.3} | conventional @ Fmax: {:.3}",
-        ep_index(&ntc, ntc.fmax(), 50),
-        ep_index(&conv, conv.fmax(), 50)
-    );
-}
-
-fn bench(c: &mut Criterion) {
-    print_correlation_ablation();
-    print_forecast_ablation();
+fn main() {
+    let num_vms: usize = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(120);
+    let fleet = FleetSpec {
+        num_vms,
+        seed: 2018,
+        weeks: 2,
+    };
+    print_correlation_ablation(fleet);
     print_merit_ablation();
-    print_policy_comparison();
-    print_proportionality();
-
-    // Time the Algorithm 1 packing kernel itself.
-    let fleet = bench_fleet();
-    let cpu: Vec<TimeSeries> = fleet.vms().iter().map(|v| v.cpu.window(0..12)).collect();
-    let alloc = OneDimAllocator::new(
-        ntc_units::Frequency::from_ghz(1.9),
-        ntc_units::Frequency::from_ghz(3.1),
-    );
-    c.bench_function("ablations/alg1_packing_120vms", |b| {
-        b.iter(|| black_box(alloc.allocate(&cpu)))
-    });
+    print_policy_comparison(fleet);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example datacenter_week [num_vms]`
 //! (defaults to 600 VMs; pass a smaller count for a quick look).
 
-use ntc_dc::datacenter::experiments;
-use ntc_dc::workload::ClusterTraceGenerator;
+use ntc_dc::datacenter::{experiments, FleetSpec};
 
 fn main() {
     let num_vms: usize = std::env::args()
@@ -14,11 +13,13 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(600);
 
-    println!("generating {num_vms} VMs x 2 weeks of 5-minute traces...");
-    let fleet = ClusterTraceGenerator::google_like(num_vms, 2018).generate();
-
-    println!("running EPACT / COAT / COAT-OPT over the evaluation week...");
-    let outcomes = experiments::fig4_5_6(&fleet, 600);
+    println!("running EPACT / COAT / COAT-OPT over the evaluation week of {num_vms} VMs...");
+    let fleet = FleetSpec {
+        num_vms,
+        seed: 2018,
+        weeks: 2,
+    };
+    let outcomes = experiments::fig4_5_6(fleet, 600);
 
     println!("\n=== Figs. 4-6 summary ===");
     println!(

@@ -101,7 +101,7 @@ fn multi_axis_sweep_is_bit_identical_to_sequential() {
 fn cached_sweep_is_bit_identical_to_uncached() {
     // The golden equivalence for the engine's shared fleets and plans:
     // a parallel sweep over every axis a plan key may merge — 2 seeds
-    // x 2 static-power scales x 2 QoS floors x 2 backends x 3
+    // x 2 static-power scales x 2 QoS floors x 2 backends x 4
     // policies — must reproduce each cell run alone bit for bit, while
     // actually deduplicating work: COAT plans purely at Fmax, so its
     // plans are shared across the two scale arms (7 planning slots x 2
@@ -110,9 +110,14 @@ fn cached_sweep_is_bit_identical_to_uncached() {
     let mut spec = multi_axis_sweep();
     spec.qos_floors_mhz = vec![None, Some(1800.0)];
     spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];
-    spec.policies = vec![PolicySpec::Epact, PolicySpec::Coat, PolicySpec::CoatOpt];
+    spec.policies = vec![
+        PolicySpec::Epact,
+        PolicySpec::Coat,
+        PolicySpec::CoatOpt,
+        PolicySpec::LoadBalance,
+    ];
     let cached = Engine::new().run(&spec).expect("cached run");
-    assert_eq!(cached.cells.len(), 48);
+    assert_eq!(cached.cells.len(), 64);
     let cells: Vec<_> = cached.cells.iter().map(|c| c.cell).collect();
     assert_eq!(cells, spec.cells());
     let alone = per_cell_weeks(&spec);

@@ -3,10 +3,9 @@
 
 use ntc_dc::archsim::qos::QosBaseline;
 use ntc_dc::archsim::{efficiency, Kernel, Platform, ServerSim};
-use ntc_dc::datacenter::experiments;
+use ntc_dc::datacenter::{experiments, FleetSpec};
 use ntc_dc::power::{DataCenterPowerModel, ServerPowerModel};
 use ntc_dc::units::{Frequency, Percent};
-use ntc_dc::workload::ClusterTraceGenerator;
 
 #[test]
 fn headline_1_ntc_dc_optimum_is_1_9_ghz() {
@@ -99,8 +98,12 @@ fn headline_7_week_epact_beats_both_baselines() {
     // Figs. 4-6 at reduced scale: EPACT has (near-)zero violations and
     // lower energy than COAT and COAT-OPT, while COAT uses fewer
     // servers.
-    let fleet = ClusterTraceGenerator::google_like(96, 4242).generate();
-    let outcomes = experiments::fig4_5_6(&fleet, 600);
+    let fleet = FleetSpec {
+        num_vms: 96,
+        seed: 4242,
+        weeks: 2,
+    };
+    let outcomes = experiments::fig4_5_6(fleet, 600);
     let (epact, coat, coat_opt) = (&outcomes[0], &outcomes[1], &outcomes[2]);
 
     assert!(
@@ -133,7 +136,7 @@ fn headline_7_week_epact_beats_both_baselines() {
 fn headline_8_fig7_static_power_trend() {
     // Fig. 7: EPACT's edge over consolidation shrinks as static power
     // grows (and grows in future low-static-power technologies).
-    let fleet = ntc_dc::datacenter::FleetSpec {
+    let fleet = FleetSpec {
         num_vms: 48,
         seed: 99,
         weeks: 2,
