@@ -172,6 +172,40 @@ mod tests {
         ClusterTraceGenerator::google_like(48, 1234).generate()
     }
 
+    /// FNV-1a over the bit patterns of every CPU sample, then every
+    /// memory sample, VM by VM.
+    fn fleet_bit_hash(fleet: &Fleet) -> u64 {
+        fleet
+            .vms()
+            .iter()
+            .flat_map(|vm| vm.cpu.values().iter().chain(vm.mem.values()))
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn generated_fleets_are_bit_identical_to_golden() {
+        // Pins every bit of generated fleets: reordering any per-sample
+        // expression, or any draw of the random stream, moves a hash.
+        // The second generator fires the level-shift branch often.
+        let hashes = [
+            ClusterTraceGenerator::google_like(24, 2018),
+            ClusterTraceGenerator::google_like(12, 7).with_shift_probability(0.9),
+            ClusterTraceGenerator::google_like(6, 3).with_weeks(3),
+        ]
+        .map(|generator| fleet_bit_hash(&generator.generate()));
+        assert_eq!(
+            hashes,
+            [
+                0x12b5_ba7b_3141_d0dd,
+                0x3623_1e8b_e584_447b,
+                0x3093_6c92_96c7_8d4b
+            ],
+            "{hashes:#018x?}"
+        );
+    }
+
     #[test]
     fn deterministic_under_seed() {
         let a = ClusterTraceGenerator::google_like(10, 9).generate();
