@@ -295,12 +295,14 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "sweep {:?}: {} of {} cells on {} threads, {:.2}s wall",
+        "sweep {:?}: {} of {} cells on {} threads, {:.2}s wall ({:.2}s up front), {} predictor",
         spec.name,
         sweep.cells.len(),
         sweep.total_cells(),
         sweep.threads,
-        sweep.wall.as_secs_f64()
+        sweep.wall.as_secs_f64(),
+        sweep.up_front.as_secs_f64(),
+        spec.predictor.label()
     );
     println!(
         "{:<24} {:>6} {:>10} {:>14} {:>11} {:>14}",
@@ -344,6 +346,9 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             t.plan_hits, t.plan_misses, t.forecast_hits, t.forecast_misses
         );
     }
+    // Speedup is cell work over wall: the summed cell walls over the
+    // sweep's wall, up-front step included. Fleets and forecasts are
+    // made before any cell starts, so no cell wall holds a wait for one.
     let serial: f64 = sweep.cells.iter().map(|c| c.wall.as_secs_f64()).sum();
     if sweep.wall.as_secs_f64() > 0.0 {
         println!(

@@ -252,6 +252,55 @@ fn legacy_single_fleet_spec_file_still_runs() {
 }
 
 #[test]
+fn spec_must_state_policies_servers_and_max_servers() {
+    // Without `max_servers` such a spec used to fail with "data center
+    // needs at least one server", without `policies` or `servers` with
+    // "experiment spec needs at least one cell".
+    let required = [
+        ("policies", r#""policies": ["epact"]"#),
+        ("servers", r#""servers": ["ntc"]"#),
+        ("max_servers", r#""max_servers": 100"#),
+    ];
+    let path = std::env::temp_dir().join("ntcdc_required_fields_spec.json");
+    let spec = path.to_str().unwrap();
+    for (missing, _) in required {
+        let fields: Vec<&str> = required
+            .iter()
+            .filter(|(name, _)| *name != missing)
+            .map(|(_, field)| *field)
+            .collect();
+        let text = format!(
+            r#"{{"fleets": [{{"num_vms": 10, "seed": 3}}], {}}}"#,
+            fields.join(", ")
+        );
+        std::fs::write(&path, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
+            .args(["sweep", "--spec", spec])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{missing}: {err}");
+        assert!(out.stdout.is_empty(), "{missing}: nothing may run");
+        assert_eq!(
+            err,
+            format!("error: parsing {spec}: missing field {missing}\n")
+        );
+    }
+    // `predictor` keeps its oracle default, which the header names.
+    let fields: Vec<&str> = required.iter().map(|(_, field)| *field).collect();
+    let text = format!(
+        r#"{{"fleets": [{{"num_vms": 10, "seed": 3}}], {}}}"#,
+        fields.join(", ")
+    );
+    std::fs::write(&path, text).unwrap();
+    let (ok, out, err) = run(&["sweep", "--spec", spec]);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{out}\n{err}");
+    let header = out.lines().next().unwrap_or_default();
+    assert!(header.contains("s up front), oracle predictor"), "{header}");
+}
+
+#[test]
 fn unknown_flags_fail_instead_of_running_defaults() {
     // `--backend` (for `--backends`) and `--sed` (for `--seed`) used to
     // be ignored: the sweep ran the analytic backend on the default

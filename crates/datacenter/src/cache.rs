@@ -19,11 +19,11 @@
 //! | day forecasts | [`FleetSpec`] | [`EVAL_DAYS`] |
 //! | plans | [`PlanKey`] | [`EVAL_SLOTS`] |
 //!
-//! Forecasts depend on the fleet and the spec-wide predictor alone. The
-//! engine fills the forecast table before any cell runs, fitting the
-//! days' series on all its workers, and only a day that step failed to
-//! fill is computed by a cell. A plan depends on fewer axes than a cell
-//! has:
+//! Before any cell runs, the engine fills the fleet table and, in a
+//! forecasting sweep, the forecast table, on all its workers; only a
+//! fleet or a day that step failed to fill is computed by a cell.
+//! Forecasts depend on the fleet and the spec-wide predictor alone. A
+//! plan depends on fewer axes than a cell has:
 //!
 //! * the QoS floor only shapes the online replay, never the plan;
 //! * the accounting backend only prices governed slots (the
@@ -62,7 +62,7 @@ pub(crate) const EVAL_SLOTS: usize = 7 * 24;
 pub(crate) const EVAL_DAYS: usize = 7;
 
 /// Cache hit/miss counters of one cell run, of the engine's up-front
-/// forecast step, or, summed, of a sweep.
+/// step, or, summed, of a sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Allocation slots answered from the shared plan cache.

@@ -13,14 +13,16 @@
 //! behind an `Arc`, however many cells share it and however the workers
 //! interleave.
 //!
-//! A forecasting sweep (ARIMA or seasonal-naive predictor) fits its
-//! forecasts before any cell runs. The same workers first
-//! generate each distinct fleet, then claim chunks of the (fleet, day,
-//! VM, CPU/memory) series of the 7 evaluation days, so the fits spread
-//! over the whole pool instead of queueing behind the one cell that
-//! reaches a day first. Each series is a pure function of its history,
-//! so this changes no bit of any forecast; the cells then read every
-//! day forecast from the shared table.
+//! Every sweep generates its fleets up front: before any cell runs, the
+//! workers claim the distinct fleets and generate each one, so no cell
+//! waits inside its own wall for a fleet another cell is generating. A
+//! forecasting sweep (ARIMA or seasonal-naive predictor) also fits its
+//! forecasts there: the same workers then claim chunks of the (fleet,
+//! day, VM, CPU/memory) series of the 7 evaluation days, so the fits
+//! spread over the whole pool instead of queueing behind the one cell
+//! that reaches a day first. Each series is a pure function of its
+//! history, so this changes no bit of any forecast; the cells then read
+//! every fleet and day forecast from the shared tables.
 //!
 //! Cells are also *fault-isolated*: each one runs under
 //! [`std::panic::catch_unwind`], and a panicking cell becomes a
@@ -174,6 +176,15 @@ pub enum PredictorSpec {
 }
 
 impl PredictorSpec {
+    /// Short display label, also the predictor's tag in spec JSON.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PredictorSpec::Oracle => "oracle",
+            PredictorSpec::Arima => "arima",
+            PredictorSpec::SeasonalNaive => "seasonal_naive",
+        }
+    }
+
     /// The day-ahead predictor for fleets sampled `samples_per_day`
     /// times a day, or `None` for oracle predictions.
     pub(crate) fn build(&self, samples_per_day: usize) -> Option<Box<dyn Predictor>> {
@@ -420,10 +431,9 @@ pub struct CellOutcome {
     pub outcome: WeekOutcome,
     /// Plan/forecast cache hits and misses of this cell's run.
     pub cache: CacheStats,
-    /// Wall-clock time this cell took on its worker (in an oracle
-    /// sweep, the first cell touching a fleet pays its generation here;
-    /// a forecasting sweep generates its fleets and fits its forecasts
-    /// before any cell starts).
+    /// Wall-clock time this cell took on its worker. Its fleet and, in a
+    /// forecasting sweep, its day forecasts were ready before it started
+    /// (see [`SweepResult::up_front`]).
     pub wall: Duration,
 }
 
@@ -441,8 +451,13 @@ pub struct SweepResult {
     /// Every cell that did not complete, in spec order, with the
     /// pipeline stage and cause captured per cell.
     pub failures: Vec<CellError>,
-    /// End-to-end wall-clock including fleet generation.
+    /// End-to-end wall-clock, the up-front step included.
     pub wall: Duration,
+    /// Wall-clock of the up-front step, which runs before any cell
+    /// starts: generating every distinct fleet and, in a forecasting
+    /// sweep, fitting every day forecast. Part of
+    /// [`wall`](SweepResult::wall).
+    pub up_front: Duration,
     /// Worker threads the engine used.
     pub threads: usize,
     /// Cache counters recorded outside every cell: each day forecast
@@ -602,15 +617,16 @@ impl GroupOutcome {
 /// is generated once. Cells whose planning inputs coincide — QoS-floor
 /// and backend arms, or static-power-scale arms of a policy that plans
 /// at `Fmax` — share one plan per slot, and all cells over a fleet
-/// share its day-ahead forecasts. A forecasting sweep fits those
-/// forecasts before the cells start: its workers generate each
-/// distinct fleet, then claim chunks of the days' series. Each fitted
-/// day counts one forecast miss in [`SweepResult::sweep_cache`], and
-/// each cell that reads it one hit; a plan counts one miss where it is
-/// computed and one hit per cell that reuses it. Every shared value is
-/// a pure function of the spec, so each cell's outcome is bit-identical
-/// to the same cell run alone through [`WeekSim`], which plans every
-/// slot on the same numerical path.
+/// share its day-ahead forecasts. Every sweep generates its fleets up
+/// front, on the workers, before any cell starts, and a forecasting
+/// sweep also fits its forecasts there: the workers claim chunks of the
+/// days' series. Each fitted day counts one forecast miss in
+/// [`SweepResult::sweep_cache`], and each cell that reads it one hit;
+/// a plan counts one miss where it is computed and one hit per cell
+/// that reuses it. Every shared value is a pure function of the spec,
+/// so each cell's outcome is bit-identical to the same cell run alone
+/// through [`WeekSim`], which plans every slot on the same numerical
+/// path.
 #[derive(Debug, Clone)]
 pub struct Engine {
     threads: usize,
@@ -683,19 +699,14 @@ impl Engine {
         if cells.is_empty() {
             return Err(Error::EmptySpec);
         }
-        let caches = SweepCaches {
-            fleets: OnceTable::new(1, spec.fleets.iter().copied()),
-            plans: OnceTable::new(EVAL_SLOTS, cells.iter().map(|c| PlanKey::new(spec, c))),
-            forecasts: (spec.predictor != PredictorSpec::Oracle)
-                .then(|| OnceTable::new(EVAL_DAYS, spec.fleets.iter().copied())),
-        };
+        let caches = SweepCaches::new(spec, &cells);
 
-        // Forecasting sweeps fit every day forecast up front, across
-        // the whole pool; the cells then find each one filled.
-        let sweep_cache = match &caches.forecasts {
-            Some(forecasts) => forecast_up_front(spec, &caches.fleets, forecasts, self.threads),
-            None => CacheStats::default(),
-        };
+        // Every fleet, and every day forecast of a forecasting sweep, is
+        // made across the whole pool first; the cells then find each one
+        // filled.
+        let up_front_started = Instant::now();
+        let sweep_cache = up_front(spec, &caches, self.threads);
+        let up_front = up_front_started.elapsed();
 
         let workers = self.threads.min(cells.len()).max(1);
         let abort = AtomicBool::new(false);
@@ -728,20 +739,33 @@ impl Engine {
             cells: done,
             failures,
             wall: started.elapsed(),
+            up_front,
             threads: workers,
             sweep_cache,
         })
     }
 }
 
-/// Every shared table one sweep's workers draw on: the lazily
-/// generated fleets, one per distinct [`FleetSpec`], the deduplicated
-/// plan rows and, in a forecasting sweep, the per-fleet day forecasts.
+/// Every shared table one sweep's workers draw on: the fleets, one per
+/// distinct [`FleetSpec`], the deduplicated plan rows and, in a
+/// forecasting sweep, the per-fleet day forecasts.
 #[derive(Debug)]
 struct SweepCaches {
     fleets: OnceTable<FleetSpec, Fleet>,
     plans: OnceTable<PlanKey, SlotPlan>,
     forecasts: Option<OnceTable<FleetSpec, DayForecast>>,
+}
+
+impl SweepCaches {
+    /// Empty tables for `spec`'s `cells`.
+    fn new(spec: &ExperimentSpec, cells: &[CellSpec]) -> Self {
+        Self {
+            fleets: OnceTable::new(1, spec.fleets.iter().copied()),
+            plans: OnceTable::new(EVAL_SLOTS, cells.iter().map(|c| PlanKey::new(spec, c))),
+            forecasts: (spec.predictor != PredictorSpec::Oracle)
+                .then(|| OnceTable::new(EVAL_DAYS, spec.fleets.iter().copied())),
+        }
+    }
 }
 
 /// The per-run failure machinery shared by every worker: the armed
@@ -758,7 +782,7 @@ struct RunControl<'a> {
 /// threads (on the calling thread when one suffices). Each worker
 /// claims the next unclaimed index off one shared counter until none
 /// remain, so jobs balance however long each takes. The engine's one
-/// claim loop: it drives the up-front forecast fits and the cells.
+/// claim loop: it drives the up-front step and the cells.
 fn for_each_claimed(workers: usize, count: usize, job: impl Fn(usize) + Sync) {
     let next = AtomicUsize::new(0);
     let drain = || loop {
@@ -827,23 +851,20 @@ fn claim_cell(
 /// ARIMA), few enough that the last claims balance across workers.
 const SERIES_PER_CLAIM: usize = 16;
 
-/// Fits every day forecast of `table` before any cell runs, on up to
-/// `threads` workers, and returns the step's counters: one forecast
-/// miss per day forecast it stored.
+/// The sweep's up-front step: fills every fleet of `caches` and, in a
+/// forecasting sweep, every day forecast, before any cell runs, on up
+/// to `threads` workers. Returns the step's counters: one forecast miss
+/// per day forecast it stored.
 ///
 /// The first claims generate each distinct fleet through the fleet
 /// table; the rest fit [`SERIES_PER_CLAIM`] series of one (fleet, day)
 /// forecast each. Once every worker is done, each day whose series all
 /// succeeded is assembled in VM order and stored in its lock. Each
-/// claim runs under `catch_unwind`, so a panicking fit only leaves its
-/// day's lock empty: the cell that needs the day then computes it in
-/// its own forecast stage, which reports any failure as that cell's.
-fn forecast_up_front(
-    spec: &ExperimentSpec,
-    fleets: &OnceTable<FleetSpec, Fleet>,
-    table: &OnceTable<FleetSpec, DayForecast>,
-    threads: usize,
-) -> CacheStats {
+/// claim runs under `catch_unwind`, so a panicking claim only leaves
+/// its lock empty: the cell that needs the fleet or the day then
+/// computes it in its own fleet or forecast stage, which reports any
+/// failure as that cell's.
+fn up_front(spec: &ExperimentSpec, caches: &SweepCaches, threads: usize) -> CacheStats {
     /// One (fleet, day) forecast: its lock and a slot per series.
     struct Day<'t> {
         fleet: &'t FleetSpec,
@@ -851,9 +872,11 @@ fn forecast_up_front(
         lock: &'t OnceLock<Arc<DayForecast>>,
         series: Vec<OnceLock<TimeSeries>>,
     }
-    let keys: Vec<&FleetSpec> = table.rows().map(|(key, _)| key).collect();
-    let days: Vec<Day<'_>> = table
-        .rows()
+    let keys: Vec<&FleetSpec> = caches.fleets.rows().map(|(key, _)| key).collect();
+    let days: Vec<Day<'_>> = caches
+        .forecasts
+        .iter()
+        .flat_map(OnceTable::rows)
         .flat_map(|(fleet, row)| {
             row.iter().enumerate().map(move |(day, lock)| Day {
                 fleet,
@@ -878,10 +901,10 @@ fn forecast_up_front(
     for_each_claimed(threads, keys.len() + claims.len(), |job| {
         // A panic leaves the claim's slots (or fleet lock) empty.
         let _ = catch_unwind(AssertUnwindSafe(|| match job.checked_sub(keys.len()) {
-            None => drop(fleet_of(fleets, keys[job])),
+            None => drop(fleet_of(&caches.fleets, keys[job])),
             Some(claim) => {
                 let (day, series) = &claims[claim];
-                let fleet = fleet_of(fleets, day.fleet);
+                let fleet = fleet_of(&caches.fleets, day.fleet);
                 let per_day = fleet.grid().samples_per_day();
                 let Some(predictor) = spec.predictor.build(per_day) else {
                     return;
@@ -1022,6 +1045,47 @@ mod tests {
             assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
         }
         for_each_claimed(2, 0, |_| unreachable!("no jobs to claim"));
+    }
+
+    #[test]
+    fn up_front_step_is_part_of_the_wall() {
+        // The up-front step ends before any cell starts, so it and each
+        // cell fit inside the sweep's wall side by side.
+        for predictor in [PredictorSpec::Oracle, PredictorSpec::Arima] {
+            for threads in [1, 2] {
+                let mut spec = tiny_spec();
+                spec.predictor = predictor;
+                let sweep = Engine::with_threads(threads).run(&spec).unwrap();
+                assert!(sweep.up_front <= sweep.wall, "{predictor:?}, {threads}");
+                for cell in &sweep.cells {
+                    assert!(cell.wall <= sweep.wall - sweep.up_front);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn up_front_step_fills_every_fleet_and_forecast() {
+        // Oracle sweeps generate their fleets up front too, so no cell
+        // generates one; forecasting sweeps also fit every day there.
+        fn filled<K: PartialEq, V>(table: &OnceTable<K, V>) -> bool {
+            table
+                .rows()
+                .all(|(_, row)| row.iter().all(|lock| lock.get().is_some()))
+        }
+        for (predictor, days) in [
+            (PredictorSpec::Oracle, 0),
+            (PredictorSpec::SeasonalNaive, 2 * EVAL_DAYS),
+        ] {
+            let mut spec = tiny_spec().with_seeds(&[1, 2, 1]);
+            spec.predictor = predictor;
+            let caches = SweepCaches::new(&spec, &spec.cells());
+            let stats = up_front(&spec, &caches, 2);
+            assert_eq!(caches.fleets.num_rows(), 2);
+            assert!(filled(&caches.fleets), "{predictor:?}");
+            assert!(caches.forecasts.iter().all(filled), "{predictor:?}");
+            assert_eq!(stats.forecast_misses, days, "{predictor:?}");
+        }
     }
 
     #[test]

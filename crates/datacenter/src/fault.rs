@@ -48,12 +48,14 @@ use crate::engine::CellSpec;
 
 /// The stages of one cell's evaluation, as the failure model reports
 /// them: the engine-side [`Fleet`](CellStage::Fleet) (trace
-/// generation) and [`Setup`](CellStage::Setup) (backend + simulator
+/// lookup) and [`Setup`](CellStage::Setup) (backend + simulator
 /// construction) stages, then the four stages of the
 /// [`WeekSim`](crate::WeekSim) slot pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStage {
-    /// Generating (or fetching from the shared cache) the cell's fleet.
+    /// Fetching the cell's fleet from the shared table. The engine
+    /// generates every fleet before any cell starts, so a cell generates
+    /// one here only if that up-front generation panicked.
     Fleet,
     /// Building the accounting backend, policy and simulator.
     Setup,

@@ -60,7 +60,7 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
         ("backends".into(), Value::Array(backends)),
         (
             "predictor".into(),
-            Value::String(predictor_tag(spec.predictor).to_string()),
+            Value::String(spec.predictor.label().to_string()),
         ),
         ("max_servers".into(), Value::Int(spec.max_servers as u64)),
         (
@@ -105,12 +105,25 @@ fn parse_fleet(val: &Value, path: &str) -> Result<FleetSpec, String> {
 
 /// Parses a spec from JSON text.
 ///
-/// Unknown fields are rejected, missing fields report their path. A
-/// legacy single-fleet spec (`"fleet": {...}` instead of the
-/// `"fleets": [...]` axis, no `static_power_scales`) parses into the
-/// equivalent one-fleet, scale-1.0 sweep, and a spec without a
-/// `backends` array (or with an empty one) defaults to the analytic
-/// backend.
+/// Unknown fields are rejected. A spec must state what runs: its
+/// fleets (`fleets`, or the legacy single `fleet`), each fleet's
+/// `num_vms` and `seed`, `policies`, `servers` and `max_servers`. A
+/// missing one is reported by its path, e.g. `missing field
+/// max_servers`. A legacy single-fleet spec (`"fleet": {...}` instead
+/// of the `"fleets": [...]` axis) parses into the equivalent one-fleet
+/// sweep. Every other field has a default, which `--emit-spec` output
+/// always writes out:
+///
+/// | field | default |
+/// |---|---|
+/// | `predictor` | `"oracle"` |
+/// | `backends` | `["analytic"]`, also for an empty array |
+/// | `qos_floors_mhz` | `[null]` (no floor), also for an empty array |
+/// | `static_power_scales` | `[1.0]`, also for an empty array |
+/// | `failure_policy` | `"keep_going"` |
+/// | a fleet's `weeks` | `2` |
+/// | `name` | `""` |
+/// | `correlation_only` | `false` |
 ///
 /// # Errors
 ///
@@ -200,6 +213,11 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
     if !seen_fleet && !seen_fleets {
         return Err("missing field fleets (or legacy fleet)".to_string());
     }
+    for field in ["policies", "servers", "max_servers"] {
+        if !obj.iter().any(|(key, _)| key == field) {
+            return Err(format!("missing field {field}"));
+        }
+    }
     if spec.qos_floors_mhz.is_empty() {
         spec.qos_floors_mhz.push(None);
     }
@@ -262,14 +280,6 @@ fn parse_server(tag: &str) -> Result<ServerSpec, String> {
         other => Err(format!(
             "unknown server {other:?} (expected ntc or conventional)"
         )),
-    }
-}
-
-fn predictor_tag(p: PredictorSpec) -> &'static str {
-    match p {
-        PredictorSpec::Oracle => "oracle",
-        PredictorSpec::Arima => "arima",
-        PredictorSpec::SeasonalNaive => "seasonal_naive",
     }
 }
 
@@ -718,6 +728,15 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// The smallest spec that parses: a legacy fleet and the required
+    /// fields, followed by `extra` (empty, or fields each led by a
+    /// comma).
+    fn minimal_spec(extra: &str) -> String {
+        format!(
+            r#"{{"fleet": {{"num_vms": 4, "seed": 1}}, "policies": ["epact"], "servers": ["ntc"], "max_servers": 10{extra}}}"#
+        )
+    }
+
     #[test]
     fn round_trips_the_default_sweep() {
         let spec = ExperimentSpec::default_sweep();
@@ -769,8 +788,7 @@ mod tests {
 
     #[test]
     fn missing_failure_policy_defaults_to_keep_going() {
-        let text = r#"{"fleet": {"num_vms": 4, "seed": 1}}"#;
-        let spec = from_json(text).unwrap();
+        let spec = from_json(&minimal_spec("")).unwrap();
         assert_eq!(spec.failure_policy, FailurePolicy::KeepGoing);
     }
 
@@ -807,8 +825,7 @@ mod tests {
 
     #[test]
     fn empty_backend_list_defaults_to_analytic() {
-        let text = r#"{"fleet": {"num_vms": 4, "seed": 1}, "backends": []}"#;
-        let spec = from_json(text).unwrap();
+        let spec = from_json(&minimal_spec(r#", "backends": []"#)).unwrap();
         assert_eq!(spec.backends, vec![BackendSpec::Analytic]);
     }
 
@@ -854,6 +871,22 @@ mod tests {
     }
 
     #[test]
+    fn rejects_missing_required_fields() {
+        // A spec without one of these parsed, then failed with an
+        // unrelated error ("data center needs at least one server",
+        // "experiment spec needs at least one cell").
+        for field in ["policies", "servers", "max_servers"] {
+            let full = parse_value(&to_json(&ExperimentSpec::default_sweep())).unwrap();
+            let Value::Object(mut fields) = full else {
+                unreachable!("a spec renders as an object")
+            };
+            fields.retain(|(key, _)| key != field);
+            let err = from_json(&Value::Object(fields).render()).unwrap_err();
+            assert_eq!(err, format!("missing field {field}"));
+        }
+    }
+
+    #[test]
     fn rejects_syntax_errors() {
         assert!(from_json("{").is_err());
         assert!(from_json(r#"{"name": }"#).is_err());
@@ -868,15 +901,13 @@ mod tests {
 
     #[test]
     fn empty_floor_list_defaults_to_no_floor() {
-        let text = r#"{"fleet": {"num_vms": 4, "seed": 1}, "qos_floors_mhz": []}"#;
-        let spec = from_json(text).unwrap();
+        let spec = from_json(&minimal_spec(r#", "qos_floors_mhz": []"#)).unwrap();
         assert_eq!(spec.qos_floors_mhz, vec![None]);
     }
 
     #[test]
     fn empty_scale_list_defaults_to_unit_scale() {
-        let text = r#"{"fleet": {"num_vms": 4, "seed": 1}, "static_power_scales": []}"#;
-        let spec = from_json(text).unwrap();
+        let spec = from_json(&minimal_spec(r#", "static_power_scales": []"#)).unwrap();
         assert_eq!(spec.static_power_scales, vec![1.0]);
     }
 

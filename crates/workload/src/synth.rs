@@ -85,10 +85,21 @@ impl ClusterTraceGenerator {
     }
 
     /// Generates the fleet.
+    ///
+    /// A VM's diurnal terms depend only on its phase and the sample's
+    /// position in the day. So each VM first computes two rows with one
+    /// entry per position of the day, its CPU profile and its memory
+    /// swing, and the sample loop walks the horizon day by day, reading
+    /// them. A row entry holds exactly the value the sines give at its
+    /// position, so every sample has the bits of evaluating them per
+    /// sample.
     pub fn generate(&self) -> Fleet {
         let grid = SampleGrid::new(self.weeks * 2016, ntc_units::Seconds::from_minutes(5.0), 12);
         let per_day = grid.samples_per_day();
         let n = grid.len();
+        // The horizon is whole weeks, hence whole days.
+        let days = n / per_day;
+        let shift_per_sample = self.shift_probability_per_day / per_day as f64;
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         // Per-group daily profiles: phase, amplitude and a second
@@ -122,32 +133,44 @@ impl ClusterTraceGenerator {
                 let vm_base = (base + rng.gen_range(-0.08..0.08)).clamp(0.15, 0.85);
                 let ar_coeff = rng.gen_range(0.55..0.85);
                 let noise_sigma = rng.gen_range(0.015..0.05);
+                let mem_mean = class.mean_util_of_vm() / 100.0;
+
+                // The VM's diurnal rows, one entry per position of the
+                // day: the CPU profile and the memory swing, which
+                // shares the profile's fundamental.
+                let (diurnal_row, mem_day_row): (Vec<f64>, Vec<f64>) = (0..per_day)
+                    .map(|k| {
+                        let day_pos = k as f64 / per_day as f64;
+                        let fundamental = (TAU * (day_pos - vm_phase)).sin();
+                        (
+                            amp1 * fundamental + amp2 * (2.0 * TAU * (day_pos - vm_phase)).sin(),
+                            1.0 + 0.12 * fundamental,
+                        )
+                    })
+                    .unzip();
 
                 let mut cpu = Vec::with_capacity(n);
                 let mut mem = Vec::with_capacity(n);
                 let mut ar = 0.0f64;
                 let mut shift = 0.0f64;
-                for t in 0..n {
-                    let day_pos = (t % per_day) as f64 / per_day as f64;
-                    let diurnal = amp1 * (TAU * (day_pos - vm_phase)).sin()
-                        + amp2 * (2.0 * TAU * (day_pos - vm_phase)).sin();
-                    ar = ar_coeff * ar + rng.gen_range(-1.0..1.0) * noise_sigma;
-                    // Abrupt level shifts arrive ~shift_probability per day
-                    // and decay over several hours.
-                    if rng.gen::<f64>() < self.shift_probability_per_day / per_day as f64 {
-                        shift += rng.gen_range(-0.35..0.35);
+                for _ in 0..days {
+                    for (&diurnal, &mem_day) in diurnal_row.iter().zip(&mem_day_row) {
+                        ar = ar_coeff * ar + rng.gen_range(-1.0..1.0) * noise_sigma;
+                        // Abrupt level shifts arrive ~shift_probability per day
+                        // and decay over several hours.
+                        if rng.gen::<f64>() < shift_per_sample {
+                            shift += rng.gen_range(-0.35..0.35);
+                        }
+                        shift *= 0.999;
+
+                        let level = (vm_base + diurnal + ar + shift).clamp(0.02, 1.0);
+                        cpu.push(level * max_cpu);
+
+                        // Memory follows the class mean with a small diurnal
+                        // swing and a fraction of the CPU shift.
+                        let mem_util_of_vm = (mem_mean * (mem_day + 0.3 * shift)).clamp(0.02, 0.60);
+                        mem.push(mem_util_of_vm * 100.0 * mem_scale);
                     }
-                    shift *= 0.999;
-
-                    let level = (vm_base + diurnal + ar + shift).clamp(0.02, 1.0);
-                    cpu.push(level * max_cpu);
-
-                    // Memory follows the class mean with a small diurnal
-                    // swing and a fraction of the CPU shift.
-                    let mem_util_of_vm = (class.mean_util_of_vm() / 100.0
-                        * (1.0 + 0.12 * (TAU * (day_pos - vm_phase)).sin() + 0.3 * shift))
-                        .clamp(0.02, 0.60);
-                    mem.push(mem_util_of_vm * 100.0 * mem_scale);
                 }
 
                 Vm::new(
