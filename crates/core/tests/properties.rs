@@ -1,7 +1,7 @@
 //! Property-based tests of the allocation algorithms.
 
 use ntc_core::{migration_count, OneDimAllocator, SlotPlan, TwoDimAllocator};
-use ntc_trace::TimeSeries;
+use ntc_trace::{CorrelationCache, DayCache, LazyPatternStats, TimeSeries};
 use ntc_units::Frequency;
 use proptest::prelude::*;
 
@@ -11,6 +11,58 @@ fn vm_cpu(n: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 
 fn to_series(v: Vec<Vec<f64>>) -> Vec<TimeSeries> {
     v.into_iter().map(TimeSeries::from_values).collect()
+}
+
+/// Algorithm 1 as the paper states it, the reference for
+/// [`OneDimAllocator::allocate_with_cache`]: the pool in
+/// first-fit-decreasing order of peak, each empty server taking the
+/// pool's first VM, and each scan visiting the pool in order, checking
+/// the cap sample by sample before scoring a candidate, and keeping the
+/// first maximum of φ. `cov(S, v)` comes from [`LazyPatternStats`],
+/// summed over the server's members in admission order from `+0.0`.
+fn plain_alg1(cpu: &[TimeSeries], cache: &CorrelationCache, cap: f64) -> Vec<usize> {
+    let peaks: Vec<f64> = cpu.iter().map(TimeSeries::peak).collect();
+    let mut pool: Vec<usize> = (0..cpu.len()).collect();
+    pool.sort_by(|&a, &b| peaks[b].partial_cmp(&peaks[a]).expect("finite"));
+    let mut assignment = vec![usize::MAX; cpu.len()];
+    let mut server = 0;
+    let mut pattern = TimeSeries::zeros(cpu[0].len());
+    let mut stats = LazyPatternStats::new();
+    let mut server_empty = true;
+    while !pool.is_empty() {
+        // (pool position, φ, cov(S, vm))
+        let mut best: Option<(usize, f64, f64)> = None;
+        if server_empty {
+            best = Some((0, 0.0, stats.covariance_with(cache, pool[0])));
+        } else {
+            for (pos, &vm) in pool.iter().enumerate() {
+                if pattern.sum_exceeds(&cpu[vm], cap, 1e-9) {
+                    continue;
+                }
+                let cov = stats.covariance_with(cache, vm);
+                let phi = stats.complement_correlation(cache, vm, cov);
+                if best.is_none_or(|(_, b, _)| phi > b) {
+                    best = Some((pos, phi, cov));
+                }
+            }
+        }
+        match best {
+            Some((pos, _, cov)) => {
+                let vm = pool.remove(pos);
+                pattern.add_in_place(&cpu[vm]);
+                stats.admit(cache, vm, cov);
+                assignment[vm] = server;
+                server_empty = false;
+            }
+            None => {
+                server += 1;
+                pattern.reset_zeros(cpu[0].len());
+                stats = LazyPatternStats::new();
+                server_empty = true;
+            }
+        }
+    }
+    assignment
 }
 
 proptest! {
@@ -111,5 +163,56 @@ proptest! {
         let pa = SlotPlan::new(assign, 3, 61.3, 100.0, f, fmin, fmax);
         let pb = SlotPlan::new(rotated, 3, 61.3, 100.0, f, fmin, fmax);
         prop_assert_eq!(migration_count(&pa, &pb), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Algorithm 1 must place every VM where the plain reference does,
+    /// on every cache a slot can bring: owned, and windowed over one
+    /// block or several. The inputs cover a flat series (the σ floor),
+    /// duplicated series (exact φ ties), slot lengths 1 to 13 (below,
+    /// at and off multiples of 4), and caps that some VMs exceed alone.
+    #[test]
+    fn alg1_matches_plain_reference(
+        (n, block, blocks) in (2usize..15, 1usize..14, 1usize..4),
+        values in prop::collection::vec(0.0f64..40.0, 14 * 13 * 3),
+        (flat, twins) in (0usize..20, prop::collection::vec(0usize..42, 14)),
+        (first, width, cap) in (0usize..3, 1usize..4, 8.0f64..99.0),
+    ) {
+        let day_len = block * blocks;
+        let mut series: Vec<TimeSeries> = Vec::with_capacity(n);
+        for i in 0..n {
+            let row = &values[i * day_len..(i + 1) * day_len];
+            let s = if i == flat {
+                TimeSeries::constant(day_len, row[0])
+            } else if twins[i] < i {
+                series[twins[i]].clone()
+            } else {
+                TimeSeries::from_values(row.to_vec())
+            };
+            series.push(s);
+        }
+        let k0 = first.min(blocks - 1);
+        let window = k0 * block..(k0 + width).min(blocks) * block;
+        let cpu: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
+        let alloc = OneDimAllocator::new(Frequency::from_mhz(cap * 31.0), Frequency::from_ghz(3.1));
+        let day = DayCache::with_block_size(&series, block);
+        for (kind, cache) in [
+            ("owned", CorrelationCache::new(&cpu)),
+            ("windowed", CorrelationCache::from_day_window(&day, window.clone())),
+        ] {
+            prop_assert_eq!(
+                alloc.allocate_with_cache(&cpu, &cache),
+                plain_alg1(&cpu, &cache, alloc.cap_cpu()),
+                "{} cache, {} VMs, window {:?} in blocks of {}, cap {}",
+                kind,
+                n,
+                window,
+                block,
+                cap
+            );
+        }
     }
 }

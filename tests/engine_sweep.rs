@@ -7,7 +7,11 @@ use ntc_dc::datacenter::{
     PredictorSpec, ServerSpec, WeekOutcome, WeekSim,
 };
 use ntc_dc::forecast::{ArimaPredictor, SeasonalNaive};
+use ntc_dc::policy::{AllocationPolicy, Epact, SlotContext};
+use ntc_dc::power::ServerPowerModel;
+use ntc_dc::trace::{DayCache, TimeSeries};
 use ntc_dc::units::Frequency;
+use ntc_dc::workload::ClusterTraceGenerator;
 
 fn small_sweep() -> ExperimentSpec {
     let mut spec = ExperimentSpec::default_sweep();
@@ -208,6 +212,55 @@ fn multi_server_packing_is_bit_identical_to_golden() {
             "mean servers drifted in {label}"
         );
     }
+}
+
+#[test]
+fn epact_plans_are_bit_identical_to_golden() {
+    // Algorithm 1 at the paper's scale, where score near-ties decide
+    // placements (see `day_window_plans_equal_the_per_slot_rebuild` in
+    // tests/properties.rs): the first 4 oracle slots of the evaluation
+    // week of the benchmark's 600-VM fleet, each planned through a
+    // slot-level DayCache pair as WeekSim plans it and once without a
+    // day window. FNV-1a over every plan's assignments, server count
+    // and planned frequency bits, per server model; any drift in the
+    // covariance arithmetic or the scan's tie-breaking moves a hash.
+    const GOLDEN: [u64; 2] = [0xd847_6f96_fca9_c17d, 0x24f7_3f55_1972_4414];
+    let fleet = ClusterTraceGenerator::google_like(600, 16144).generate();
+    let grid = fleet.grid();
+    let sps = grid.samples_per_slot();
+    let eval_start = grid.len() - 7 * grid.samples_per_day();
+    let hashes = [
+        ServerPowerModel::ntc(),
+        ServerPowerModel::conventional_e5_2620(),
+    ]
+    .map(|server| {
+        let mut words = Vec::new();
+        for slot in 0..4 {
+            let range = eval_start + slot * sps..eval_start + (slot + 1) * sps;
+            let (cpu, mem): (Vec<TimeSeries>, Vec<TimeSeries>) = fleet
+                .vms()
+                .iter()
+                .map(|vm| (vm.cpu.window(range.clone()), vm.mem.window(range.clone())))
+                .unzip();
+            let (day_cpu, day_mem) = (
+                DayCache::with_block_size(&cpu, sps),
+                DayCache::with_block_size(&mem, sps),
+            );
+            let ctx = || SlotContext::new(&cpu, &mem, &server, 600);
+            for plan in [
+                Epact::new().allocate(&ctx().with_day_window(&day_cpu, &day_mem, 0)),
+                Epact::new().allocate(&ctx()),
+            ] {
+                words.extend(plan.assignments().iter().map(|&s| s as u64));
+                words.push(plan.num_servers() as u64);
+                words.push(plan.planned_freq().as_mhz().to_bits());
+            }
+        }
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    });
+    assert_eq!(hashes, GOLDEN, "{hashes:#018x?}");
 }
 
 #[test]
