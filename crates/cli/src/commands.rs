@@ -1,5 +1,7 @@
 //! Subcommand implementations for the `ntcdc` binary.
 
+use std::io::Write;
+
 use ntc_datacenter::{
     experiments, export, spec_json, BackendSpec, Engine, ExperimentSpec, FailurePolicy, FleetSpec,
     PredictorSpec, SweepResult,
@@ -7,6 +9,12 @@ use ntc_datacenter::{
 use ntc_power::ServerPowerModel;
 use ntc_units::Percent;
 use ntc_workload::{ClusterTraceGenerator, FleetStats};
+
+/// What a subcommand returns. It prints through the writer it is given,
+/// so a write that fails (say, because the reader of standard output
+/// went away) ends it with that [`std::io::Error`] instead of a panic; any
+/// other failure is a message for the user.
+pub type Outcome = Result<(), Box<dyn std::error::Error>>;
 
 /// Whether a flag stands alone or takes the next argument as its value.
 #[derive(Debug, Clone, Copy)]
@@ -109,37 +117,40 @@ impl<'a> Flags<'a> {
 }
 
 /// `ntcdc table1`
-pub fn table1(args: &[String]) -> Result<(), String> {
+pub fn table1(args: &[String], out: &mut impl Write) -> Outcome {
     Flags::parse("table1", args, &[])?;
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>13} {:>15} {:>13} {:>13}",
         "workload", "x86@2.66 (s)", "QoS limit (s)", "Cavium@2 (s)", "NTC@2 (s)"
-    );
+    )?;
     for r in experiments::table1() {
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>13.3} {:>15.3} {:>13.3} {:>13.3}",
             r.workload, r.x86_secs, r.qos_limit_secs, r.cavium_secs, r.ntc_secs
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `ntcdc fig1 [--servers N] [--csv]`
-pub fn fig1(args: &[String]) -> Result<(), String> {
+pub fn fig1(args: &[String], out: &mut impl Write) -> Outcome {
     const FLAGS: FlagTable = &[("--servers", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig1", args, FLAGS)?;
     let servers = flags.count("--servers", 80)?;
     let ntc = experiments::fig1(ServerPowerModel::ntc(), servers);
     let conv = experiments::fig1(ServerPowerModel::conventional_e5_2620(), servers);
     if flags.switch("--csv") {
-        print!(
+        write!(
+            out,
             "{}",
             export::fig1_csv(&[("ntc", &ntc), ("conventional", &conv)])
-        );
+        )?;
         return Ok(());
     }
     for (label, curves) in [("(a) NTC", &ntc), ("(b) E5-2620", &conv)] {
-        println!("== Fig. 1{label}, {servers} servers ==");
+        writeln!(out, "== Fig. 1{label}, {servers} servers ==")?;
         for c in curves {
             let cells: Vec<String> = c
                 .points
@@ -149,28 +160,28 @@ pub fn fig1(args: &[String]) -> Result<(), String> {
                     None => format!("{:.1}G:-", f.as_ghz()),
                 })
                 .collect();
-            println!("util {:>3.0}%  {}", c.utilization, cells.join("  "));
+            writeln!(out, "util {:>3.0}%  {}", c.utilization, cells.join("  "))?;
         }
     }
     Ok(())
 }
 
 /// `ntcdc fig2`
-pub fn fig2(args: &[String]) -> Result<(), String> {
+pub fn fig2(args: &[String], out: &mut impl Write) -> Outcome {
     Flags::parse("fig2", args, &[])?;
-    print!("{}", export::fig2_csv(&experiments::fig2()));
+    write!(out, "{}", export::fig2_csv(&experiments::fig2()))?;
     Ok(())
 }
 
 /// `ntcdc fig3`
-pub fn fig3(args: &[String]) -> Result<(), String> {
+pub fn fig3(args: &[String], out: &mut impl Write) -> Outcome {
     Flags::parse("fig3", args, &[])?;
-    print!("{}", export::fig3_csv(&experiments::fig3()));
+    write!(out, "{}", export::fig3_csv(&experiments::fig3()))?;
     Ok(())
 }
 
 /// `ntcdc week [--vms N] [--csv]`
-pub fn week(args: &[String]) -> Result<(), String> {
+pub fn week(args: &[String], out: &mut impl Write) -> Outcome {
     const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("week", args, FLAGS)?;
     let fleet = FleetSpec {
@@ -180,30 +191,33 @@ pub fn week(args: &[String]) -> Result<(), String> {
     };
     let outcomes = experiments::fig4_5_6(fleet, 600);
     if flags.switch("--csv") {
-        print!("{}", export::week_csv(&outcomes));
+        write!(out, "{}", export::week_csv(&outcomes))?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>11} {:>11} {:>14} {:>14}",
         "policy", "violations", "migrations", "mean servers", "energy (MJ)"
-    );
+    )?;
     for o in &outcomes {
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>11} {:>11} {:>14.1} {:>14.1}",
             o.policy,
             o.total_violations(),
             o.total_migrations(),
             o.mean_active_servers(),
             o.total_energy().as_megajoules()
-        );
+        )?;
     }
     let epact = &outcomes[0];
     for other in &outcomes[1..] {
-        println!(
+        writeln!(
+            out,
             "EPACT saving vs {}: {:.1}%",
             other.policy,
             epact.energy_saving_vs(other) * 100.0
-        );
+        )?;
     }
     Ok(())
 }
@@ -216,7 +230,7 @@ pub fn week(args: &[String]) -> Result<(), String> {
 /// A sweep with failed cells prints (or, with `--json`, emits) the
 /// per-cell failures and returns an error, so the process exits
 /// non-zero while the completed cells' results are still reported.
-pub fn sweep(args: &[String]) -> Result<(), String> {
+pub fn sweep(args: &[String], out: &mut impl Write) -> Outcome {
     const FLAGS: FlagTable = &[
         ("--spec", Arity::Value),
         ("--vms", Arity::Value),
@@ -234,7 +248,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     ];
     let flags = Flags::parse("sweep", args, FLAGS)?;
     if flags.value("--seed").is_some() && flags.value("--seeds").is_some() {
-        return Err("--seed and --seeds cannot be combined".to_string());
+        return Err("--seed and --seeds cannot be combined".into());
     }
     let mut spec = match flags.value("--spec") {
         Some(path) => {
@@ -245,7 +259,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     };
     if let Some(seeds) = flags.list::<u64>("--seeds")? {
         if spec.fleets.is_empty() {
-            return Err("--seeds: the spec has no fleet to copy for each seed".to_string());
+            return Err("--seeds: the spec has no fleet to copy for each seed".into());
         }
         spec = spec.with_seeds(&seeds);
     }
@@ -253,9 +267,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         // `f64::from_str` accepts "nan" and "inf", which no spec can
         // carry: JSON has no such numbers.
         if let Some(bad) = scales.iter().find(|s| !s.is_finite()) {
-            return Err(format!(
-                "--static-power-scales: {bad} is not a finite number"
-            ));
+            return Err(format!("--static-power-scales: {bad} is not a finite number").into());
         }
         spec.static_power_scales = scales;
     }
@@ -279,7 +291,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         spec.failure_policy = FailurePolicy::FailFast;
     }
     if flags.switch("--emit-spec") {
-        print!("{}", spec_json::to_json(&spec));
+        write!(out, "{}", spec_json::to_json(&spec))?;
         return Ok(());
     }
 
@@ -290,11 +302,12 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     let sweep = engine.run(&spec).map_err(|e| e.to_string())?;
 
     if flags.switch("--json") {
-        print!("{}", export::sweep_json(&sweep, spec.ablation));
+        write!(out, "{}", export::sweep_json(&sweep, spec.ablation))?;
         return fail_summary(&sweep);
     }
 
-    println!(
+    writeln!(
+        out,
         "sweep {:?}: {} of {} cells on {} threads, {:.2}s wall ({:.2}s up front), {} predictor",
         spec.name,
         sweep.cells.len(),
@@ -303,13 +316,15 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         sweep.wall.as_secs_f64(),
         sweep.up_front.as_secs_f64(),
         spec.predictor.label()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<24} {:>6} {:>10} {:>14} {:>11} {:>14}",
         "cell", "seed", "wall (ms)", "energy (MJ)", "violations", "mean servers"
-    );
+    )?;
     for cell in &sweep.cells {
-        println!(
+        writeln!(
+            out,
             "{:<24} {:>6} {:>10.0} {:>14.1} {:>11} {:>14.1}",
             cell.cell.label(spec.ablation),
             cell.cell.fleet.seed,
@@ -317,58 +332,66 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             cell.outcome.total_energy().as_megajoules(),
             cell.outcome.total_violations(),
             cell.outcome.mean_active_servers()
-        );
+        )?;
     }
     if spec.fleets.len() > 1 {
-        println!(
+        writeln!(
+            out,
             "\nseed-averaged over {} fleets (mean±std):",
             spec.fleets.len()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:<24} {:>5} {:>16} {:>14} {:>16}",
             "group", "runs", "energy (MJ)", "violations", "mean servers"
-        );
+        )?;
         for g in sweep.seed_groups() {
-            println!(
+            writeln!(
+                out,
                 "{:<24} {:>5} {:>16} {:>14} {:>16}",
                 g.label(spec.ablation),
                 g.runs,
                 g.energy_mj.to_string(),
                 g.violations.to_string(),
                 g.mean_active_servers.to_string()
-            );
+            )?;
         }
     }
     if flags.switch("--cache-stats") {
         let t = sweep.cache_totals();
-        println!(
+        writeln!(
+            out,
             "cache: plans {} hit / {} miss, forecasts {} hit / {} miss",
             t.plan_hits, t.plan_misses, t.forecast_hits, t.forecast_misses
-        );
+        )?;
     }
     // Speedup is cell work over wall: the summed cell walls over the
     // sweep's wall, up-front step included. Fleets and forecasts are
     // made before any cell starts, so no cell wall holds a wait for one.
     let serial: f64 = sweep.cells.iter().map(|c| c.wall.as_secs_f64()).sum();
     if sweep.wall.as_secs_f64() > 0.0 {
-        println!(
+        writeln!(
+            out,
             "cell time {:.2}s total, speedup {:.2}x",
             serial,
             serial / sweep.wall.as_secs_f64()
-        );
+        )?;
     }
     if !sweep.failed().is_empty() {
-        println!(
+        writeln!(
+            out,
             "\nfailed cells ({} of {}):",
             sweep.failed().len(),
             sweep.total_cells()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:<5} {:<24} {:>6} {:>9} {:>8}  error",
             "cell", "label", "seed", "stage", "kind"
-        );
+        )?;
         for f in sweep.failed() {
-            println!(
+            writeln!(
+                out,
                 "{:<5} {:<24} {:>6} {:>9} {:>8}  {}",
                 f.index,
                 f.label,
@@ -376,7 +399,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
                 f.stage().map_or("-", |s| s.label()),
                 f.kind_label(),
                 f.message()
-            );
+            )?;
         }
     }
     fail_summary(&sweep)
@@ -385,7 +408,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
 /// `Ok` for a complete sweep, `Err` (→ non-zero process exit) when any
 /// cell failed — after its results and failure table have already been
 /// printed.
-fn fail_summary(sweep: &SweepResult) -> Result<(), String> {
+fn fail_summary(sweep: &SweepResult) -> Outcome {
     if sweep.is_complete() {
         Ok(())
     } else {
@@ -393,12 +416,13 @@ fn fail_summary(sweep: &SweepResult) -> Result<(), String> {
             "{} of {} cells failed",
             sweep.failed().len(),
             sweep.total_cells()
-        ))
+        )
+        .into())
     }
 }
 
 /// `ntcdc fig7 [--vms N] [--csv]`
-pub fn fig7(args: &[String]) -> Result<(), String> {
+pub fn fig7(args: &[String], out: &mut impl Write) -> Outcome {
     const FLAGS: FlagTable = &[("--vms", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig7", args, FLAGS)?;
     let fleet = FleetSpec {
@@ -408,63 +432,69 @@ pub fn fig7(args: &[String]) -> Result<(), String> {
     };
     let pts = experiments::fig7(fleet, 600, &[5.0, 15.0, 25.0, 35.0, 45.0]);
     if flags.switch("--csv") {
-        print!("{}", export::fig7_csv(&pts));
+        write!(out, "{}", export::fig7_csv(&pts))?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{:<11} {:>13} {:>13} {:>11}",
         "static (W)", "EPACT (MJ)", "COAT (MJ)", "saving (%)"
-    );
+    )?;
     for p in &pts {
-        println!(
+        writeln!(
+            out,
             "{:<11.0} {:>13.1} {:>13.1} {:>11.1}",
             p.static_power.as_watts(),
             p.epact_energy.as_megajoules(),
             p.coat_energy.as_megajoules(),
             p.saving_pct
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `ntcdc validate`
-pub fn validate(args: &[String]) -> Result<(), String> {
+pub fn validate(args: &[String], out: &mut impl Write) -> Outcome {
     Flags::parse("validate", args, &[])?;
-    println!("{}", ntc_power::validation::report());
-    println!(
+    writeln!(out, "{}", ntc_power::validation::report())?;
+    writeln!(
+        out,
         "600-server DC peak at Fmax: {}",
         ntc_power::validation::full_dc_peak()
-    );
+    )?;
     let dc = ntc_power::DataCenterPowerModel::new(ServerPowerModel::ntc(), 80);
     let (f, p) = dc.optimal_frequency(Percent::new(20.0));
-    println!("optimal frequency at 20% utilization: {f} ({p})");
+    writeln!(out, "optimal frequency at 20% utilization: {f} ({p})")?;
     Ok(())
 }
 
 /// `ntcdc fleet-stats [--vms N]`
-pub fn fleet_stats(args: &[String]) -> Result<(), String> {
+pub fn fleet_stats(args: &[String], out: &mut impl Write) -> Outcome {
     const FLAGS: FlagTable = &[("--vms", Arity::Value)];
     let vms = Flags::parse("fleet-stats", args, FLAGS)?.count("--vms", 600)?;
     let fleet = ClusterTraceGenerator::google_like(vms, 2018).generate();
     let s = FleetStats::compute(&fleet);
-    println!("VMs:                     {}", s.num_vms);
-    println!("horizon (samples):       {}", s.horizon);
-    println!("mean CPU (% of server):  {:.2}", s.mean_cpu);
-    println!("peak aggregate CPU (%):  {:.1}", s.peak_aggregate_cpu);
-    println!("mean mem (% of server):  {:.2}", s.mean_mem);
-    println!("peak aggregate mem (%):  {:.1}", s.peak_aggregate_mem);
-    println!(
+    writeln!(out, "VMs:                     {}", s.num_vms)?;
+    writeln!(out, "horizon (samples):       {}", s.horizon)?;
+    writeln!(out, "mean CPU (% of server):  {:.2}", s.mean_cpu)?;
+    writeln!(out, "peak aggregate CPU (%):  {:.1}", s.peak_aggregate_cpu)?;
+    writeln!(out, "mean mem (% of server):  {:.2}", s.mean_mem)?;
+    writeln!(out, "peak aggregate mem (%):  {:.1}", s.peak_aggregate_mem)?;
+    writeln!(
+        out,
         "classes (low/mid/high):  {}/{}/{}",
         s.class_counts[0], s.class_counts[1], s.class_counts[2]
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "mean pairwise CPU corr:  {:.3}",
         s.mean_pairwise_correlation
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "DC utilization on 600 servers: {:.1}%",
         s.dc_utilization_pct(600)
-    );
+    )?;
     Ok(())
 }
 
@@ -559,8 +589,10 @@ mod tests {
 
     #[test]
     fn cheap_commands_succeed() {
-        assert!(table1(&[]).is_ok());
-        assert!(validate(&[]).is_ok());
-        assert!(fig2(&[]).is_ok());
+        let mut out = Vec::new();
+        assert!(table1(&[], &mut out).is_ok());
+        assert!(validate(&[], &mut out).is_ok());
+        assert!(fig2(&[], &mut out).is_ok());
+        assert!(!out.is_empty());
     }
 }

@@ -13,6 +13,7 @@
 //! ntcdc fleet-stats [--vms N]       generated-workload statistics
 //! ```
 
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 mod commands;
@@ -24,24 +25,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
+    let mut out = io::stdout().lock();
     let result = match cmd.as_str() {
-        "table1" => commands::table1(rest),
-        "fig1" => commands::fig1(rest),
-        "fig2" => commands::fig2(rest),
-        "fig3" => commands::fig3(rest),
-        "week" => commands::week(rest),
-        "sweep" => commands::sweep(rest),
-        "fig7" => commands::fig7(rest),
-        "validate" => commands::validate(rest),
-        "fleet-stats" => commands::fleet_stats(rest),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        "table1" => commands::table1(rest, &mut out),
+        "fig1" => commands::fig1(rest, &mut out),
+        "fig2" => commands::fig2(rest, &mut out),
+        "fig3" => commands::fig3(rest, &mut out),
+        "week" => commands::week(rest, &mut out),
+        "sweep" => commands::sweep(rest, &mut out),
+        "fig7" => commands::fig7(rest, &mut out),
+        "validate" => commands::validate(rest, &mut out),
+        "fleet-stats" => commands::fleet_stats(rest, &mut out),
+        "--help" | "-h" | "help" => writeln!(out, "{}", usage()).map_err(Into::into),
+        other => Err(format!("unknown command {other:?}\n{}", usage()).into()),
     };
-    match result {
+    match result.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`ntcdc ... | head`): nobody is left to
+        // read the rest, and that is no failure.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

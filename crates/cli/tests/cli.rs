@@ -1,6 +1,6 @@
 //! End-to-end tests of the `ntcdc` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
@@ -416,4 +416,31 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
     std::fs::remove_file(&floor_path).ok();
     std::fs::remove_file(&long_path).ok();
     std::fs::remove_file(&seedless_path).ok();
+}
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    // `ntcdc ... | head -1`: a reader that goes away before the output
+    // is written is no failure, and the writes must not panic.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
+        .args([
+            "sweep",
+            "--vms",
+            "12",
+            "--seeds",
+            "1,2",
+            "--max-servers",
+            "100",
+        ])
+        .arg("--json")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(err.is_empty(), "{err}");
 }

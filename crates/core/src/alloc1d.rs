@@ -99,9 +99,9 @@ impl OneDimAllocator {
         let cap = self.cap_cpu();
 
         let peaks: Vec<f64> = predicted_cpu.iter().map(TimeSeries::peak).collect();
-        // First-fit-decreasing pool: indices sorted by descending peak.
-        let mut pool: Vec<usize> = (0..predicted_cpu.len()).collect();
-        pool.sort_by(|&a, &b| {
+        // First-fit-decreasing order: indices sorted by descending peak.
+        let mut order: Vec<usize> = (0..predicted_cpu.len()).collect();
+        order.sort_by(|&a, &b| {
             peaks[b]
                 .partial_cmp(&peaks[a])
                 .expect("finite utilizations")
@@ -110,60 +110,54 @@ impl OneDimAllocator {
         let mut assignment = vec![usize::MAX; predicted_cpu.len()];
         let mut server = 0usize;
         let mut pattern = TimeSeries::zeros(slot_len);
-        // `pattern.peak()`, kept in step with `pattern`.
-        let mut pattern_peak = 0.0;
-        // Pairwise Pearson terms are shared by every candidate scan of
-        // the slot; the running accumulator turns each φ query into
-        // O(1) instead of an O(len) pass over a materialized
-        // complement.
-        let mut stats = cache.pattern();
-        let mut server_empty = true;
+        // Every unallocated VM with its Pearson terms and the running
+        // cov(S, ·), ranked in FFD order: one pass across the candidates
+        // per admission updates it, and one more scores them all, so no
+        // φ query re-walks a materialized complement.
+        let mut table = cache.candidate_table(&order);
+        let mut phis = Vec::with_capacity(order.len());
 
-        while !pool.is_empty() {
-            if server_empty {
-                // Line 4-6: first unallocated VM goes in unconditionally.
-                let vm = pool.remove(0);
+        // Line 4-6: the first unallocated VM goes into an empty server
+        // unconditionally.
+        while let Some(first) = table.first() {
+            pattern.reset_zeros(slot_len);
+            let mut vm = table.admit(first);
+            loop {
                 pattern.add_in_place(&predicted_cpu[vm]);
-                pattern_peak = pattern.peak();
-                stats.admit(cache, vm);
                 assignment[vm] = server;
-                server_empty = false;
-                continue;
+                let pattern_peak = pattern.peak();
+                // Lines 8-12: best VM by correlation with the server's
+                // complementary pattern, subject to the frequency cap:
+                // the highest φ, ties to the lowest FFD rank (the first
+                // maximum of a scan in FFD order).
+                table.complement_correlations(&mut phis);
+                let mut best: Option<(usize, f64, usize)> = None;
+                for (c, &phi) in phis.iter().enumerate() {
+                    let rank = table.rank(c);
+                    if !best.is_none_or(|(_, b, r)| phi > b || (phi == b && rank < r)) {
+                        continue;
+                    }
+                    // `max(Patt + Ũ) > cap`, checked only for a
+                    // candidate that would become the best: feasibility
+                    // does not depend on the best, so skipping it for
+                    // the others cannot change the winner. Rounding is
+                    // monotone, so peaks that sum within the cap prove
+                    // every sample does, and the per-sample check runs
+                    // only when they do not.
+                    let v = table.series(c);
+                    if pattern_peak + peaks[v] > cap + 1e-9
+                        && pattern.sum_exceeds(&predicted_cpu[v], cap, 1e-9)
+                    {
+                        continue;
+                    }
+                    best = Some((c, phi, rank));
+                }
+                let Some((c, _, _)) = best else { break };
+                vm = table.admit(c);
             }
-            // Lines 8-12: best VM by correlation with the server's
-            // complementary pattern, subject to the frequency cap.
-            let mut best: Option<(usize, f64)> = None;
-            for (pos, &vm) in pool.iter().enumerate() {
-                // `max(Patt + Ũ) > cap`. Rounding is monotone, so peaks
-                // that sum within the cap prove every sample does, and
-                // the per-sample check runs only when they do not.
-                if pattern_peak + peaks[vm] > cap + 1e-9
-                    && pattern.sum_exceeds(&predicted_cpu[vm], cap, 1e-9)
-                {
-                    continue;
-                }
-                let phi = stats.complement_correlation(cache, vm);
-                if best.is_none_or(|(_, b)| phi > b) {
-                    best = Some((pos, phi));
-                }
-            }
-            match best {
-                Some((pos, _)) => {
-                    let vm = pool.remove(pos);
-                    pattern.add_in_place(&predicted_cpu[vm]);
-                    pattern_peak = pattern.peak();
-                    stats.admit(cache, vm);
-                    assignment[vm] = server;
-                }
-                None => {
-                    // Line 14: open the next server.
-                    server += 1;
-                    pattern.reset_zeros(slot_len);
-                    pattern_peak = 0.0;
-                    stats.reset();
-                    server_empty = true;
-                }
-            }
+            // Line 14: open the next server.
+            server += 1;
+            table.reset();
         }
         assignment
     }

@@ -79,8 +79,9 @@ impl AllocationPolicy for Epact {
 
         let (assignments, realized_servers) = if decision.cpu_dominated {
             let alloc = OneDimAllocator::new(decision.fopt, fmax);
-            // ctx.corr_cpu() reads the attached day caches' window when
-            // there is one (see SlotContext::with_day_window).
+            // ctx.corr_cpu() is windowed over the attached day caches
+            // when there are some (see SlotContext::with_day_window);
+            // Algorithm 1 scans a candidate table built from it.
             let a = alloc.allocate_with_cache(ctx.predicted_cpu(), &ctx.corr_cpu());
             let n = a.iter().max().map_or(1, |&m| m + 1);
             (a, n)

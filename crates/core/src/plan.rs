@@ -3,8 +3,8 @@ use ntc_trace::{CorrelationCache, DayCache, TimeSeries};
 use ntc_units::Frequency;
 
 /// The CPU and memory [`DayCache`]s whose window at `offset` holds a
-/// slot's predicted values, from which its correlation caches compute
-/// their block planes. Attached to a [`SlotContext`] via
+/// slot's predicted values, over which its correlation caches compute
+/// their covariances as block sums. Attached to a [`SlotContext`] via
 /// [`with_day_window`](SlotContext::with_day_window).
 #[derive(Debug, Clone, Copy)]
 struct DayWindow<'a> {
@@ -71,10 +71,11 @@ impl<'a> SlotContext<'a> {
     /// Attaches day caches whose window at `offset` holds this slot's
     /// predicted values, so that [`corr_cpu`](Self::corr_cpu) and
     /// [`corr_mem`](Self::corr_mem) build their caches over that window:
-    /// covariances from its block plane instead of from the slot's
-    /// centered series. The caller guarantees the day values at
-    /// `offset..offset + slot_len` are the slot's predicted values;
-    /// per-series moments are bit-identical either way (see
+    /// each covariance is then summed over the window's blocks, four
+    /// lanes per block, instead of over the slot's centered series. The
+    /// caller guarantees the day values at `offset..offset + slot_len`
+    /// are the slot's predicted values; per-series moments are
+    /// bit-identical either way, while covariances agree to ulps (see
     /// [`CorrelationCache::from_day_window`]).
     ///
     /// # Panics

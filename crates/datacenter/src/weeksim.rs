@@ -1,4 +1,3 @@
-use std::ops::Range;
 use std::sync::Arc;
 
 use ntc_core::{AllocationPolicy, DvfsGovernor, SlotContext, SlotPlan};
@@ -39,11 +38,12 @@ pub struct WeekSim<'a> {
 /// the fleet horizon.
 ///
 /// How a plan is computed is not a setting: a policy that re-plans
-/// more than once a day (EPACT) scores each window from block planes
-/// of that window (a [`DayCache`](ntc_trace::DayCache) pair over the
-/// window's predictions), while a once-a-day consolidator (COAT,
-/// COAT-OPT) scores its single window from the centered series, which
-/// is cheaper for the few covariances it reads.
+/// more than once a day (EPACT) scores each window from block sums of
+/// that window (a [`DayCache`](ntc_trace::DayCache) pair over the
+/// window's predictions, cut into blocks of one slot), while a
+/// once-a-day consolidator (COAT, COAT-OPT) scores its single window
+/// from the centered series. Either way a covariance is computed when
+/// a scan asks for it.
 ///
 /// Obtained from [`WeekSim::builder`]; finish with
 /// [`build_or_panic`](WeekSimBuilder::build_or_panic).
@@ -174,8 +174,8 @@ impl<'a> WeekSim<'a> {
     /// counters returned; the public wrappers pass [`RunCaches::none`].
     ///
     /// A slot whose plan is already in the shared cache skips *all* of
-    /// its prediction work — forecast, block planes and packing — and
-    /// goes straight to replay.
+    /// its prediction work — forecast, prediction windows and packing —
+    /// and goes straight to replay.
     pub(crate) fn run_counted(
         &self,
         policy: &dyn AllocationPolicy,
@@ -199,6 +199,10 @@ impl<'a> WeekSim<'a> {
         let period = policy.reallocation_period_slots().clamp(1, slots_per_day);
         let mut current_plan: Option<Arc<SlotPlan>> = None;
         let mut migrations_this_slot;
+        // Prediction-window buffers, reused across planning slots like
+        // the replay buffers below.
+        let mut pred_cpu: Vec<TimeSeries> = vec![TimeSeries::zeros(0); n_vms];
+        let mut pred_mem: Vec<TimeSeries> = vec![TimeSeries::zeros(0); n_vms];
 
         // Slot-replay buffers, reused across all 168 slots instead of
         // reallocating per-VM windows and per-server aggregates each
@@ -238,7 +242,8 @@ impl<'a> WeekSim<'a> {
                             }
                         }
                         let day_forecast = forecast.as_ref().map(|(_, fc)| &**fc);
-                        self.plan_slot(policy, day_forecast, slot, period, slots)
+                        let windows = (&mut pred_cpu[..], &mut pred_mem[..]);
+                        self.plan_slot(policy, day_forecast, slot, period, slots, windows)
                     });
                 if computed {
                     stats.plan_misses += 1;
@@ -324,9 +329,10 @@ impl<'a> WeekSim<'a> {
 
     /// Plans the period starting at `slot` from `forecast`, the
     /// forecast of the slot's day (`None` plans from the actual
-    /// traces): builds the prediction windows and runs the policy.
-    /// Called only on plan-table misses (or in a run without a plan
-    /// table).
+    /// traces): copies the prediction windows into `windows`, the
+    /// week's reused per-VM CPU and memory buffers, and runs the
+    /// policy. Called only on plan-table misses (or in a run without a
+    /// plan table).
     fn plan_slot(
         &self,
         policy: &dyn AllocationPolicy,
@@ -334,37 +340,41 @@ impl<'a> WeekSim<'a> {
         slot: usize,
         period: usize,
         slots: usize,
+        (pred_cpu, pred_mem): (&mut [TimeSeries], &mut [TimeSeries]),
     ) -> SlotPlan {
         let grid = self.fleet.grid();
         let sps = grid.samples_per_slot();
         let slots_per_day = grid.samples_per_day() / sps;
-        let start = self.eval_start + slot * sps;
 
         // Prediction window covering the whole allocation period.
         let window_len = sps * period.min(slots - slot);
-        let offset = (slot % slots_per_day) * sps;
-        let (pred_cpu, pred_mem): (Vec<TimeSeries>, Vec<TimeSeries>) = match forecast {
-            Some(fc) => (
-                fc.cpu
-                    .iter()
-                    .map(|s| s.window(offset..offset + window_len))
-                    .collect(),
-                fc.mem
-                    .iter()
-                    .map(|s| s.window(offset..offset + window_len))
-                    .collect(),
-            ),
-            None => actual_windows(self.fleet, start..start + window_len),
-        };
-        let ctx = SlotContext::new(&pred_cpu, &pred_mem, &self.server, self.max_servers);
+        let buffers = pred_cpu.iter_mut().zip(pred_mem.iter_mut());
+        match forecast {
+            Some(fc) => {
+                let offset = (slot % slots_per_day) * sps;
+                let range = offset..offset + window_len;
+                for ((cpu, mem), (fc_cpu, fc_mem)) in buffers.zip(fc.cpu.iter().zip(&fc.mem)) {
+                    cpu.copy_window_from(fc_cpu, range.clone());
+                    mem.copy_window_from(fc_mem, range.clone());
+                }
+            }
+            None => {
+                let start = self.eval_start + slot * sps;
+                let range = start..start + window_len;
+                for ((cpu, mem), vm) in buffers.zip(self.fleet.vms()) {
+                    cpu.copy_window_from(&vm.cpu, range.clone());
+                    mem.copy_window_from(&vm.mem, range.clone());
+                }
+            }
+        }
+        let ctx = SlotContext::new(pred_cpu, pred_mem, &self.server, self.max_servers);
         // A policy that re-plans within the day scores its window from
-        // block planes, one block per slot: the bits of the same window
-        // of a whole day cut into slots, and cheaper than centered dots
-        // for its eager scans. A once-a-day consolidator reads too few
-        // covariances for a full O(V²·len) plane to pay.
+        // block sums, one block per slot: the bits of the same window
+        // of a whole day cut into slots, which pin EPACT's plans. A
+        // once-a-day consolidator scores from the centered series.
         if period < slots_per_day {
-            let cpu = DayCache::with_block_size(&pred_cpu, sps);
-            let mem = DayCache::with_block_size(&pred_mem, sps);
+            let cpu = DayCache::with_block_size(pred_cpu, sps);
+            let mem = DayCache::with_block_size(pred_mem, sps);
             return policy.allocate(&ctx.with_day_window(&cpu, &mem, 0));
         }
         policy.allocate(&ctx)
@@ -424,23 +434,6 @@ pub(crate) fn forecast_series(
     let history_end = eval_start(fleet) + day * per_day;
     let series = DayForecast::series(fleet, s);
     predictor.forecast(&series.window(0..history_end), per_day)
-}
-
-/// Per-VM CPU and memory windows of the actual traces over `range`:
-/// the oracle's prediction windows.
-fn actual_windows(fleet: &Fleet, range: Range<usize>) -> (Vec<TimeSeries>, Vec<TimeSeries>) {
-    (
-        fleet
-            .vms()
-            .iter()
-            .map(|v| v.cpu.window(range.clone()))
-            .collect(),
-        fleet
-            .vms()
-            .iter()
-            .map(|v| v.mem.window(range.clone()))
-            .collect(),
-    )
 }
 
 #[cfg(test)]

@@ -11,13 +11,13 @@
 //!   Algorithms 1 and 2;
 //! * [`stats`] — Pearson correlation (the φ similarity of Eq. 2),
 //!   Euclidean distance (the Dist term of Eq. 2) and supporting moments;
-//! * [`CorrelationCache`] / [`PatternStats`] / [`LazyPatternStats`] —
-//!   a slot's per-series moments and pairwise Pearson terms, and
-//!   running-pattern correlations, for the allocator candidate scans of
-//!   Algorithms 1 and 2 and COAT;
+//! * [`CorrelationCache`] / [`CandidateTable`] / [`LazyPatternStats`] —
+//!   a slot's per-series moments and on-demand pairwise Pearson terms,
+//!   and running-pattern correlations, for the allocator candidate scans
+//!   of Algorithms 1 and 2 and COAT;
 //! * [`DayCache`] — a day of series cut into blocks, from whose
 //!   block-aligned windows a [`CorrelationCache`] computes its
-//!   covariances as one block plane.
+//!   covariances as block sums.
 //!
 //! # Correlation algebra
 //!
@@ -32,22 +32,25 @@
 //! var(S + u) = var(S) + var(u) + 2·cov(S, u)
 //! ```
 //!
-//! [`PatternStats`] keeps the whole `cov(S, ·)` row, for Algorithm 1,
-//! which scores every unallocated VM against one server.
+//! A [`CandidateTable`] holds every unallocated VM with the running
+//! `cov(S, ·)`, for Algorithm 1, which scores every unallocated VM
+//! against one server: admitting a VM folds its covariances into every
+//! candidate left in one pass across the candidates.
 //! [`LazyPatternStats`] keeps only the members and sums `cov(S, v)`
 //! for a server that passes the cap check, for COAT/COAT-OPT and
 //! Algorithm 2, which score one VM against every server. Both add the
 //! same terms in admission order from `+0.0`, so they agree bit for
 //! bit.
 //!
-//! A [`CorrelationCache`] is a plain value. It holds either a slot's
-//! centered series or, when built over a window of a [`DayCache`] that
-//! starts and ends on block boundaries, that window's *block plane*:
-//! per pair, `Σxy` over the window, the blocks' dot products summed in
-//! block order from `+0.0`. The covariance is then
+//! A [`CorrelationCache`] is a plain value that computes each
+//! covariance when asked. It holds either a slot's centered series,
+//! whose covariance is `(−0.0 + Σ_t x_t·y_t) / len` in sample order,
+//! or, when built over a window of a [`DayCache`] that starts and ends
+//! on block boundaries, that window's raw values. A windowed covariance
+//! sums the blocks' four-lane dot products in block order from `+0.0`:
 //!
 //! ```text
-//! cov(x, y) = Σxy / w − mean_x · mean_y      (w = window width)
+//! cov(x, y) = Σxy · (1 / w) − mean_x · mean_y      (w = window width)
 //! ```
 //!
 //! with the means computed exactly, two-pass, from the raw window. The
@@ -77,7 +80,7 @@ mod series;
 pub mod stats;
 mod windowed;
 
-pub use corr::{CorrelationCache, LazyPatternStats, PatternStats};
+pub use corr::{CandidateTable, CorrelationCache, LazyPatternStats};
 pub use grid::SampleGrid;
 pub use series::TimeSeries;
 pub use windowed::DayCache;

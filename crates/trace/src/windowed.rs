@@ -2,30 +2,27 @@
 //! correlation caches.
 //!
 //! [`DayCache`] holds the raw values of a series set and the block size
-//! every window must align to, and computes nothing until asked.
+//! every window must align to, and computes nothing.
 //! [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-//! asks it for the *block plane* of one window `[a, b)` of width
-//! `w = b − a` that starts and ends on block boundaries. The plane
-//! holds, per unordered pair of series,
+//! copies one window `[a, b)` of width `w = b − a` that starts and ends
+//! on block boundaries, and answers each covariance from it on demand:
 //!
 //! ```text
 //! Σxy = 0.0 + Σ_k block_dot(x[block k], y[block k])    (blocks of [a, b), in order)
-//! cov(x, y) = Σxy / w − mean_x · mean_y
+//! cov(x, y) = Σxy · (1 / w) − mean_x · mean_y
 //! ```
 //!
-//! in *one* contiguous `num_pairs`-wide row (1.4 MB at 600 VMs), which
-//! the windowed cache owns and the admit loop streams through. A plane
-//! depends only on the window's values and its blocks, so a day cache
-//! over a slot's own prediction windows, cut into blocks of one slot,
-//! yields the bits of the same window of a whole day's cache; the week
-//! simulation builds its planes that way, one pair per plan.
+//! A covariance depends only on the window's values and its blocks, so
+//! a day cache over a slot's own prediction windows, cut into blocks of
+//! one slot, yields the bits of the same window of a whole day's cache;
+//! the week simulation builds its caches that way, one pair per plan.
 //!
 //! The means are computed by the windowed cache, exactly, two-pass from
 //! the raw window, and so are the per-series variances. The uncentered
 //! form `Σxx / w − mean²` cancels catastrophically on near-constant
-//! windows, so the plane never serves a variance; it serves only the
-//! pairwise covariances, where ulp-level drift matters only on exact
-//! score ties.
+//! windows, so the block sums never serve a variance; they serve only
+//! the pairwise covariances, where ulp-level drift matters only on
+//! exact score ties.
 //!
 //! # Examples
 //!
@@ -111,21 +108,15 @@ impl DayCache {
         &self.values[i * self.len..(i + 1) * self.len]
     }
 
-    /// The block plane of `window`: entry `hi·(hi+1)/2 + lo` (for
-    /// `lo ≤ hi`) is `0.0 + Σ_k block_dot` over the window's blocks in
-    /// block order (for one block, exactly that block's `block_dot`),
-    /// so a window's plane has the same bits whenever it is computed.
-    /// The four-lane dot breaks the loop-carried fma chain of the naive
-    /// running sum; the summation order differs from
-    /// [`stats::covariance`](crate::stats::covariance) by design (the
-    /// windowed covariances are ulp-tolerant, see the module docs).
+    /// The block size `window` is cut into, once it is checked to lie
+    /// inside the day and to start and end on block boundaries.
     ///
     /// # Panics
     ///
     /// Panics if `window` reaches outside the day or does not start and
     /// end on block boundaries.
     #[track_caller]
-    pub(crate) fn block_plane(&self, window: &Range<usize>) -> Vec<f64> {
+    pub(crate) fn aligned_block(&self, window: &Range<usize>) -> usize {
         assert!(
             window.start <= window.end && window.end <= self.len,
             "window {}..{} outside day of {} samples",
@@ -140,58 +131,14 @@ impl DayCache {
             window.start,
             window.end
         );
-        let rows: Vec<&[f64]> = (0..self.num_series)
-            .map(|i| &self.series(i)[window.clone()])
-            .collect();
-        let mut sums = Vec::with_capacity(self.num_series * (self.num_series + 1) / 2);
-        for (hi, xb) in rows.iter().enumerate() {
-            let row = rows[..=hi].iter();
-            if window.len() == g {
-                // One block (an EPACT slot): the fold reduces to one
-                // dot, inlined here rather than paying a call per pair.
-                sums.extend(row.map(|xa| 0.0 + block_dot(xa, xb)));
-            } else {
-                sums.extend(row.map(|xa| block_sum(xa, xb, g)));
-            }
-        }
-        sums
+        g
     }
-}
-
-/// `0.0 + Σ_k block_dot` over the `g`-sample blocks of `xa` and `xb`, in
-/// block order. Kept out of line: inlined into the pair loop, its
-/// running sum is spilled to the stack, which made a 24-block plane
-/// fill a third slower.
-#[inline(never)]
-fn block_sum(xa: &[f64], xb: &[f64], g: usize) -> f64 {
-    xa.chunks_exact(g)
-        .zip(xb.chunks_exact(g))
-        .fold(0.0, |sum, (a, b)| sum + block_dot(a, b))
-}
-
-/// Dot product with four independent accumulator lanes, so the fma
-/// chain pipelines instead of serializing on one running sum.
-#[inline]
-fn block_dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        lanes[0] += x[0] * y[0];
-        lanes[1] += x[1] * y[1];
-        lanes[2] += x[2] * y[2];
-        lanes[3] += x[3] * y[3];
-    }
-    let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x * y;
-    }
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corr::block_dot;
     use crate::{stats, CorrelationCache};
 
     fn fixtures(n: usize, len: usize) -> Vec<TimeSeries> {
@@ -250,12 +197,12 @@ mod tests {
         );
         let single = CorrelationCache::from_day_window(&day, 3..4);
         assert_eq!(single.covariance(0, 1), 0.0);
-        let mut acc = vec![0.0; 2];
-        single.accumulate_covariance_row(0, &mut acc);
-        assert_eq!(acc, [0.0, 0.0]);
+        let mut table = single.candidate_table(&[0, 1]);
+        table.admit(0);
+        assert_eq!(table.covariance_with(0), 0.0);
     }
 
-    /// The plane's uncentered `Σxx / w − mean²` can cancel to a hair
+    /// The uncentered `Σxx / w − mean²` can cancel to a hair
     /// below zero on a constant window, so a day window takes its
     /// variances two-pass from the raw values instead.
     #[test]
@@ -268,12 +215,12 @@ mod tests {
         assert!(window.variance(0) >= 0.0);
     }
 
-    /// Aligned windows read the block plane: scalar and bulk
-    /// covariances must equal `0.0 + Σ_k block_dot` over the window's
-    /// blocks bit for bit, for one-block and wider windows alike, for
-    /// both orderings of each pair, and in whatever order the windows'
-    /// caches are built (each owns its plane; the day cache holds
-    /// values only).
+    /// Aligned windows sum block dots: scalar covariances and a
+    /// candidate table's fold must equal `0.0 + Σ_k block_dot` over the
+    /// window's blocks bit for bit, for one-block and wider windows
+    /// alike, for both orderings of each pair, and in whatever order the
+    /// windows' caches are built (each owns its window's values; the
+    /// day cache holds values only).
     #[test]
     fn aligned_windows_match_block_dot_sums_in_any_order() {
         let series = fixtures(5, 48);
@@ -302,18 +249,22 @@ mod tests {
                     let window = &windows[q];
                     let cache = CorrelationCache::from_day_window(&day, window.clone());
                     for u in 0..5 {
-                        let mut acc = vec![0.0; 5];
-                        cache.accumulate_covariance_row(u, &mut acc);
-                        for (v, bulk) in acc.iter().enumerate() {
-                            let expected = reference(u, v, window);
+                        for v in 0..5 {
                             assert_eq!(
                                 cache.covariance(u, v).to_bits(),
-                                expected.to_bits(),
+                                reference(u, v, window).to_bits(),
                                 "({u}, {v}) {window:?}"
                             );
+                        }
+                        // The table leaves `u` out of its fold once `u`
+                        // is admitted; every other series folds in.
+                        let mut table = cache.candidate_table(&[0, 1, 2, 3, 4]);
+                        table.admit(u);
+                        for c in 0..table.len() {
+                            let v = table.series(c);
                             assert_eq!(
-                                bulk.to_bits(),
-                                (0.0 + expected).to_bits(),
+                                table.covariance_with(c).to_bits(),
+                                (0.0 + reference(u, v, window)).to_bits(),
                                 "bulk ({u}, {v}) {window:?}"
                             );
                         }
