@@ -857,6 +857,60 @@ mod tests {
         assert!(err.contains("greedy"), "{err}");
     }
 
+    /// The spec vocabulary, pinned word for word: the error for an
+    /// unknown tag on each of the five axes, and every label that is
+    /// also a tag.
+    #[test]
+    fn pins_the_tag_vocabulary() {
+        for (field, value, err) in [
+            (
+                "policies",
+                r#"["greedy"]"#,
+                r#"unknown policy "greedy" (expected epact, coat, coat_opt or load_balance)"#,
+            ),
+            (
+                "servers",
+                r#"["NTC"]"#,
+                r#"unknown server "NTC" (expected ntc or conventional)"#,
+            ),
+            (
+                "predictor",
+                r#""lstm""#,
+                r#"unknown predictor "lstm" (expected oracle, arima or seasonal_naive)"#,
+            ),
+            (
+                "backends",
+                r#"["analytic", "gem\"5"]"#,
+                r#"unknown backend "gem\"5" (expected analytic or archsim)"#,
+            ),
+            (
+                "failure_policy",
+                r#""retry""#,
+                r#"unknown failure policy "retry" (expected keep_going or fail_fast)"#,
+            ),
+        ] {
+            let text = format!(r#"{{"fleet": {{"num_vms": 4, "seed": 1}}, "{field}": {value}}}"#);
+            assert_eq!(from_json(&text).unwrap_err(), err, "{field}");
+        }
+        // The CLI's `--backends` reads the same words.
+        assert_eq!(
+            "Archsim".parse::<BackendSpec>().unwrap_err(),
+            r#"unknown backend "Archsim" (expected analytic or archsim)"#
+        );
+        let labels = [
+            (BackendSpec::Analytic.label(), "analytic"),
+            (BackendSpec::Archsim.label(), "archsim"),
+            (PredictorSpec::Oracle.label(), "oracle"),
+            (PredictorSpec::Arima.label(), "arima"),
+            (PredictorSpec::SeasonalNaive.label(), "seasonal_naive"),
+            (FailurePolicy::KeepGoing.label(), "keep_going"),
+            (FailurePolicy::FailFast.label(), "fail_fast"),
+        ];
+        for (label, tag) in labels {
+            assert_eq!(label, tag);
+        }
+    }
+
     #[test]
     fn rejects_missing_fleet() {
         let err = from_json(r#"{"name": "x"}"#).unwrap_err();
