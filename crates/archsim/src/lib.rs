@@ -23,6 +23,14 @@
 //! power-law stack-distance locality; it is used to validate the analytic
 //! per-kilo-instruction access rates baked into the workload [`Kernel`]s.
 //!
+//! [`cache`], [`stream`], [`ddr`], [`pipeline`] and [`detailed`] are a
+//! test-only cross-check of the interval model: their own tests and the
+//! `detailed_vs_interval_*` property tests check that both models agree
+//! on the qualitative behaviour the paper's figures rest on (frequency
+//! sensitivity, platform ordering). No front end runs them: the CLI,
+//! the sweep engine, the examples and the benchmark use only the
+//! interval model ([`ServerSim`]).
+//!
 //! # Examples
 //!
 //! ```

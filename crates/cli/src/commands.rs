@@ -1,6 +1,7 @@
 //! Subcommand implementations for the `ntcdc` binary.
 
 use std::io::Write;
+use std::time::Duration;
 
 use ntc_datacenter::{
     experiments, export, spec_json, BackendSpec, Engine, ExperimentSpec, FailurePolicy, FleetSpec,
@@ -368,7 +369,14 @@ pub fn sweep(args: &[String], out: &mut impl Write) -> Outcome {
     // Speedup is cell work over wall: the summed cell walls over the
     // sweep's wall, up-front step included. Fleets and forecasts are
     // made before any cell starts, so no cell wall holds a wait for one.
-    let serial: f64 = sweep.cells.iter().map(|c| c.wall.as_secs_f64()).sum();
+    // Summed as `Duration`s: an empty `f64` sum is −0.0, which would
+    // print as "-0.00s" when no cell completed.
+    let serial = sweep
+        .cells
+        .iter()
+        .map(|c| c.wall)
+        .sum::<Duration>()
+        .as_secs_f64();
     if sweep.wall.as_secs_f64() > 0.0 {
         writeln!(
             out,

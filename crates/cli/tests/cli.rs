@@ -419,6 +419,38 @@ fn zero_counts_and_fleetless_seed_lists_exit_1() {
 }
 
 #[test]
+fn plans_beyond_max_servers_fail_naming_the_budget() {
+    // 60 VMs need more than 2 servers under every policy. Each cell
+    // fails in its plan stage with a message that names the budget,
+    // and with no cell completed the footer reads zero, not -0.00.
+    let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
+        .args(["sweep", "--vms", "60", "--max-servers", "2"])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.ends_with("error: 6 of 6 cells failed\n"), "{stderr}");
+    assert!(
+        stdout.contains("\ncell time 0.00s total, speedup 0.00x\n"),
+        "{stdout}"
+    );
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with("failed cells (6 of 6):"))
+        .skip(2)
+        .collect();
+    assert_eq!(rows.len(), 6, "{stdout}");
+    for row in rows {
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        let policy = fields[1].split('/').next().unwrap();
+        assert_eq!(fields[3..5], ["plan", "panic"], "{row}");
+        assert_eq!(fields[5..7], [policy, "plans"], "{row}");
+        assert!(row.ends_with(" servers, more than max_servers 2"), "{row}");
+    }
+}
+
+#[test]
 fn closed_stdout_exits_quietly() {
     // `ntcdc ... | head -1`: a reader that goes away before the output
     // is written is no failure, and the writes must not panic.

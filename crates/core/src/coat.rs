@@ -107,10 +107,10 @@ impl AllocationPolicy for Coat {
             100.0,
             &ctx.corr_cpu(),
         );
-        let n = assignments.iter().max().map_or(1, |&m| m + 1);
+        let num_servers = ctx.servers_used(self.name(), &assignments);
         SlotPlan::new(
             assignments,
-            n.min(ctx.max_servers().max(1)),
+            num_servers,
             100.0,
             100.0,
             fmax,
@@ -164,10 +164,10 @@ impl AllocationPolicy for CoatOpt {
             100.0,
             &ctx.corr_cpu(),
         );
-        let n = assignments.iter().max().map_or(1, |&m| m + 1);
+        let num_servers = ctx.servers_used(self.name(), &assignments);
         SlotPlan::new(
             assignments,
-            n.min(ctx.max_servers().max(1)),
+            num_servers,
             cap_cpu,
             100.0,
             fopt,

@@ -77,32 +77,29 @@ impl AllocationPolicy for Epact {
         let decision = eq1::decide(ctx, f_ntc_opt);
         let cap_cpu = decision.fopt.ratio(fmax) * 100.0;
 
-        let (assignments, realized_servers) = if decision.cpu_dominated {
+        let assignments = if decision.cpu_dominated {
             let alloc = OneDimAllocator::new(decision.fopt, fmax);
             // ctx.corr_cpu() is windowed over the attached day caches
             // when there are some (see SlotContext::with_day_window);
             // Algorithm 1 scans a candidate table built from it.
-            let a = alloc.allocate_with_cache(ctx.predicted_cpu(), &ctx.corr_cpu());
-            let n = a.iter().max().map_or(1, |&m| m + 1);
-            (a, n)
+            alloc.allocate_with_cache(ctx.predicted_cpu(), &ctx.corr_cpu())
         } else {
             let mut alloc = TwoDimAllocator::new(cap_cpu, 100.0, decision.num_servers);
             if self.correlation_only {
                 alloc = alloc.correlation_only();
             }
-            let a = alloc.allocate_with_caches(
+            alloc.allocate_with_caches(
                 ctx.predicted_cpu(),
                 ctx.predicted_mem(),
                 &ctx.corr_cpu(),
                 &ctx.corr_mem(),
-            );
-            let n = a.iter().max().map_or(1, |&m| m + 1);
-            (a, n)
+            )
         };
 
+        let num_servers = ctx.servers_used(self.name(), &assignments);
         SlotPlan::new(
             assignments,
-            realized_servers.min(ctx.max_servers().max(1)),
+            num_servers,
             cap_cpu,
             100.0,
             decision.fopt,

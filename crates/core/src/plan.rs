@@ -147,6 +147,24 @@ impl<'a> SlotContext<'a> {
         self.max_servers
     }
 
+    /// The number of servers `assignments` uses: one past the highest
+    /// server index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy` planned more than
+    /// [`max_servers`](Self::max_servers) servers, naming both counts.
+    #[track_caller]
+    pub fn servers_used(&self, policy: &str, assignments: &[usize]) -> usize {
+        let n = assignments.iter().max().map_or(1, |&m| m + 1);
+        assert!(
+            n <= self.max_servers,
+            "{policy} plans {n} servers, more than max_servers {}",
+            self.max_servers
+        );
+        n
+    }
+
     /// Number of VMs.
     pub fn num_vms(&self) -> usize {
         self.predicted_cpu.len()

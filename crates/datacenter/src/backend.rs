@@ -47,6 +47,7 @@ use ntc_units::{Energy, Frequency, Percent, Seconds};
 use ntc_workload::MemClass;
 
 use crate::engine::ServerSpec;
+use crate::spec_json::Tagged;
 
 /// The govern stage's output for one slot: per active server, its
 /// dominant (worst-case) hosted memory class and one
@@ -155,9 +156,6 @@ impl Default for SlotAccounts {
 /// and frequency statistics. See the [module docs](self) for the
 /// conservation contract an implementation must honour.
 pub trait SlotBackend: std::fmt::Debug {
-    /// Short identity label (`"analytic"`, `"archsim"`).
-    fn name(&self) -> &'static str;
-
     /// Prices one governed slot against `server`'s power model.
     ///
     /// Must be a pure function of its arguments (memoization of pure
@@ -176,10 +174,6 @@ pub trait SlotBackend: std::fmt::Debug {
 pub struct AnalyticBackend;
 
 impl SlotBackend for AnalyticBackend {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
     fn account(&self, server: &ServerPowerModel, slot: &GovernedSlot) -> SlotAccounts {
         let mut acc = SlotAccounts::empty();
         let period = slot.sample_period();
@@ -227,7 +221,7 @@ struct SimPoint {
 pub struct ArchsimBackend {
     sim: ServerSim,
     baseline: QosBaseline,
-    memo: Mutex<HashMap<(u8, u64), SimPoint>>,
+    memo: Mutex<HashMap<(MemClass, u64), SimPoint>>,
 }
 
 impl ArchsimBackend {
@@ -256,7 +250,7 @@ impl ArchsimBackend {
     /// tiny and each (class, level) pair converges the interval model
     /// exactly once per run.
     fn point(&self, class: MemClass, f: Frequency) -> SimPoint {
-        let key = (mem_class_rank(class), f.as_mhz().to_bits());
+        let key = (class, f.as_mhz().to_bits());
         let mut memo = self.memo.lock().expect("archsim memo never poisoned");
         if let Some(p) = memo.get(&key) {
             return *p;
@@ -276,10 +270,6 @@ impl ArchsimBackend {
 }
 
 impl SlotBackend for ArchsimBackend {
-    fn name(&self) -> &'static str {
-        "archsim"
-    }
-
     fn account(&self, server: &ServerPowerModel, slot: &GovernedSlot) -> SlotAccounts {
         let mut acc = SlotAccounts::empty();
         let period = slot.sample_period();
@@ -312,16 +302,6 @@ impl SlotBackend for ArchsimBackend {
     }
 }
 
-/// Stable ordering of the memory classes by footprint, used both for
-/// memo keys and to pick a server's dominant (worst-case) class.
-pub(crate) fn mem_class_rank(class: MemClass) -> u8 {
-    match class {
-        MemClass::Low => 0,
-        MemClass::Mid => 1,
-        MemClass::High => 2,
-    }
-}
-
 /// An accounting backend in the sweep's backend set — the sixth cell
 /// axis of [`ExperimentSpec`](crate::ExperimentSpec).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -337,10 +317,7 @@ pub enum BackendSpec {
 impl BackendSpec {
     /// Short display label, also the CLI / JSON tag.
     pub fn label(&self) -> &'static str {
-        match self {
-            BackendSpec::Analytic => "analytic",
-            BackendSpec::Archsim => "archsim",
-        }
+        self.tag()
     }
 
     /// Instantiates the backend for `server`'s platform: archsim
@@ -356,6 +333,14 @@ impl BackendSpec {
     }
 }
 
+impl Tagged for BackendSpec {
+    const AXIS: &'static str = "backend";
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (BackendSpec::Analytic, "analytic"),
+        (BackendSpec::Archsim, "archsim"),
+    ];
+}
+
 impl std::fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -366,13 +351,7 @@ impl std::str::FromStr for BackendSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "analytic" => Ok(BackendSpec::Analytic),
-            "archsim" => Ok(BackendSpec::Archsim),
-            other => Err(format!(
-                "unknown backend {other:?} (expected analytic or archsim)"
-            )),
-        }
+        Self::from_tag(s)
     }
 }
 
@@ -483,13 +462,11 @@ mod tests {
 
     #[test]
     fn built_backends_report_their_names() {
-        assert_eq!(
-            BackendSpec::Analytic.build(ServerSpec::Ntc).name(),
-            "analytic"
-        );
-        assert_eq!(
-            BackendSpec::Archsim.build(ServerSpec::Conventional).name(),
-            "archsim"
-        );
+        // `build` returns the backend type its spec names; the type's
+        // name leads its debug form.
+        let name = |backend: Box<dyn SlotBackend>| format!("{backend:?}");
+        assert!(name(BackendSpec::Analytic.build(ServerSpec::Ntc)).starts_with("AnalyticBackend"));
+        assert!(name(BackendSpec::Archsim.build(ServerSpec::Conventional))
+            .starts_with("ArchsimBackend {"));
     }
 }

@@ -83,6 +83,7 @@ use crate::cache::{
     fetch_or_compute, CacheStats, DayForecast, OnceTable, PlanKey, RunCaches, EVAL_DAYS, EVAL_SLOTS,
 };
 use crate::fault::{self, CellError, CellStage, FailureCause, FailurePolicy, FaultSpec};
+use crate::spec_json::Tagged;
 use crate::weeksim::forecast_series;
 use crate::{MeanStd, WeekOutcome, WeekSim};
 
@@ -136,6 +137,16 @@ impl PolicySpec {
     }
 }
 
+impl Tagged for PolicySpec {
+    const AXIS: &'static str = "policy";
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (PolicySpec::Epact, "epact"),
+        (PolicySpec::Coat, "coat"),
+        (PolicySpec::CoatOpt, "coat_opt"),
+        (PolicySpec::LoadBalance, "load_balance"),
+    ];
+}
+
 /// A server power model in the sweep's server set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerSpec {
@@ -154,13 +165,21 @@ impl ServerSpec {
         }
     }
 
-    /// Short display label.
+    /// Short display label (not its spec-JSON tag).
     pub fn label(&self) -> &'static str {
         match self {
             ServerSpec::Ntc => "NTC",
             ServerSpec::Conventional => "conv",
         }
     }
+}
+
+impl Tagged for ServerSpec {
+    const AXIS: &'static str = "server";
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (ServerSpec::Ntc, "ntc"),
+        (ServerSpec::Conventional, "conventional"),
+    ];
 }
 
 /// The forecast pipeline shared by every cell.
@@ -178,11 +197,7 @@ pub enum PredictorSpec {
 impl PredictorSpec {
     /// Short display label, also the predictor's tag in spec JSON.
     pub fn label(&self) -> &'static str {
-        match self {
-            PredictorSpec::Oracle => "oracle",
-            PredictorSpec::Arima => "arima",
-            PredictorSpec::SeasonalNaive => "seasonal_naive",
-        }
+        self.tag()
     }
 
     /// The day-ahead predictor for fleets sampled `samples_per_day`
@@ -194,6 +209,15 @@ impl PredictorSpec {
             PredictorSpec::SeasonalNaive => Some(Box::new(SeasonalNaive::new(samples_per_day))),
         }
     }
+}
+
+impl Tagged for PredictorSpec {
+    const AXIS: &'static str = "predictor";
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (PredictorSpec::Oracle, "oracle"),
+        (PredictorSpec::Arima, "arima"),
+        (PredictorSpec::SeasonalNaive, "seasonal_naive"),
+    ];
 }
 
 /// Ablation switches applied across the sweep.

@@ -1,5 +1,5 @@
 //! CSV and JSON export of experiment results — so the regenerated
-//! figures can be plotted with any external tool. The JSON emitters are
+//! figures can be plotted with any external tool. The JSON emitter is
 //! built on the same `Value` writer the spec codec uses
 //! ([`spec_json`](crate::spec_json)); there is no second hand-rolled
 //! emitter to drift.
@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use crate::engine::SweepResult;
 use crate::experiments::{Fig1Curve, Fig2Series, Fig3Series, Fig7Point};
-use crate::spec_json::{policy_tag, server_tag, Value};
+use crate::spec_json::Value;
 use crate::{AblationFlags, WeekOutcome};
 
 /// Renders the per-slot series of several week outcomes side by side
@@ -115,47 +115,6 @@ pub fn fig7_csv(points: &[Fig7Point]) -> String {
     out
 }
 
-/// Renders week outcomes as JSON: one object per outcome with the
-/// policy name, headline totals and the per-slot series (the same data
-/// [`week_csv`] tabulates, in a structured form).
-pub fn week_json(outcomes: &[WeekOutcome]) -> String {
-    let rows = outcomes.iter().map(week_value).collect();
-    Value::Array(rows).render()
-}
-
-fn week_value(outcome: &WeekOutcome) -> Value {
-    let series = |f: &dyn Fn(&crate::SlotOutcome) -> f64| {
-        Value::Array(outcome.slots.iter().map(|s| Value::Number(f(s))).collect())
-    };
-    Value::Object(vec![
-        ("policy".into(), Value::String(outcome.policy.clone())),
-        ("slots".into(), Value::Int(outcome.slots.len() as u64)),
-        (
-            "total_energy_mj".into(),
-            Value::Number(outcome.total_energy().as_megajoules()),
-        ),
-        (
-            "total_violations".into(),
-            Value::Int(outcome.total_violations() as u64),
-        ),
-        (
-            "total_migrations".into(),
-            Value::Int(outcome.total_migrations() as u64),
-        ),
-        (
-            "mean_active_servers".into(),
-            Value::Number(outcome.mean_active_servers()),
-        ),
-        ("energy_mj".into(), series(&|s| s.energy.as_megajoules())),
-        ("violations".into(), series(&|s| s.violations as f64)),
-        (
-            "active_servers".into(),
-            series(&|s| s.active_servers as f64),
-        ),
-        ("migrations".into(), series(&|s| s.migrations as f64)),
-    ])
-}
-
 /// Renders a (possibly partial) sweep as JSON: a `cells` array
 /// carrying each completed cell's full identity (fleet, static-power
 /// scale, policy, server, QoS floor, accounting backend) with its
@@ -171,14 +130,8 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
             let spec = c.cell;
             Value::Object(vec![
                 ("label".into(), Value::String(spec.label(ablation))),
-                (
-                    "policy".into(),
-                    Value::String(policy_tag(spec.policy).into()),
-                ),
-                (
-                    "server".into(),
-                    Value::String(server_tag(spec.server).into()),
-                ),
+                ("policy".into(), Value::tag(spec.policy)),
+                ("server".into(), Value::tag(spec.server)),
                 (
                     "qos_floor_mhz".into(),
                     spec.qos_floor_mhz.map_or(Value::Null, Value::Number),
@@ -187,7 +140,7 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     "static_power_scale".into(),
                     Value::Number(spec.static_power_scale),
                 ),
-                ("backend".into(), Value::String(spec.backend.label().into())),
+                ("backend".into(), Value::tag(spec.backend)),
                 ("num_vms".into(), Value::Int(spec.fleet.num_vms as u64)),
                 ("seed".into(), Value::Int(spec.fleet.seed)),
                 ("weeks".into(), Value::Int(spec.fleet.weeks as u64)),
@@ -222,8 +175,8 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
             };
             Value::Object(vec![
                 ("label".into(), Value::String(g.label(ablation))),
-                ("policy".into(), Value::String(policy_tag(g.policy).into())),
-                ("server".into(), Value::String(server_tag(g.server).into())),
+                ("policy".into(), Value::tag(g.policy)),
+                ("server".into(), Value::tag(g.server)),
                 (
                     "qos_floor_mhz".into(),
                     g.qos_floor_mhz.map_or(Value::Null, Value::Number),
@@ -232,7 +185,7 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     "static_power_scale".into(),
                     Value::Number(g.static_power_scale),
                 ),
-                ("backend".into(), Value::String(g.backend.label().into())),
+                ("backend".into(), Value::tag(g.backend)),
                 ("runs".into(), Value::Int(g.runs as u64)),
                 ("energy_mj".into(), stat(g.energy_mj)),
                 ("violations".into(), stat(g.violations)),
@@ -336,21 +289,6 @@ mod tests {
     #[should_panic(expected = "same horizon")]
     fn ragged_outcomes_rejected() {
         let _ = week_csv(&[outcome("A", 2), outcome("B", 3)]);
-    }
-
-    #[test]
-    fn week_json_is_well_formed_and_complete() {
-        let json = week_json(&[outcome("EPACT", 3), outcome("COAT", 3)]);
-        let value = parse_value(&json).expect("emitted JSON must parse");
-        let rows = value.as_array("root").unwrap();
-        assert_eq!(rows.len(), 2);
-        let first = rows[0].as_object("row").unwrap();
-        let field = |name: &str| &first.iter().find(|(k, _)| k == name).unwrap().1;
-        assert_eq!(field("policy").as_string("policy").unwrap(), "EPACT");
-        assert_eq!(field("slots").as_f64("slots").unwrap(), 3.0);
-        assert_eq!(field("total_violations").as_f64("v").unwrap(), 3.0);
-        assert_eq!(field("energy_mj").as_array("e").unwrap().len(), 3);
-        assert_eq!(field("violations").as_array("v").unwrap().len(), 3);
     }
 
     #[test]

@@ -45,6 +45,7 @@
 use std::cell::Cell;
 
 use crate::engine::CellSpec;
+use crate::spec_json::Tagged;
 
 /// The stages of one cell's evaluation, as the failure model reports
 /// them: the engine-side [`Fleet`](CellStage::Fleet) (trace
@@ -127,11 +128,16 @@ pub enum FailurePolicy {
 impl FailurePolicy {
     /// Short display tag, also the spec-JSON encoding.
     pub fn label(&self) -> &'static str {
-        match self {
-            FailurePolicy::KeepGoing => "keep_going",
-            FailurePolicy::FailFast => "fail_fast",
-        }
+        self.tag()
     }
+}
+
+impl Tagged for FailurePolicy {
+    const AXIS: &'static str = "failure policy";
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (FailurePolicy::KeepGoing, "keep_going"),
+        (FailurePolicy::FailFast, "fail_fast"),
+    ];
 }
 
 /// Why a cell failed.

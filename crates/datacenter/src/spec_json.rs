@@ -14,24 +14,12 @@
 //! ```
 
 use crate::backend::BackendSpec;
-use crate::engine::{
-    AblationFlags, ExperimentSpec, FleetSpec, PolicySpec, PredictorSpec, ServerSpec,
-};
+use crate::engine::{AblationFlags, ExperimentSpec, FleetSpec, PredictorSpec};
 use crate::fault::FailurePolicy;
 
 /// Renders `spec` as pretty-printed JSON.
 pub fn to_json(spec: &ExperimentSpec) -> String {
     let fleets = spec.fleets.iter().map(fleet_value).collect();
-    let policies = spec
-        .policies
-        .iter()
-        .map(|&p| Value::String(policy_tag(p).to_string()))
-        .collect();
-    let servers = spec
-        .servers
-        .iter()
-        .map(|&s| Value::String(server_tag(s).to_string()))
-        .collect();
     let floors = spec
         .qos_floors_mhz
         .iter()
@@ -45,32 +33,21 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
         .iter()
         .map(|&s| Value::Number(s))
         .collect();
-    let backends = spec
-        .backends
-        .iter()
-        .map(|&b| Value::String(b.label().to_string()))
-        .collect();
     Value::Object(vec![
         ("name".into(), Value::String(spec.name.clone())),
         ("fleets".into(), Value::Array(fleets)),
-        ("policies".into(), Value::Array(policies)),
-        ("servers".into(), Value::Array(servers)),
+        ("policies".into(), Value::tags(&spec.policies)),
+        ("servers".into(), Value::tags(&spec.servers)),
         ("qos_floors_mhz".into(), Value::Array(floors)),
         ("static_power_scales".into(), Value::Array(scales)),
-        ("backends".into(), Value::Array(backends)),
-        (
-            "predictor".into(),
-            Value::String(spec.predictor.label().to_string()),
-        ),
+        ("backends".into(), Value::tags(&spec.backends)),
+        ("predictor".into(), Value::tag(spec.predictor)),
         ("max_servers".into(), Value::Int(spec.max_servers as u64)),
         (
             "correlation_only".into(),
             Value::Bool(spec.ablation.correlation_only),
         ),
-        (
-            "failure_policy".into(),
-            Value::String(spec.failure_policy.label().to_string()),
-        ),
+        ("failure_policy".into(), Value::tag(spec.failure_policy)),
     ])
     .render()
 }
@@ -87,7 +64,7 @@ fn fleet_value(fleet: &FleetSpec) -> Value {
 /// legacy single-fleet form relies on.
 fn parse_fleet(val: &Value, path: &str) -> Result<FleetSpec, String> {
     let (mut num_vms, mut seed, mut weeks) = (None, None, 2);
-    for (fkey, fval) in val.as_object(path)? {
+    for (fkey, fval) in unique_fields(val, path, &format!("{path}."))? {
         match fkey.as_str() {
             "num_vms" => num_vms = Some(fval.as_usize(&format!("{path}.num_vms"))?),
             "seed" => seed = Some(fval.as_u64(&format!("{path}.seed"))?),
@@ -109,7 +86,8 @@ fn parse_fleet(val: &Value, path: &str) -> Result<FleetSpec, String> {
 /// fleets (`fleets`, or the legacy single `fleet`), each fleet's
 /// `num_vms` and `seed`, `policies`, `servers` and `max_servers`. A
 /// missing one is reported by its path, e.g. `missing field
-/// max_servers`. A legacy single-fleet spec (`"fleet": {...}` instead
+/// max_servers`, and so is a field given twice, e.g. `duplicate field
+/// fleets[0].seed`. A legacy single-fleet spec (`"fleet": {...}` instead
 /// of the `"fleets": [...]` axis) parses into the equivalent one-fleet
 /// sweep. Every other field has a default, which `--emit-spec` output
 /// always writes out:
@@ -131,7 +109,7 @@ fn parse_fleet(val: &Value, path: &str) -> Result<FleetSpec, String> {
 /// schema problem encountered.
 pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
     let value = parse_value(text)?;
-    let obj = value.as_object("spec")?;
+    let obj = unique_fields(&value, "spec", "")?;
     let mut spec = ExperimentSpec {
         name: String::new(),
         fleets: Vec::new(),
@@ -164,18 +142,8 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
                         .push(parse_fleet(item, &format!("fleets[{i}]"))?);
                 }
             }
-            "policies" => {
-                for (i, item) in val.as_array("policies")?.iter().enumerate() {
-                    let tag = item.as_string(&format!("policies[{i}]"))?;
-                    spec.policies.push(parse_policy(tag)?);
-                }
-            }
-            "servers" => {
-                for (i, item) in val.as_array("servers")?.iter().enumerate() {
-                    let tag = item.as_string(&format!("servers[{i}]"))?;
-                    spec.servers.push(parse_server(tag)?);
-                }
-            }
+            "policies" => spec.policies = parse_tags(val, "policies")?,
+            "servers" => spec.servers = parse_tags(val, "servers")?,
             "qos_floors_mhz" => {
                 for (i, item) in val.as_array("qos_floors_mhz")?.iter().enumerate() {
                     spec.qos_floors_mhz.push(match item {
@@ -190,19 +158,14 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
                         .push(item.as_f64(&format!("static_power_scales[{i}]"))?);
                 }
             }
-            "backends" => {
-                for (i, item) in val.as_array("backends")?.iter().enumerate() {
-                    let tag = item.as_string(&format!("backends[{i}]"))?;
-                    spec.backends.push(parse_backend(tag)?);
-                }
-            }
-            "predictor" => spec.predictor = parse_predictor(val.as_string("predictor")?)?,
+            "backends" => spec.backends = parse_tags(val, "backends")?,
+            "predictor" => spec.predictor = PredictorSpec::from_tag(val.as_string("predictor")?)?,
             "max_servers" => spec.max_servers = val.as_usize("max_servers")?,
             "correlation_only" => {
                 spec.ablation.correlation_only = val.as_bool("correlation_only")?
             }
             "failure_policy" => {
-                spec.failure_policy = parse_failure_policy(val.as_string("failure_policy")?)?
+                spec.failure_policy = FailurePolicy::from_tag(val.as_string("failure_policy")?)?
             }
             other => return Err(format!("unknown field {other}")),
         }
@@ -231,66 +194,63 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
     Ok(spec)
 }
 
-fn parse_backend(tag: &str) -> Result<BackendSpec, String> {
-    tag.parse()
-}
-
-fn parse_failure_policy(tag: &str) -> Result<FailurePolicy, String> {
-    match tag {
-        "keep_going" => Ok(FailurePolicy::KeepGoing),
-        "fail_fast" => Ok(FailurePolicy::FailFast),
-        other => Err(format!(
-            "unknown failure policy {other:?} (expected keep_going or fail_fast)"
-        )),
+/// The fields of object `val` (named `path` in errors), refusing a key
+/// given twice; `prefix` leads the repeated key in the error.
+fn unique_fields<'a>(
+    val: &'a Value,
+    path: &str,
+    prefix: &str,
+) -> Result<&'a [(String, Value)], String> {
+    let fields = val.as_object(path)?;
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("duplicate field {prefix}{key}"));
+        }
     }
+    Ok(fields)
 }
 
-pub(crate) fn policy_tag(p: PolicySpec) -> &'static str {
-    match p {
-        PolicySpec::Epact => "epact",
-        PolicySpec::Coat => "coat",
-        PolicySpec::CoatOpt => "coat_opt",
-        PolicySpec::LoadBalance => "load_balance",
+/// Array field `field` of `T`'s tags.
+fn parse_tags<T: Tagged>(val: &Value, field: &str) -> Result<Vec<T>, String> {
+    val.as_array(field)?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| T::from_tag(item.as_string(&format!("{field}[{i}]"))?))
+        .collect()
+}
+
+/// A sweep axis whose values are named by tags in spec JSON, sweep JSON
+/// and the CLI. Each axis states its (value, tag) table once, and every
+/// reader and writer goes through [`tag`](Self::tag) and
+/// [`from_tag`](Self::from_tag).
+pub(crate) trait Tagged: Copy + PartialEq + 'static {
+    /// The axis as errors name it, e.g. `policy`.
+    const AXIS: &'static str;
+    /// Every value with its tag, in the order errors list them.
+    const TAGS: &'static [(Self, &'static str)];
+
+    /// This value's tag.
+    fn tag(self) -> &'static str {
+        Self::TAGS
+            .iter()
+            .find(|&&(value, _)| value == self)
+            .map(|&(_, tag)| tag)
+            .expect("every value of an axis has a tag")
     }
-}
 
-fn parse_policy(tag: &str) -> Result<PolicySpec, String> {
-    match tag {
-        "epact" => Ok(PolicySpec::Epact),
-        "coat" => Ok(PolicySpec::Coat),
-        "coat_opt" => Ok(PolicySpec::CoatOpt),
-        "load_balance" => Ok(PolicySpec::LoadBalance),
-        other => Err(format!(
-            "unknown policy {other:?} (expected epact, coat, coat_opt or load_balance)"
-        )),
-    }
-}
-
-pub(crate) fn server_tag(s: ServerSpec) -> &'static str {
-    match s {
-        ServerSpec::Ntc => "ntc",
-        ServerSpec::Conventional => "conventional",
-    }
-}
-
-fn parse_server(tag: &str) -> Result<ServerSpec, String> {
-    match tag {
-        "ntc" => Ok(ServerSpec::Ntc),
-        "conventional" => Ok(ServerSpec::Conventional),
-        other => Err(format!(
-            "unknown server {other:?} (expected ntc or conventional)"
-        )),
-    }
-}
-
-fn parse_predictor(tag: &str) -> Result<PredictorSpec, String> {
-    match tag {
-        "oracle" => Ok(PredictorSpec::Oracle),
-        "arima" => Ok(PredictorSpec::Arima),
-        "seasonal_naive" => Ok(PredictorSpec::SeasonalNaive),
-        other => Err(format!(
-            "unknown predictor {other:?} (expected oracle, arima or seasonal_naive)"
-        )),
+    /// The value `tag` names, or `unknown <axis> "<tag>" (expected a,
+    /// b or c)`.
+    fn from_tag(tag: &str) -> Result<Self, String> {
+        if let Some(&(value, _)) = Self::TAGS.iter().find(|&&(_, t)| t == tag) {
+            return Ok(value);
+        }
+        let tags: Vec<&str> = Self::TAGS.iter().map(|&(_, t)| t).collect();
+        let (last, rest) = tags.split_last().expect("an axis has at least two values");
+        Err(format!(
+            "unknown {} {tag:?} (expected {} or {last})",
+            Self::AXIS,
+            rest.join(", ")
+        ))
     }
 }
 
@@ -341,6 +301,16 @@ pub(crate) enum Value {
 }
 
 impl Value {
+    /// `value`'s tag as a JSON string.
+    pub(crate) fn tag<T: Tagged>(value: T) -> Value {
+        Value::String(value.tag().to_string())
+    }
+
+    /// The tags of `values` as a JSON array.
+    fn tags<T: Tagged>(values: &[T]) -> Value {
+        Value::Array(values.iter().map(|&v| Value::tag(v)).collect())
+    }
+
     fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
@@ -727,6 +697,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicySpec;
 
     /// The smallest spec that parses: a legacy fleet and the required
     /// fields, followed by `extra` (empty, or fields each led by a
@@ -922,6 +893,37 @@ mod tests {
         assert_eq!(err, "missing field fleets[0].num_vms");
         let err = from_json(r#"{"fleet": {"num_vms": 10, "weeks": 2}}"#).unwrap_err();
         assert_eq!(err, "missing field fleet.seed");
+    }
+
+    #[test]
+    fn rejects_a_field_given_twice() {
+        // A repeated array used to run both lists, a repeated scalar
+        // its last value and a repeated legacy fleet two fleets.
+        let cases = [
+            (
+                minimal_spec(r#", "policies": ["coat"]"#),
+                "duplicate field policies",
+            ),
+            (
+                minimal_spec(r#", "max_servers": 20"#),
+                "duplicate field max_servers",
+            ),
+            (
+                minimal_spec(r#", "fleet": {"num_vms": 4, "seed": 2}"#),
+                "duplicate field fleet",
+            ),
+            (
+                r#"{"fleets": [{"num_vms": 4, "seed": 1, "seed": 2}]}"#.to_string(),
+                "duplicate field fleets[0].seed",
+            ),
+            (
+                r#"{"fleet": {"num_vms": 4, "weeks": 2, "weeks": 3, "seed": 1}}"#.to_string(),
+                "duplicate field fleet.weeks",
+            ),
+        ];
+        for (text, err) in cases {
+            assert_eq!(from_json(&text).unwrap_err(), err, "{text}");
+        }
     }
 
     #[test]

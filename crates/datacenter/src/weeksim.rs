@@ -7,7 +7,7 @@ use ntc_trace::{DayCache, TimeSeries};
 use ntc_units::Frequency;
 use ntc_workload::{Fleet, MemClass};
 
-use crate::backend::{mem_class_rank, AnalyticBackend, GovernedSlot, SlotBackend};
+use crate::backend::{AnalyticBackend, GovernedSlot, SlotBackend};
 use crate::cache::{fetch_or_compute, CacheStats, DayForecast, RunCaches};
 use crate::fault::{self, CellStage};
 use crate::{SlotOutcome, WeekOutcome};
@@ -262,10 +262,7 @@ impl<'a> WeekSim<'a> {
                 dominant_class.resize(new_plan.num_servers(), MemClass::Low);
                 for (vm, &srv) in new_plan.assignments().iter().enumerate() {
                     occupancy[srv] = true;
-                    let class = self.fleet.vms()[vm].class;
-                    if mem_class_rank(class) > mem_class_rank(dominant_class[srv]) {
-                        dominant_class[srv] = class;
-                    }
+                    dominant_class[srv] = dominant_class[srv].max(self.fleet.vms()[vm].class);
                 }
                 current_plan = Some(new_plan);
             } else {

@@ -81,12 +81,13 @@ proptest! {
         prop_assert!(stats::quantile(&v, lo) <= stats::quantile(&v, hi));
     }
 
-    /// A windowed cache's block-plane covariances (and variances, as
-    /// `cov(x, x)`), with its exact window means, must agree with the
-    /// direct `stats` computations on the copied sub-window for every
-    /// random block-aligned window of a random day. Values are <= 100
-    /// and days are 64 samples, so the uncentered form's cancellation
-    /// stays far below the 1e-6 tolerance.
+    /// A windowed cache's covariances, summed on demand block by block
+    /// (and variances, as `cov(x, x)`), with its exact window means,
+    /// must agree with the direct `stats` computations on the copied
+    /// sub-window for every random block-aligned window of a random
+    /// day. Values are <= 100 and days are 64 samples, so the
+    /// uncentered form's cancellation stays far below the 1e-6
+    /// tolerance.
     #[test]
     fn windowed_moments_match_direct_stats(
         a in finite_vec(64),
@@ -109,7 +110,7 @@ proptest! {
         let direct = stats::covariance(wa, wb);
         let fast = window.covariance(0, 1);
         prop_assert!((fast - direct).abs() < 1e-6, "cov {fast} vs {direct} on [{start}, {end})");
-        // covariance is symmetric through the triangular pair storage
+        // covariance is symmetric: each product and the mean term commute
         prop_assert!(window.covariance(1, 0) == fast);
     }
 }

@@ -4,7 +4,7 @@
 
 use ntc_trace::stats;
 
-use crate::{Fleet, MemClass};
+use crate::Fleet;
 
 /// Summary statistics of one fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +43,7 @@ impl FleetStats {
         for vm in vms {
             cpu_sum += vm.cpu.mean();
             mem_sum += vm.mem.mean();
-            let idx = match vm.class {
-                MemClass::Low => 0,
-                MemClass::Mid => 1,
-                MemClass::High => 2,
-            };
-            class_counts[idx] += 1;
+            class_counts[vm.class as usize] += 1;
         }
 
         // Deterministic pair sample: stride through the pair space.

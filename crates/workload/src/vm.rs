@@ -34,8 +34,9 @@ impl std::fmt::Display for VmId {
 }
 
 /// The paper's three memory-footprint classes (§III-B): per-VM average
-/// memory usage on a 1 GB container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// memory usage on a 1 GB container. They are declared, and so ordered,
+/// by footprint: a server's dominant class is the `max` of its VMs'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemClass {
     /// 70 MB average usage (7%).
     Low,

@@ -212,9 +212,10 @@ proptest! {
         // decide nothing; from ~32 VMs on, EPACT meets score near-ties
         // that ulp-level differences resolve either way (about one
         // plan in 2,000), so the sizes in between test the fast path.
-        // EPACT's slot-level planes, built as WeekSim builds them from
-        // the slot's own predictions, hold the day-level window's bits,
-        // so their plans must equal the day-level ones at every size.
+        // EPACT's slot-level day caches, built as WeekSim builds them
+        // from the slot's own predictions (one block per slot), hold the
+        // day-level window's values in the same blocks, so their plans
+        // must equal the day-level ones at every size.
         let fleet = ClusterTraceGenerator::google_like(num_vms, seed).generate();
         let grid = fleet.grid();
         let (sps, per_day) = (grid.samples_per_slot(), grid.samples_per_day());
