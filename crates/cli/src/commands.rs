@@ -369,20 +369,15 @@ pub fn sweep(args: &[String], out: &mut impl Write) -> Outcome {
     // Speedup is cell work over wall: the summed cell walls over the
     // sweep's wall, up-front step included. Fleets and forecasts are
     // made before any cell starts, so no cell wall holds a wait for one.
-    // Summed as `Duration`s: an empty `f64` sum is −0.0, which would
-    // print as "-0.00s" when no cell completed.
-    let serial = sweep
-        .cells
-        .iter()
-        .map(|c| c.wall)
-        .sum::<Duration>()
-        .as_secs_f64();
+    // Summed as `Duration`s, whose empty sum is zero; an empty `f64`
+    // sum is −0.0 and would print as "-0.00s".
+    let serial: Duration = sweep.cells.iter().map(|c| c.wall).sum();
     if sweep.wall.as_secs_f64() > 0.0 {
         writeln!(
             out,
             "cell time {:.2}s total, speedup {:.2}x",
-            serial,
-            serial / sweep.wall.as_secs_f64()
+            serial.as_secs_f64(),
+            serial.div_duration_f64(sweep.wall)
         )?;
     }
     if !sweep.failed().is_empty() {

@@ -23,10 +23,7 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
     let floors = spec
         .qos_floors_mhz
         .iter()
-        .map(|f| match f {
-            Some(mhz) => Value::Number(*mhz),
-            None => Value::Null,
-        })
+        .map(|&f| f.map_or(Value::Null, Value::Number))
         .collect();
     let scales = spec
         .static_power_scales
@@ -125,61 +122,44 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
         // old engine effectively promised for clean sweeps.
         failure_policy: FailurePolicy::default(),
     };
-    let mut seen_fleet = false;
-    let mut seen_fleets = false;
     for (key, val) in obj {
         match key.as_str() {
             "name" => spec.name = val.as_string("name")?.to_string(),
             // Legacy single-fleet form, kept parseable forever.
-            "fleet" => {
-                seen_fleet = true;
-                spec.fleets.push(parse_fleet(val, "fleet")?);
-            }
-            "fleets" => {
-                seen_fleets = true;
-                for (i, item) in val.as_array("fleets")?.iter().enumerate() {
-                    spec.fleets
-                        .push(parse_fleet(item, &format!("fleets[{i}]"))?);
-                }
-            }
-            "policies" => spec.policies = parse_tags(val, "policies")?,
-            "servers" => spec.servers = parse_tags(val, "servers")?,
+            "fleet" => spec.fleets = vec![parse_fleet(val, "fleet")?],
+            "fleets" => spec.fleets = parse_array(val, "fleets", parse_fleet)?,
+            "policies" => spec.policies = parse_array(val, "policies", parse_tag)?,
+            "servers" => spec.servers = parse_array(val, "servers", parse_tag)?,
             "qos_floors_mhz" => {
-                for (i, item) in val.as_array("qos_floors_mhz")?.iter().enumerate() {
-                    spec.qos_floors_mhz.push(match item {
-                        Value::Null => None,
-                        other => Some(other.as_f64(&format!("qos_floors_mhz[{i}]"))?),
-                    });
-                }
+                spec.qos_floors_mhz = parse_array(val, "qos_floors_mhz", |item, path| match item {
+                    Value::Null => Ok(None),
+                    other => other.as_f64(path).map(Some),
+                })?
             }
             "static_power_scales" => {
-                for (i, item) in val.as_array("static_power_scales")?.iter().enumerate() {
-                    spec.static_power_scales
-                        .push(item.as_f64(&format!("static_power_scales[{i}]"))?);
-                }
+                spec.static_power_scales = parse_array(val, "static_power_scales", Value::as_f64)?
             }
-            "backends" => spec.backends = parse_tags(val, "backends")?,
-            "predictor" => spec.predictor = PredictorSpec::from_tag(val.as_string("predictor")?)?,
+            "backends" => spec.backends = parse_array(val, "backends", parse_tag)?,
+            "predictor" => spec.predictor = parse_tag(val, "predictor")?,
             "max_servers" => spec.max_servers = val.as_usize("max_servers")?,
             "correlation_only" => {
                 spec.ablation.correlation_only = val.as_bool("correlation_only")?
             }
-            "failure_policy" => {
-                spec.failure_policy = FailurePolicy::from_tag(val.as_string("failure_policy")?)?
-            }
+            "failure_policy" => spec.failure_policy = parse_tag(val, "failure_policy")?,
             other => return Err(format!("unknown field {other}")),
         }
     }
-    if seen_fleet && seen_fleets {
-        return Err("specify either fleet (legacy) or fleets, not both".to_string());
+    let has = |field: &str| obj.iter().any(|(key, _)| key == field);
+    match (has("fleet"), has("fleets")) {
+        (true, true) => return Err("specify either fleet (legacy) or fleets, not both".into()),
+        (false, false) => return Err("missing field fleets (or legacy fleet)".into()),
+        _ => {}
     }
-    if !seen_fleet && !seen_fleets {
-        return Err("missing field fleets (or legacy fleet)".to_string());
-    }
-    for field in ["policies", "servers", "max_servers"] {
-        if !obj.iter().any(|(key, _)| key == field) {
-            return Err(format!("missing field {field}"));
-        }
+    if let Some(field) = ["policies", "servers", "max_servers"]
+        .into_iter()
+        .find(|f| !has(f))
+    {
+        return Err(format!("missing field {field}"));
     }
     if spec.qos_floors_mhz.is_empty() {
         spec.qos_floors_mhz.push(None);
@@ -210,13 +190,23 @@ fn unique_fields<'a>(
     Ok(fields)
 }
 
-/// Array field `field` of `T`'s tags.
-fn parse_tags<T: Tagged>(val: &Value, field: &str) -> Result<Vec<T>, String> {
+/// Array field `field`, each item read by `item` with its path, e.g.
+/// `policies[0]`.
+fn parse_array<T>(
+    val: &Value,
+    field: &str,
+    item: impl Fn(&Value, &str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
     val.as_array(field)?
         .iter()
         .enumerate()
-        .map(|(i, item)| T::from_tag(item.as_string(&format!("{field}[{i}]"))?))
+        .map(|(i, v)| item(v, &format!("{field}[{i}]")))
         .collect()
+}
+
+/// The tag at `path`, read on `T`'s axis.
+fn parse_tag<T: Tagged>(val: &Value, path: &str) -> Result<T, String> {
+    T::from_tag(val.as_string(path)?)
 }
 
 /// A sweep axis whose values are named by tags in spec JSON, sweep JSON
@@ -899,31 +889,18 @@ mod tests {
     fn rejects_a_field_given_twice() {
         // A repeated array used to run both lists, a repeated scalar
         // its last value and a repeated legacy fleet two fleets.
-        let cases = [
-            (
-                minimal_spec(r#", "policies": ["coat"]"#),
-                "duplicate field policies",
-            ),
-            (
-                minimal_spec(r#", "max_servers": 20"#),
-                "duplicate field max_servers",
-            ),
-            (
-                minimal_spec(r#", "fleet": {"num_vms": 4, "seed": 2}"#),
-                "duplicate field fleet",
-            ),
-            (
-                r#"{"fleets": [{"num_vms": 4, "seed": 1, "seed": 2}]}"#.to_string(),
-                "duplicate field fleets[0].seed",
-            ),
-            (
-                r#"{"fleet": {"num_vms": 4, "weeks": 2, "weeks": 3, "seed": 1}}"#.to_string(),
-                "duplicate field fleet.weeks",
-            ),
-        ];
-        for (text, err) in cases {
-            assert_eq!(from_json(&text).unwrap_err(), err, "{text}");
+        for (extra, field) in [
+            (r#", "policies": ["coat"]"#, "policies"),
+            (r#", "max_servers": 20"#, "max_servers"),
+            (r#", "fleet": {"num_vms": 4, "seed": 2}"#, "fleet"),
+        ] {
+            let err = from_json(&minimal_spec(extra)).unwrap_err();
+            assert_eq!(err, format!("duplicate field {field}"));
         }
+        let err = from_json(r#"{"fleets": [{"num_vms": 4, "seed": 1, "seed": 2}]}"#).unwrap_err();
+        assert_eq!(err, "duplicate field fleets[0].seed");
+        let err = from_json(r#"{"fleet": {"seed": 1, "weeks": 2, "weeks": 3}}"#).unwrap_err();
+        assert_eq!(err, "duplicate field fleet.weeks");
     }
 
     #[test]
