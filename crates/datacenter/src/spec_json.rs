@@ -155,11 +155,10 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
         (false, false) => return Err("missing field fleets (or legacy fleet)".into()),
         _ => {}
     }
-    if let Some(field) = ["policies", "servers", "max_servers"]
-        .into_iter()
-        .find(|f| !has(f))
-    {
-        return Err(format!("missing field {field}"));
+    for field in ["policies", "servers", "max_servers"] {
+        if !has(field) {
+            return Err(format!("missing field {field}"));
+        }
     }
     if spec.qos_floors_mhz.is_empty() {
         spec.qos_floors_mhz.push(None);
