@@ -376,4 +376,49 @@ mod tests {
         let energy = &group.iter().find(|(k, _)| k == "energy_mj").unwrap().1;
         assert!(energy.as_object("energy").is_ok(), "mean/std object");
     }
+
+    #[test]
+    fn sweep_json_groups_name_their_arm_like_its_cells() {
+        use crate::{BackendSpec, Engine, ExperimentSpec, PolicySpec};
+        let mut spec = ExperimentSpec::default_sweep().with_seeds(&[1, 2]);
+        spec.fleets.iter_mut().for_each(|f| f.num_vms = 6);
+        spec.policies = vec![PolicySpec::Epact, PolicySpec::Coat];
+        spec.static_power_scales = vec![1.0, 1.5];
+        spec.qos_floors_mhz = vec![None, Some(1800.0)];
+        spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];
+        spec.max_servers = 60;
+        let sweep = Engine::with_threads(2).run(&spec).unwrap();
+        let value = parse_value(&sweep_json(&sweep, spec.ablation)).unwrap();
+        let root = value.as_object("root").unwrap();
+        let list = |name: &str| {
+            let v = &root.iter().find(|(k, _)| k == name).unwrap().1;
+            v.as_array(name).unwrap().to_vec()
+        };
+        const IDENTITY: [&str; 6] = [
+            "label",
+            "policy",
+            "server",
+            "qos_floor_mhz",
+            "static_power_scale",
+            "backend",
+        ];
+        let identity = |obj: &Value| -> Vec<Value> {
+            let fields = obj.as_object("object").unwrap();
+            IDENTITY
+                .iter()
+                .map(|name| fields.iter().find(|(k, _)| k == name).unwrap().1.clone())
+                .collect()
+        };
+        let (cells, groups) = (list("cells"), list("groups"));
+        assert_eq!(cells.len(), 2 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(groups.len(), cells.len() / 2);
+        for group in &groups {
+            let want = identity(group);
+            let cell = cells
+                .iter()
+                .find(|c| identity(c)[0] == want[0])
+                .expect("every group label names a cell");
+            assert_eq!(identity(cell), want);
+        }
+    }
 }
