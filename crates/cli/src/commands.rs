@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use ntc_datacenter::{
     experiments, export, spec_json, BackendSpec, Engine, ExperimentSpec, FailurePolicy, FleetSpec,
-    PredictorSpec, SweepResult,
+    PredictorSpec, ServerSpec, SweepResult,
 };
 use ntc_power::ServerPowerModel;
 use ntc_units::Percent;
@@ -140,14 +140,14 @@ pub fn fig1(args: &[String], out: &mut impl Write) -> Outcome {
     const FLAGS: FlagTable = &[("--servers", Arity::Value), ("--csv", Arity::Switch)];
     let flags = Flags::parse("fig1", args, FLAGS)?;
     let servers = flags.count("--servers", 80)?;
-    let ntc = experiments::fig1(ServerPowerModel::ntc(), servers);
-    let conv = experiments::fig1(ServerPowerModel::conventional_e5_2620(), servers);
+    let ntc = experiments::fig1(ServerSpec::Ntc.model(), servers);
+    let conv = experiments::fig1(ServerSpec::Conventional.model(), servers);
     if flags.switch("--csv") {
-        write!(
-            out,
-            "{}",
-            export::fig1_csv(&[("ntc", &ntc), ("conventional", &conv)])
-        )?;
+        let panels = [
+            (ServerSpec::Ntc, &ntc[..]),
+            (ServerSpec::Conventional, &conv[..]),
+        ];
+        write!(out, "{}", export::fig1_csv(&panels))?;
         return Ok(());
     }
     for (label, curves) in [("(a) NTC", &ntc), ("(b) E5-2620", &conv)] {
@@ -170,14 +170,16 @@ pub fn fig1(args: &[String], out: &mut impl Write) -> Outcome {
 /// `ntcdc fig2`
 pub fn fig2(args: &[String], out: &mut impl Write) -> Outcome {
     Flags::parse("fig2", args, &[])?;
-    write!(out, "{}", export::fig2_csv(&experiments::fig2()))?;
+    let csv = export::series_csv("normalized_time", &experiments::fig2());
+    write!(out, "{csv}")?;
     Ok(())
 }
 
 /// `ntcdc fig3`
 pub fn fig3(args: &[String], out: &mut impl Write) -> Outcome {
     Flags::parse("fig3", args, &[])?;
-    write!(out, "{}", export::fig3_csv(&experiments::fig3()))?;
+    let csv = export::series_csv("buips_per_watt", &experiments::fig3());
+    write!(out, "{csv}")?;
     Ok(())
 }
 

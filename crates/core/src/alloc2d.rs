@@ -1,5 +1,7 @@
 use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries};
 
+use crate::MEM_CAP;
+
 /// Guard against zero distance (a perfect fill) with a small epsilon;
 /// the merit then becomes very large, which is exactly the intended
 /// preference.
@@ -9,7 +11,8 @@ const EPS: f64 = 1e-6;
 /// allocator used when memory dominates.
 ///
 /// For every VM the allocator scans all candidate servers that can host
-/// it at every sample of the slot (both CPU and memory caps), scores
+/// it at every sample of the slot (the slot's CPU cap and the memory cap
+/// [`MEM_CAP`]), scores
 /// each feasible server with the merit function of Eq. 2
 ///
 /// ```text
@@ -30,35 +33,33 @@ const EPS: f64 = 1e-6;
 ///
 /// let cpu = vec![TimeSeries::constant(4, 20.0); 4];
 /// let mem = vec![TimeSeries::constant(4, 40.0); 4];
-/// let alloc = TwoDimAllocator::new(50.0, 100.0, 2);
+/// let alloc = TwoDimAllocator::new(50.0, 2);
 /// let assignment = alloc.allocate(&cpu, &mem);
-/// // memory cap 100 admits two 40% VMs per server
+/// // the 100% memory cap admits two 40% VMs per server
 /// assert_eq!(assignment.iter().filter(|&&s| s == 0).count(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoDimAllocator {
     cap_cpu: f64,
-    cap_mem: f64,
     num_servers: usize,
     use_distance: bool,
 }
 
 impl TwoDimAllocator {
-    /// Creates the allocator with the slot's caps (percent) and the
-    /// number of servers chosen by Eq. 1.
+    /// Creates the allocator with the slot's CPU cap (percent of
+    /// capacity at Fmax) and the number of servers chosen by Eq. 1.
     ///
     /// # Panics
     ///
-    /// Panics if either cap is non-positive or `num_servers == 0`.
+    /// Panics if the CPU cap is non-positive or `num_servers == 0`.
     #[track_caller]
-    pub fn new(cap_cpu: f64, cap_mem: f64, num_servers: usize) -> Self {
-        if cap_cpu <= 0.0 || cap_mem <= 0.0 {
-            panic!("caps must be positive (got CPU {cap_cpu}, memory {cap_mem})");
+    pub fn new(cap_cpu: f64, num_servers: usize) -> Self {
+        if cap_cpu <= 0.0 {
+            panic!("caps must be positive (got CPU {cap_cpu})");
         }
         assert!(num_servers > 0, "data center needs at least one server");
         Self {
             cap_cpu,
-            cap_mem,
             num_servers,
             use_distance: true,
         }
@@ -74,7 +75,7 @@ impl TwoDimAllocator {
     /// ```
     /// use ntc_core::TwoDimAllocator;
     ///
-    /// let ablated = TwoDimAllocator::new(61.3, 100.0, 4).correlation_only();
+    /// let ablated = TwoDimAllocator::new(61.3, 4).correlation_only();
     /// assert!((ablated.weight_cpu() + ablated.weight_mem() - 1.0).abs() < 1e-12);
     /// ```
     #[must_use]
@@ -85,12 +86,12 @@ impl TwoDimAllocator {
 
     /// The CPU weight ωcpu of Eq. 2.
     pub fn weight_cpu(&self) -> f64 {
-        self.cap_cpu / (self.cap_cpu + self.cap_mem)
+        self.cap_cpu / (self.cap_cpu + MEM_CAP)
     }
 
     /// The memory weight ωmem of Eq. 2.
     pub fn weight_mem(&self) -> f64 {
-        self.cap_mem / (self.cap_cpu + self.cap_mem)
+        MEM_CAP / (self.cap_cpu + MEM_CAP)
     }
 
     /// The merit `M` of placing a VM with patterns `(vm_cpu, vm_mem)` on
@@ -107,7 +108,7 @@ impl TwoDimAllocator {
         self.eq2(phi_cpu, phi_mem, || {
             (
                 vm_cpu.distance(&srv_cpu.headroom_to(self.cap_cpu)),
-                vm_mem.distance(&srv_mem.headroom_to(self.cap_mem)),
+                vm_mem.distance(&srv_mem.headroom_to(MEM_CAP)),
             )
         })
     }
@@ -184,8 +185,8 @@ impl TwoDimAllocator {
         // see the emptiest servers (the 1-D FFD rationale, extended).
         let mut order: Vec<usize> = (0..cpu.len()).collect();
         order.sort_by(|&a, &b| {
-            let fa = cpu[a].peak() / self.cap_cpu + mem[a].peak() / self.cap_mem;
-            let fb = cpu[b].peak() / self.cap_cpu + mem[b].peak() / self.cap_mem;
+            let fa = cpu[a].peak() / self.cap_cpu + mem[a].peak() / MEM_CAP;
+            let fb = cpu[b].peak() / self.cap_cpu + mem[b].peak() / MEM_CAP;
             fb.partial_cmp(&fa).expect("finite utilizations")
         });
 
@@ -196,7 +197,7 @@ impl TwoDimAllocator {
                 // Line 3: per-sample feasibility on both dimensions,
                 // without materializing the candidate sums.
                 if srv_cpu[j].sum_exceeds(&cpu[vm], self.cap_cpu, 1e-9)
-                    || srv_mem[j].sum_exceeds(&mem[vm], self.cap_mem, 1e-9)
+                    || srv_mem[j].sum_exceeds(&mem[vm], MEM_CAP, 1e-9)
                 {
                     continue;
                 }
@@ -209,7 +210,7 @@ impl TwoDimAllocator {
                 let m = self.eq2(phi_cpu, phi_mem, || {
                     (
                         srv_cpu[j].headroom_distance(self.cap_cpu, &cpu[vm]),
-                        srv_mem[j].headroom_distance(self.cap_mem, &mem[vm]),
+                        srv_mem[j].headroom_distance(MEM_CAP, &mem[vm]),
                     )
                 });
                 if best.is_none_or(|(_, bm, _, _)| m > bm) {
@@ -243,7 +244,7 @@ mod tests {
 
     #[test]
     fn weights_sum_to_one() {
-        let a = TwoDimAllocator::new(61.3, 100.0, 4);
+        let a = TwoDimAllocator::new(61.3, 4);
         assert!((a.weight_cpu() + a.weight_mem() - 1.0).abs() < 1e-12);
         assert!(a.weight_mem() > a.weight_cpu());
     }
@@ -253,7 +254,7 @@ mod tests {
         // VMs of 40% memory: at most 2 per server under a 100% cap.
         let cpu = vec![TimeSeries::constant(4, 5.0); 6];
         let mem = vec![TimeSeries::constant(4, 40.0); 6];
-        let a = TwoDimAllocator::new(61.3, 100.0, 3).allocate(&cpu, &mem);
+        let a = TwoDimAllocator::new(61.3, 3).allocate(&cpu, &mem);
         let mut counts = std::collections::HashMap::new();
         for &s in &a {
             *counts.entry(s).or_insert(0usize) += 1;
@@ -266,14 +267,14 @@ mod tests {
         let cpu = vec![TimeSeries::constant(4, 50.0); 3];
         let mem = vec![TimeSeries::constant(4, 10.0); 3];
         // one planned server, cap 61.3: only one VM fits it
-        let a = TwoDimAllocator::new(61.3, 100.0, 1).allocate(&cpu, &mem);
+        let a = TwoDimAllocator::new(61.3, 1).allocate(&cpu, &mem);
         let servers = a.iter().collect::<std::collections::HashSet<_>>().len();
         assert_eq!(servers, 3);
     }
 
     #[test]
     fn merit_prefers_complementary_shapes() {
-        let alloc = TwoDimAllocator::new(61.3, 100.0, 2);
+        let alloc = TwoDimAllocator::new(61.3, 2);
         let srv_cpu = TimeSeries::from_values(vec![40.0, 10.0, 40.0, 10.0]);
         let srv_mem = TimeSeries::constant(4, 30.0);
         let fits_valleys = TimeSeries::from_values(vec![5.0, 20.0, 5.0, 20.0]);
@@ -293,7 +294,7 @@ mod tests {
         // the VM correlates identically with both complements, so only
         // the Eq. 2 distance term can steer it — toward the nearly-full
         // server whose remaining capacity it matches.
-        let alloc = TwoDimAllocator::new(61.3, 100.0, 2);
+        let alloc = TwoDimAllocator::new(61.3, 2);
         let nearly_full = TimeSeries::from_values(vec![50.0, 40.0, 50.0, 40.0]);
         let nearly_empty = TimeSeries::from_values(vec![15.0, 5.0, 15.0, 5.0]);
         let flat_mem = TimeSeries::constant(4, 10.0);
@@ -305,7 +306,7 @@ mod tests {
             "the tight fit must score higher: {m_full:.4} vs {m_empty:.4}"
         );
         // while the correlation-only ablation cannot tell them apart
-        let co = TwoDimAllocator::new(61.3, 100.0, 2).correlation_only();
+        let co = TwoDimAllocator::new(61.3, 2).correlation_only();
         let c_full = co.merit(&vm, &flat_mem, &nearly_full, &flat_mem);
         let c_empty = co.merit(&vm, &flat_mem, &nearly_empty, &flat_mem);
         assert!((c_full - c_empty).abs() < 1e-9);
@@ -320,7 +321,7 @@ mod tests {
             TimeSeries::from_values(vec![0.0, 60.0]),
         ];
         let mem = vec![TimeSeries::constant(2, 5.0); 2];
-        let a = TwoDimAllocator::new(61.3, 100.0, 1).allocate(&cpu, &mem);
+        let a = TwoDimAllocator::new(61.3, 1).allocate(&cpu, &mem);
         assert_eq!(a[0], a[1], "anti-phased VMs must share the server");
     }
 }

@@ -1,14 +1,13 @@
-use ntc_power::DataCenterPowerModel;
 use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries};
-use ntc_units::Frequency;
 
-use crate::{AllocationPolicy, SlotContext, SlotPlan};
+use crate::{AllocationPolicy, SlotContext, SlotPlan, MEM_CAP};
 
 /// Correlation-aware consolidation packing shared by [`Coat`] and
 /// [`CoatOpt`]: first-fit-decreasing into as few servers as possible,
 /// preferring the feasible server whose complementary pattern best
 /// matches the VM (the CPU-load-correlation awareness of Kim et al.,
-/// DATE'13) and checking both the CPU and memory caps per sample.
+/// DATE'13) and checking both `cap_cpu` and the memory cap [`MEM_CAP`]
+/// per sample.
 ///
 /// `cache` holds the Pearson terms over `cpu`, built by the slot
 /// context.
@@ -16,7 +15,6 @@ fn consolidate(
     cpu: &[TimeSeries],
     mem: &[TimeSeries],
     cap_cpu: f64,
-    cap_mem: f64,
     cache: &CorrelationCache,
 ) -> Vec<usize> {
     let slot_len = cpu[0].len();
@@ -40,7 +38,7 @@ fn consolidate(
         for j in 0..srv_cpu.len() {
             // Short-circuit: a CPU-infeasible server skips the memory scan.
             if srv_cpu[j].sum_exceeds(&cpu[vm], cap_cpu, 1e-9)
-                || srv_mem[j].sum_exceeds(&mem[vm], cap_mem, 1e-9)
+                || srv_mem[j].sum_exceeds(&mem[vm], MEM_CAP, 1e-9)
             {
                 continue;
             }
@@ -104,14 +102,12 @@ impl AllocationPolicy for Coat {
             ctx.predicted_cpu(),
             ctx.predicted_mem(),
             100.0,
-            100.0,
             &ctx.corr_cpu(),
         );
         let num_servers = ctx.servers_used(self.name(), &assignments);
         SlotPlan::new(
             assignments,
             num_servers,
-            100.0,
             100.0,
             fmax,
             fmax, // consolidation runs servers at the highest frequency
@@ -122,7 +118,9 @@ impl AllocationPolicy for Coat {
 
 /// COAT-OPT: COAT with the *optimal fixed cap* — consolidation against
 /// the capacity at the frequency that minimizes worst-case data-center
-/// power (`F_NTC_opt`, ≈1.9 GHz), kept fixed for the whole horizon.
+/// power (`F_NTC_opt`, ≈1.9 GHz, from
+/// [`ServerPowerModel::ntc_optimal_frequency`](ntc_power::ServerPowerModel::ntc_optimal_frequency)),
+/// kept fixed for the whole horizon.
 ///
 /// The fixed cap removes COAT's biggest inefficiency (running at Fmax)
 /// but, unlike EPACT, cannot adapt the cap to the slot's workload mix
@@ -137,11 +135,6 @@ impl CoatOpt {
     pub fn new() -> Self {
         Self { _private: () }
     }
-
-    /// The fixed optimal frequency for `ctx`'s server fleet.
-    pub fn fixed_frequency(ctx: &SlotContext<'_>) -> Frequency {
-        DataCenterPowerModel::new(ctx.server().clone(), ctx.max_servers()).ntc_optimal_frequency()
-    }
 }
 
 impl AllocationPolicy for CoatOpt {
@@ -155,13 +148,12 @@ impl AllocationPolicy for CoatOpt {
 
     fn allocate(&self, ctx: &SlotContext<'_>) -> SlotPlan {
         let fmax = ctx.server().fmax();
-        let fopt = Self::fixed_frequency(ctx);
+        let fopt = ctx.server().ntc_optimal_frequency();
         let cap_cpu = fopt.ratio(fmax) * 100.0;
         let assignments = consolidate(
             ctx.predicted_cpu(),
             ctx.predicted_mem(),
             cap_cpu,
-            100.0,
             &ctx.corr_cpu(),
         );
         let num_servers = ctx.servers_used(self.name(), &assignments);
@@ -169,7 +161,6 @@ impl AllocationPolicy for CoatOpt {
             assignments,
             num_servers,
             cap_cpu,
-            100.0,
             fopt,
             fopt, // the cap frequency is fixed for the whole horizon:
             fopt, // no online slack below or above it

@@ -1,5 +1,3 @@
-use ntc_power::DataCenterPowerModel;
-
 use crate::{eq1, AllocationPolicy, OneDimAllocator, SlotContext, SlotPlan, TwoDimAllocator};
 
 /// EPACT: the Energy Proportionality-Aware dynamiC allocaTion method
@@ -12,7 +10,8 @@ use crate::{eq1, AllocationPolicy, OneDimAllocator, SlotContext, SlotPlan, TwoDi
 /// 2. in the CPU-dominated case, exhaustively explores server counts
 ///    between the two estimates for the slot frequency `F_T_opt` with
 ///    the lowest worst-case data-center power, then packs VMs with the
-///    correlation-aware 1-D FFD of Algorithm 1;
+///    correlation-aware 1-D FFD of Algorithm 1, which also keeps every
+///    server inside the memory cap;
 /// 3. in the memory-dominated case, fixes the server count at `N̂mem`,
 ///    derives `Fopt` from spreading the CPU peak, and packs with the
 ///    Eq. 2 merit function of Algorithm 2 (CPU *and* memory caps);
@@ -70,11 +69,7 @@ impl AllocationPolicy for Epact {
     fn allocate(&self, ctx: &SlotContext<'_>) -> SlotPlan {
         let server = ctx.server();
         let fmax = server.fmax();
-        // F_NTC_opt: the data-center-optimal frequency of §V-A.
-        let dc = DataCenterPowerModel::new(server.clone(), ctx.max_servers());
-        let f_ntc_opt = dc.ntc_optimal_frequency();
-
-        let decision = eq1::decide(ctx, f_ntc_opt);
+        let decision = eq1::decide(ctx, server.ntc_optimal_frequency());
         let cap_cpu = decision.fopt.ratio(fmax) * 100.0;
 
         let assignments = if decision.cpu_dominated {
@@ -82,9 +77,9 @@ impl AllocationPolicy for Epact {
             // ctx.corr_cpu() is windowed over the attached day caches
             // when there are some (see SlotContext::with_day_window);
             // Algorithm 1 scans a candidate table built from it.
-            alloc.allocate_with_cache(ctx.predicted_cpu(), &ctx.corr_cpu())
+            alloc.allocate_with_cache(ctx.predicted_cpu(), ctx.predicted_mem(), &ctx.corr_cpu())
         } else {
-            let mut alloc = TwoDimAllocator::new(cap_cpu, 100.0, decision.num_servers);
+            let mut alloc = TwoDimAllocator::new(cap_cpu, decision.num_servers);
             if self.correlation_only {
                 alloc = alloc.correlation_only();
             }
@@ -101,7 +96,6 @@ impl AllocationPolicy for Epact {
             assignments,
             num_servers,
             cap_cpu,
-            100.0,
             decision.fopt,
             server.fmin(), // EPACT keeps full DVFS slack online,
             fmax,          // downward and upward

@@ -14,7 +14,7 @@
 use ntc_power::ServerPowerModel;
 use ntc_units::{Frequency, Percent};
 
-use crate::SlotContext;
+use crate::{SlotContext, MEM_CAP};
 
 /// The CPU-side server-count estimate `N̂cpu` (Eq. 1, left).
 ///
@@ -25,10 +25,11 @@ pub fn nhat_cpu(peak_aggregate_cpu: f64, fmax: Frequency, f_ntc_opt: Frequency) 
     ((peak_aggregate_cpu * fmax.as_mhz()) / (f_ntc_opt.as_mhz() * 100.0)).ceil() as usize
 }
 
-/// The memory-side server-count estimate `N̂mem` (Eq. 1, right).
+/// The memory-side server-count estimate `N̂mem` (Eq. 1, right): the
+/// aggregate memory peak over the memory cap [`MEM_CAP`].
 pub fn nhat_mem(peak_aggregate_mem: f64) -> usize {
     assert!(peak_aggregate_mem >= 0.0, "demand must be non-negative");
-    (peak_aggregate_mem / 100.0).ceil() as usize
+    (peak_aggregate_mem / MEM_CAP).ceil() as usize
 }
 
 /// The outcome of the Eq. 1 case split for one slot.

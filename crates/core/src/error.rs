@@ -161,32 +161,32 @@ mod tests {
             "all prediction series must cover the same slot"
         );
         rejects!(
-            SlotPlan::new(vec![], 0, 50.0, 50.0, hi, lo, hi),
+            SlotPlan::new(vec![], 0, 50.0, hi, lo, hi),
             "plan must use at least one server"
         );
         rejects!(
-            SlotPlan::new(vec![1], 1, 50.0, 50.0, hi, lo, hi),
+            SlotPlan::new(vec![1], 1, 50.0, hi, lo, hi),
             "beyond num_servers"
         );
         rejects!(
-            SlotPlan::new(vec![0], 1, 0.0, 50.0, hi, lo, hi),
+            SlotPlan::new(vec![0], 1, 0.0, hi, lo, hi),
             "caps must be positive"
         );
         rejects!(
-            SlotPlan::new(vec![0], 1, 50.0, 50.0, hi, hi, lo),
+            SlotPlan::new(vec![0], 1, 50.0, hi, hi, lo),
             "DVFS floor above the ceiling"
         );
         rejects!(
-            SlotPlan::new(vec![0], 1, 50.0, 50.0, hi, lo, lo),
+            SlotPlan::new(vec![0], 1, 50.0, hi, lo, lo),
             "outside the online range"
         );
         rejects!(
             OneDimAllocator::new(hi, lo),
             "Fopt must be positive and cannot exceed Fmax"
         );
-        rejects!(TwoDimAllocator::new(0.0, 100.0, 1), "caps must be positive");
+        rejects!(TwoDimAllocator::new(0.0, 1), "caps must be positive");
         rejects!(
-            TwoDimAllocator::new(50.0, 100.0, 0),
+            TwoDimAllocator::new(50.0, 0),
             "data center needs at least one server"
         );
     }

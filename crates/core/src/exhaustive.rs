@@ -115,7 +115,6 @@ mod tests {
 
     use super::*;
     use crate::{eq1, AllocationPolicy, Epact, SlotContext};
-    use ntc_power::DataCenterPowerModel;
 
     fn flat(v: f64) -> TimeSeries {
         TimeSeries::constant(4, v)
@@ -209,8 +208,7 @@ mod tests {
     fn epact_optimality_gap_stays_pinned() {
         let server = ServerPowerModel::ntc();
         let max_servers = 100;
-        let f_ntc_opt =
-            DataCenterPowerModel::new(server.clone(), max_servers).ntc_optimal_frequency();
+        let f_ntc_opt = server.ntc_optimal_frequency();
         let mut rng = Lcg(2018);
         let mut ratios = Vec::new();
         while ratios.len() < 400 {

@@ -1,6 +1,8 @@
 use ntc_power::ServerPowerModel;
 use ntc_units::{Frequency, Percent};
 
+use crate::MEM_CAP;
+
 /// The per-sample online DVFS governor (§V-B, closing paragraph).
 ///
 /// After allocation, every policy sets — per 5-minute sample and per
@@ -84,7 +86,7 @@ impl DvfsGovernor {
         floor: Frequency,
         qos_floor: Option<Frequency>,
     ) -> GovernedSample {
-        let demand_violated = self.is_violated(demand_cpu, ceiling) || demand_mem > 100.0 + 1e-9;
+        let demand_violated = self.is_violated(demand_cpu, ceiling) || demand_mem > MEM_CAP + 1e-9;
         let mut freq = self
             .level_for_demand(demand_cpu.min(100.0), ceiling)
             .max(floor);
@@ -95,7 +97,7 @@ impl DvfsGovernor {
         GovernedSample {
             freq,
             cpu_util,
-            mem_util: Percent::new(demand_mem.min(100.0)),
+            mem_util: Percent::new(demand_mem.min(MEM_CAP)),
             demand_violated,
         }
     }
@@ -114,9 +116,10 @@ pub struct GovernedSample {
     pub freq: Frequency,
     /// Core-busy utilization at `freq` (running slower means busier).
     pub cpu_util: Percent,
-    /// Memory utilization, capped at 100%.
+    /// Memory utilization, capped at [`MEM_CAP`].
     pub mem_util: Percent,
-    /// Raw demand exceeded the ceiling's capacity (or memory overflowed):
+    /// Raw demand exceeded the ceiling's capacity (or memory overflowed
+    /// [`MEM_CAP`]):
     /// the slot records a violation regardless of backend.
     pub demand_violated: bool,
 }

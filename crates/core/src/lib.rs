@@ -6,7 +6,8 @@
 //! * [`eq1`] — the CPU- and memory-side estimates of how many servers to
 //!   turn on (Eq. 1), and the slot-level case split;
 //! * [`OneDimAllocator`] — Algorithm 1: correlation-aware
-//!   first-fit-decreasing over CPU only (the CPU-dominated case);
+//!   first-fit-decreasing scored on CPU (the CPU-dominated case), which
+//!   also keeps each server inside the memory cap;
 //! * [`TwoDimAllocator`] — Algorithm 2: the merit function of Eq. 2
 //!   combining Pearson correlation and Euclidean distance over both CPU
 //!   and memory (the memory-dominated case);
@@ -17,6 +18,10 @@
 //!   DATE'13), at maximum cap and at the optimal fixed cap respectively;
 //! * [`DvfsGovernor`] — the per-sample frequency selection shared by all
 //!   policies.
+//!
+//! Every layer reads two planning facts from one definition each: the
+//! memory cap [`MEM_CAP`], and `F_NTC_opt` from
+//! [`ServerPowerModel::ntc_optimal_frequency`](ntc_power::ServerPowerModel::ntc_optimal_frequency).
 //!
 //! # Examples
 //!
@@ -56,4 +61,4 @@ pub use error::Error;
 pub use governor::{DvfsGovernor, GovernedSample};
 pub use loadbalance::LoadBalance;
 pub use migration::migration_count;
-pub use plan::{AllocationPolicy, SlotContext, SlotPlan};
+pub use plan::{AllocationPolicy, SlotContext, SlotPlan, MEM_CAP};

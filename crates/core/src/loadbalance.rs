@@ -83,7 +83,6 @@ impl AllocationPolicy for LoadBalance {
             assignment,
             n,
             TARGET_UTIL.max(per_server_peak.min(100.0)).max(1.0),
-            100.0,
             planned,
             server.fmin(),
             fmax,

@@ -33,9 +33,9 @@ use crate::SlotPlan;
 /// let f = Frequency::from_ghz(1.9);
 /// let fmin = Frequency::from_mhz(100.0);
 /// let fmax = Frequency::from_ghz(3.1);
-/// let a = SlotPlan::new(vec![0, 0, 1], 2, 61.0, 100.0, f, fmin, fmax);
+/// let a = SlotPlan::new(vec![0, 0, 1], 2, 61.0, f, fmin, fmax);
 /// // same grouping, labels swapped: no migration
-/// let b = SlotPlan::new(vec![1, 1, 0], 2, 61.0, 100.0, f, fmin, fmax);
+/// let b = SlotPlan::new(vec![1, 1, 0], 2, 61.0, f, fmin, fmax);
 /// assert_eq!(migration_count(&a, &b), 0);
 /// ```
 pub fn migration_count(prev: &SlotPlan, next: &SlotPlan) -> usize {
@@ -86,7 +86,6 @@ mod tests {
             assignments,
             n,
             61.0,
-            100.0,
             Frequency::from_ghz(1.9),
             Frequency::from_mhz(100.0),
             Frequency::from_ghz(3.1),

@@ -2,6 +2,12 @@ use ntc_power::ServerPowerModel;
 use ntc_trace::{CorrelationCache, DayCache, TimeSeries};
 use ntc_units::Frequency;
 
+/// The memory cap of Eq. 1 and Algorithms 1–2, percent of one server's
+/// memory. Eq. 1 sizes `N̂mem` against it, every packer keeps each
+/// server's per-sample memory at or below it, and the governor counts
+/// a sample above it as a violation.
+pub const MEM_CAP: f64 = 100.0;
+
 /// The CPU and memory [`DayCache`]s whose window at `offset` holds a
 /// slot's predicted values, over which its correlation caches compute
 /// their covariances as block sums. Attached to a [`SlotContext`] via
@@ -194,7 +200,6 @@ pub struct SlotPlan {
     assignments: Vec<usize>,
     num_servers: usize,
     cap_cpu: f64,
-    cap_mem: f64,
     planned_freq: Frequency,
     dvfs_floor: Frequency,
     dvfs_ceiling: Frequency,
@@ -212,14 +217,13 @@ impl SlotPlan {
     /// # Panics
     ///
     /// Panics if the plan uses no server, any assignment refers to a
-    /// server `>= num_servers`, the caps are non-positive, or the
+    /// server `>= num_servers`, the CPU cap is non-positive, or the
     /// planned frequency lies outside `[dvfs_floor, dvfs_ceiling]`.
     #[track_caller]
     pub fn new(
         assignments: Vec<usize>,
         num_servers: usize,
         cap_cpu: f64,
-        cap_mem: f64,
         planned_freq: Frequency,
         dvfs_floor: Frequency,
         dvfs_ceiling: Frequency,
@@ -235,8 +239,8 @@ impl SlotPlan {
                  (VM {vm} on server {server} of {num_servers})"
             );
         }
-        if cap_cpu <= 0.0 || cap_mem <= 0.0 {
-            panic!("caps must be positive (got CPU {cap_cpu}, memory {cap_mem})");
+        if cap_cpu <= 0.0 {
+            panic!("caps must be positive (got CPU {cap_cpu})");
         }
         if dvfs_floor > dvfs_ceiling {
             panic!(
@@ -258,7 +262,6 @@ impl SlotPlan {
             assignments,
             num_servers,
             cap_cpu,
-            cap_mem,
             planned_freq,
             dvfs_floor,
             dvfs_ceiling,
@@ -278,11 +281,6 @@ impl SlotPlan {
     /// The CPU cap used during packing, percent of capacity at Fmax.
     pub fn cap_cpu(&self) -> f64 {
         self.cap_cpu
-    }
-
-    /// The memory cap used during packing, percent of server memory.
-    pub fn cap_mem(&self) -> f64 {
-        self.cap_mem
     }
 
     /// The frequency the policy planned servers to run at.
@@ -428,7 +426,6 @@ mod tests {
             vec![0, 1, 0],
             2,
             61.0,
-            100.0,
             f,
             Frequency::from_mhz(100.0),
             Frequency::from_ghz(3.1),
@@ -452,7 +449,6 @@ mod tests {
             vec![2],
             2,
             50.0,
-            100.0,
             f,
             Frequency::from_mhz(100.0),
             Frequency::from_ghz(3.1),
@@ -466,7 +462,6 @@ mod tests {
             vec![0],
             1,
             50.0,
-            100.0,
             Frequency::from_ghz(3.1),
             Frequency::from_mhz(100.0),
             Frequency::from_ghz(1.9),

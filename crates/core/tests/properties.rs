@@ -1,6 +1,6 @@
 //! Property-based tests of the allocation algorithms.
 
-use ntc_core::{migration_count, OneDimAllocator, SlotPlan, TwoDimAllocator};
+use ntc_core::{migration_count, OneDimAllocator, SlotPlan, TwoDimAllocator, MEM_CAP};
 use ntc_trace::{CorrelationCache, DayCache, LazyPatternStats, TimeSeries};
 use ntc_units::Frequency;
 use proptest::prelude::*;
@@ -9,24 +9,37 @@ fn vm_cpu(n: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0f64..30.0, len), n)
 }
 
+/// Memory series of `n` VMs that sometimes overflow when two share a
+/// server.
+fn vm_mem(n: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(0.0f64..60.0, len), n)
+}
+
 fn to_series(v: Vec<Vec<f64>>) -> Vec<TimeSeries> {
     v.into_iter().map(TimeSeries::from_values).collect()
 }
 
-/// Algorithm 1 as the paper states it, the reference for
-/// [`OneDimAllocator::allocate_with_cache`]: the pool in
-/// first-fit-decreasing order of peak, each empty server taking the
+/// Algorithm 1 as the paper states it, plus the memory cap, the
+/// reference for [`OneDimAllocator::allocate_with_cache`]: the pool in
+/// first-fit-decreasing order of CPU peak, each empty server taking the
 /// pool's first VM, and each scan visiting the pool in order, checking
-/// the cap sample by sample before scoring a candidate, and keeping the
-/// first maximum of φ. `cov(S, v)` comes from [`LazyPatternStats`],
-/// summed over the server's members in admission order from `+0.0`.
-fn plain_alg1(cpu: &[TimeSeries], cache: &CorrelationCache, cap: f64) -> Vec<usize> {
+/// the CPU cap and [`MEM_CAP`] sample by sample before scoring a
+/// candidate, and keeping the first maximum of φ. `cov(S, v)` comes
+/// from [`LazyPatternStats`], summed over the server's members in
+/// admission order from `+0.0`.
+fn plain_alg1(
+    cpu: &[TimeSeries],
+    mem: &[TimeSeries],
+    cache: &CorrelationCache,
+    cap: f64,
+) -> Vec<usize> {
     let peaks: Vec<f64> = cpu.iter().map(TimeSeries::peak).collect();
     let mut pool: Vec<usize> = (0..cpu.len()).collect();
     pool.sort_by(|&a, &b| peaks[b].partial_cmp(&peaks[a]).expect("finite"));
     let mut assignment = vec![usize::MAX; cpu.len()];
     let mut server = 0;
     let mut pattern = TimeSeries::zeros(cpu[0].len());
+    let mut mem_pattern = TimeSeries::zeros(cpu[0].len());
     let mut stats = LazyPatternStats::new();
     let mut server_empty = true;
     while !pool.is_empty() {
@@ -36,7 +49,9 @@ fn plain_alg1(cpu: &[TimeSeries], cache: &CorrelationCache, cap: f64) -> Vec<usi
             best = Some((0, 0.0, stats.covariance_with(cache, pool[0])));
         } else {
             for (pos, &vm) in pool.iter().enumerate() {
-                if pattern.sum_exceeds(&cpu[vm], cap, 1e-9) {
+                if pattern.sum_exceeds(&cpu[vm], cap, 1e-9)
+                    || mem_pattern.sum_exceeds(&mem[vm], MEM_CAP, 1e-9)
+                {
                     continue;
                 }
                 let cov = stats.covariance_with(cache, vm);
@@ -50,6 +65,7 @@ fn plain_alg1(cpu: &[TimeSeries], cache: &CorrelationCache, cap: f64) -> Vec<usi
             Some((pos, _, cov)) => {
                 let vm = pool.remove(pos);
                 pattern.add_in_place(&cpu[vm]);
+                mem_pattern.add_in_place(&mem[vm]);
                 stats.admit(cache, vm, cov);
                 assignment[vm] = server;
                 server_empty = false;
@@ -57,6 +73,7 @@ fn plain_alg1(cpu: &[TimeSeries], cache: &CorrelationCache, cap: f64) -> Vec<usi
             None => {
                 server += 1;
                 pattern.reset_zeros(cpu[0].len());
+                mem_pattern.reset_zeros(cpu[0].len());
                 stats = LazyPatternStats::new();
                 server_empty = true;
             }
@@ -69,10 +86,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn alg1_places_every_vm_exactly_once(cpu in vm_cpu(10, 6)) {
+    fn alg1_places_every_vm_exactly_once(cpu in vm_cpu(10, 6), mem in vm_mem(10, 6)) {
         let cpu = to_series(cpu);
         let alloc = OneDimAllocator::new(Frequency::from_ghz(1.9), Frequency::from_ghz(3.1));
-        let a = alloc.allocate(&cpu);
+        let a = alloc.allocate(&cpu, &to_series(mem));
         prop_assert_eq!(a.len(), cpu.len());
         // server ids are contiguous from 0
         let max = a.iter().copied().max().unwrap();
@@ -82,10 +99,11 @@ proptest! {
     }
 
     #[test]
-    fn alg1_respects_cap_for_multi_vm_servers(cpu in vm_cpu(12, 4)) {
+    fn alg1_respects_cap_for_multi_vm_servers(cpu in vm_cpu(12, 4), mem in vm_mem(12, 4)) {
         let cpu = to_series(cpu);
+        let mem = to_series(mem);
         let alloc = OneDimAllocator::new(Frequency::from_ghz(1.9), Frequency::from_ghz(3.1));
-        let a = alloc.allocate(&cpu);
+        let a = alloc.allocate(&cpu, &mem);
         let servers = a.iter().copied().max().unwrap() + 1;
         for s in 0..servers {
             let members: Vec<&TimeSeries> =
@@ -100,14 +118,20 @@ proptest! {
                 s,
                 members.len()
             );
+            let agg_mem = TimeSeries::aggregate(
+                4,
+                a.iter().enumerate().filter(|&(_, &x)| x == s).map(|(vm, _)| &mem[vm]),
+            );
+            prop_assert!(!agg_mem.exceeds(MEM_CAP, 1e-6), "server {} overflows memory", s);
         }
     }
 
     #[test]
-    fn alg1_is_deterministic(cpu in vm_cpu(8, 4)) {
+    fn alg1_is_deterministic(cpu in vm_cpu(8, 4), mem in vm_mem(8, 4)) {
         let cpu = to_series(cpu);
+        let mem = to_series(mem);
         let alloc = OneDimAllocator::new(Frequency::from_ghz(1.9), Frequency::from_ghz(3.1));
-        prop_assert_eq!(alloc.allocate(&cpu), alloc.allocate(&cpu));
+        prop_assert_eq!(alloc.allocate(&cpu, &mem), alloc.allocate(&cpu, &mem));
     }
 
     #[test]
@@ -117,7 +141,7 @@ proptest! {
     ) {
         let cpu = to_series(cpu);
         let mem = to_series(mem);
-        let alloc = TwoDimAllocator::new(61.3, 100.0, 3);
+        let alloc = TwoDimAllocator::new(61.3, 3);
         let a = alloc.allocate(&cpu, &mem);
         let servers = a.iter().copied().max().unwrap() + 1;
         for s in 0..servers {
@@ -144,7 +168,7 @@ proptest! {
         let norm = |v: Vec<usize>| -> SlotPlan {
             // compact indices so num_servers matches
             let max = v.iter().copied().max().unwrap_or(0);
-            SlotPlan::new(v, max + 1, 61.3, 100.0, f, fmin, fmax)
+            SlotPlan::new(v, max + 1, 61.3, f, fmin, fmax)
         };
         let pa = norm(a);
         let pb = norm(b);
@@ -160,8 +184,8 @@ proptest! {
         let fmin = Frequency::from_mhz(100.0);
         let fmax = Frequency::from_ghz(3.1);
         let rotated: Vec<usize> = assign.iter().map(|&s| (s + 1) % 3).collect();
-        let pa = SlotPlan::new(assign, 3, 61.3, 100.0, f, fmin, fmax);
-        let pb = SlotPlan::new(rotated, 3, 61.3, 100.0, f, fmin, fmax);
+        let pa = SlotPlan::new(assign, 3, 61.3, f, fmin, fmax);
+        let pb = SlotPlan::new(rotated, 3, 61.3, f, fmin, fmax);
         prop_assert_eq!(migration_count(&pa, &pb), 0);
     }
 }
@@ -173,13 +197,15 @@ proptest! {
     /// on every cache a slot can bring: owned, and windowed over one
     /// block or several. The inputs cover a flat series (the σ floor),
     /// duplicated series (exact φ ties), slot lengths 1 to 13 (below,
-    /// at and off multiples of 4), and caps that some VMs exceed alone.
+    /// at and off multiples of 4), caps that some VMs exceed alone, and
+    /// memory that binds on some servers and not on others.
     #[test]
     fn alg1_matches_plain_reference(
         (n, block, blocks) in (2usize..15, 1usize..14, 1usize..4),
         values in prop::collection::vec(0.0f64..40.0, 14 * 13 * 3),
         (flat, twins) in (0usize..20, prop::collection::vec(0usize..42, 14)),
         (first, width, cap) in (0usize..3, 1usize..4, 8.0f64..99.0),
+        (mem_values, mem_scale) in (prop::collection::vec(0.0f64..1.0, 14 * 13 * 3), 0.0f64..90.0),
     ) {
         let day_len = block * blocks;
         let mut series: Vec<TimeSeries> = Vec::with_capacity(n);
@@ -197,6 +223,12 @@ proptest! {
         let k0 = first.min(blocks - 1);
         let window = k0 * block..(k0 + width).min(blocks) * block;
         let cpu: Vec<TimeSeries> = series.iter().map(|s| s.window(window.clone())).collect();
+        let mem: Vec<TimeSeries> = (0..n)
+            .map(|i| {
+                let row = &mem_values[i * day_len..(i + 1) * day_len];
+                TimeSeries::from_values(row[window.clone()].iter().map(|v| v * mem_scale).collect())
+            })
+            .collect();
         let alloc = OneDimAllocator::new(Frequency::from_mhz(cap * 31.0), Frequency::from_ghz(3.1));
         let day = DayCache::with_block_size(&series, block);
         for (kind, cache) in [
@@ -204,8 +236,8 @@ proptest! {
             ("windowed", CorrelationCache::from_day_window(&day, window.clone())),
         ] {
             prop_assert_eq!(
-                alloc.allocate_with_cache(&cpu, &cache),
-                plain_alg1(&cpu, &cache, alloc.cap_cpu()),
+                alloc.allocate_with_cache(&cpu, &mem, &cache),
+                plain_alg1(&cpu, &mem, &cache, alloc.cap_cpu()),
                 "{} cache, {} VMs, window {:?} in blocks of {}, cap {}",
                 kind,
                 n,

@@ -16,8 +16,8 @@
 //! | table | key | row width |
 //! |---|---|---|
 //! | fleets | [`FleetSpec`] | 1 |
-//! | day forecasts | [`FleetSpec`] | [`EVAL_DAYS`] |
-//! | plans | [`PlanKey`] | [`EVAL_SLOTS`] |
+//! | day forecasts | [`FleetSpec`] | [`EVAL_DAYS`](crate::weeksim::EVAL_DAYS) |
+//! | plans | [`PlanKey`] | [`EVAL_SLOTS`](crate::weeksim::EVAL_SLOTS) |
 //!
 //! Before any cell runs, the engine fills the fleet table and, in a
 //! forecasting sweep, the forecast table, on all its workers; only a
@@ -48,18 +48,12 @@
 use std::sync::{Arc, OnceLock};
 
 use ntc_core::SlotPlan;
-use ntc_power::{DataCenterPowerModel, ServerPowerModel};
+use ntc_power::ServerPowerModel;
 use ntc_trace::TimeSeries;
 use ntc_units::Percent;
 use ntc_workload::Fleet;
 
 use crate::engine::{CellSpec, ExperimentSpec, FleetSpec, PolicySpec};
-
-/// Hourly slots in the evaluation week — the width of a plan row.
-pub(crate) const EVAL_SLOTS: usize = 7 * 24;
-
-/// Days in the evaluation week — the width of a forecast row.
-pub(crate) const EVAL_DAYS: usize = 7;
 
 /// Cache hit/miss counters of one cell run, of the engine's up-front
 /// step, or, summed, of a sweep.
@@ -213,7 +207,7 @@ impl PlanKey {
             policy: cell.policy,
             correlation_only: spec.ablation.correlation_only,
             max_servers: spec.max_servers,
-            inputs: planning_inputs(cell.policy, &cell.server_model(), spec.max_servers),
+            inputs: planning_inputs(cell.policy, &cell.server_model()),
         }
     }
 }
@@ -222,7 +216,7 @@ impl PlanKey {
 /// f64 bit patterns. Two server models with equal fingerprints produce
 /// bit-identical plans for the policy, whatever else (e.g. static
 /// power) differs between them.
-fn planning_inputs(policy: PolicySpec, model: &ServerPowerModel, max_servers: usize) -> Vec<u64> {
+fn planning_inputs(policy: PolicySpec, model: &ServerPowerModel) -> Vec<u64> {
     let mut v = vec![
         model.fmax().as_mhz().to_bits(),
         model.fmin().as_mhz().to_bits(),
@@ -231,15 +225,11 @@ fn planning_inputs(policy: PolicySpec, model: &ServerPowerModel, max_servers: us
         // COAT consolidates at Fmax only.
         PolicySpec::Coat => {}
         // COAT-OPT's cap is F_NTC_opt, which reads the full power model.
-        PolicySpec::CoatOpt => {
-            let dc = DataCenterPowerModel::new(model.clone(), max_servers);
-            v.push(dc.ntc_optimal_frequency().as_mhz().to_bits());
-        }
+        PolicySpec::CoatOpt => v.push(model.ntc_optimal_frequency().as_mhz().to_bits()),
         // EPACT reads F_NTC_opt and, in the Eq. 1 exploration, the
         // worst-case power at every DVFS level.
         PolicySpec::Epact => {
-            let dc = DataCenterPowerModel::new(model.clone(), max_servers);
-            v.push(dc.ntc_optimal_frequency().as_mhz().to_bits());
+            v.push(model.ntc_optimal_frequency().as_mhz().to_bits());
             for f in model.dvfs_levels() {
                 v.push(f.as_mhz().to_bits());
                 v.push(
@@ -282,6 +272,7 @@ impl RunCaches<'_> {
 mod tests {
     use super::*;
     use crate::engine::ServerSpec;
+    use crate::weeksim::{EVAL_DAYS, EVAL_SLOTS};
 
     fn spec_with_scales(scales: Vec<f64>) -> ExperimentSpec {
         let mut spec = ExperimentSpec::default_sweep();
@@ -342,7 +333,7 @@ mod tests {
         let (cells, table) = plan_table(&spec);
         let inputs: Vec<_> = cells
             .iter()
-            .map(|c| planning_inputs(c.policy, &c.server_model(), spec.max_servers))
+            .map(|c| planning_inputs(c.policy, &c.server_model()))
             .collect();
         assert_ne!(inputs[0], inputs[1], "fingerprints must differ");
         assert_eq!(table.num_rows(), 2);

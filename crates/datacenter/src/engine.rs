@@ -79,12 +79,10 @@ use ntc_units::Frequency;
 use ntc_workload::{ClusterTraceGenerator, Fleet};
 
 use crate::backend::BackendSpec;
-use crate::cache::{
-    fetch_or_compute, CacheStats, DayForecast, OnceTable, PlanKey, RunCaches, EVAL_DAYS, EVAL_SLOTS,
-};
+use crate::cache::{fetch_or_compute, CacheStats, DayForecast, OnceTable, PlanKey, RunCaches};
 use crate::fault::{self, CellError, CellStage, FailureCause, FailurePolicy, FaultSpec};
 use crate::spec_json::Tagged;
-use crate::weeksim::forecast_series;
+use crate::weeksim::{forecast_series, EVAL_DAYS, EVAL_SLOTS, EVAL_WEEK};
 use crate::{MeanStd, WeekOutcome, WeekSim};
 
 /// One synthetic fleet of a sweep's fleet set (see
@@ -100,8 +98,9 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// 5-minute samples in one week — the generator's grid granularity.
-    pub const WEEK_SAMPLES: usize = 7 * 24 * 12;
+    /// 5-minute samples in one week — the generator's grid granularity
+    /// and the length of the evaluated week.
+    pub const WEEK_SAMPLES: usize = EVAL_WEEK;
 
     /// Materializes the fleet.
     pub fn generate(&self) -> Fleet {

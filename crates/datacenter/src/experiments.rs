@@ -84,13 +84,14 @@ pub fn fig1(server: ServerPowerModel, num_servers: usize) -> Vec<Fig1Curve> {
         .collect()
 }
 
-/// One Fig. 2 series: execution time normalized to the QoS limit per
-/// frequency for one workload class (values ≤ 1.0 meet QoS).
+/// One workload class's value per frequency: a Fig. 2 series
+/// (execution time normalized to the QoS limit; values ≤ 1.0 meet QoS)
+/// or a Fig. 3 series (BUIPS/W).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig2Series {
+pub struct WorkloadSeries {
     /// Workload class name.
     pub workload: String,
-    /// `(frequency, normalized time)` points.
+    /// `(frequency, value)` points.
     pub points: Vec<(Frequency, f64)>,
 }
 
@@ -104,12 +105,12 @@ pub fn fig2_frequencies() -> Vec<Frequency> {
 
 /// Regenerates Fig. 2 on the NTC server against the paper's published
 /// x86 baseline.
-pub fn fig2() -> Vec<Fig2Series> {
+pub fn fig2() -> Vec<WorkloadSeries> {
     let sim = ServerSim::new(Platform::ntc_server());
     let baseline = QosBaseline::paper_table1();
     Kernel::paper_classes()
         .into_iter()
-        .map(|k| Fig2Series {
+        .map(|k| WorkloadSeries {
             workload: k.name().to_string(),
             points: fig2_frequencies()
                 .into_iter()
@@ -119,22 +120,13 @@ pub fn fig2() -> Vec<Fig2Series> {
         .collect()
 }
 
-/// One Fig. 3 series: BUIPS/W per frequency for one workload class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig3Series {
-    /// Workload class name.
-    pub workload: String,
-    /// `(frequency, BUIPS/W)` points.
-    pub points: Vec<(Frequency, f64)>,
-}
-
 /// Regenerates Fig. 3: NTC-server efficiency across DVFS levels.
-pub fn fig3() -> Vec<Fig3Series> {
+pub fn fig3() -> Vec<WorkloadSeries> {
     let sim = ServerSim::new(Platform::ntc_server());
     let model = ServerPowerModel::ntc();
     Kernel::paper_classes()
         .into_iter()
-        .map(|k| Fig3Series {
+        .map(|k| WorkloadSeries {
             workload: k.name().to_string(),
             points: efficiency::efficiency_curve(&sim, &model, &k, &fig2_frequencies()),
         })
@@ -341,7 +333,7 @@ mod tests {
     #[test]
     fn fig2_low_mem_tolerates_lower_frequency() {
         let series = fig2();
-        let min_ok = |s: &Fig2Series| {
+        let min_ok = |s: &WorkloadSeries| {
             s.points
                 .iter()
                 .find(|&&(_, norm)| norm <= 1.0)

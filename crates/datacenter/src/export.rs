@@ -6,10 +6,10 @@
 
 use std::fmt::Write as _;
 
-use crate::engine::SweepResult;
-use crate::experiments::{Fig1Curve, Fig2Series, Fig3Series, Fig7Point};
-use crate::spec_json::Value;
-use crate::{AblationFlags, WeekOutcome};
+use crate::engine::{PolicySpec, ServerSpec, SweepResult};
+use crate::experiments::{Fig1Curve, Fig7Point, WorkloadSeries};
+use crate::spec_json::{Tagged, Value};
+use crate::{AblationFlags, BackendSpec, WeekOutcome};
 
 /// Renders the per-slot series of several week outcomes side by side
 /// (Figs. 4–6 in one table): columns
@@ -54,13 +54,15 @@ pub fn week_csv(outcomes: &[WeekOutcome]) -> String {
     out
 }
 
-/// Renders Fig. 1 as one table of named panels:
+/// Renders Fig. 1 as one table of panels, one per server model:
 /// `panel,utilization_pct,freq_mhz,power_kw`, each row tagged with its
-/// panel's name (infeasible points omitted).
-pub fn fig1_csv(panels: &[(&str, &[Fig1Curve])]) -> String {
+/// server's spec tag (`ntc`, `conventional`; infeasible points
+/// omitted).
+pub fn fig1_csv(panels: &[(ServerSpec, &[Fig1Curve])]) -> String {
     let mut out = String::from("panel,utilization_pct,freq_mhz,power_kw\n");
-    for (panel, curves) in panels {
-        for c in *curves {
+    for &(server, curves) in panels {
+        let panel = server.tag();
+        for c in curves {
             for (f, p) in &c.points {
                 if let Some(p) = p {
                     let _ = writeln!(
@@ -77,20 +79,10 @@ pub fn fig1_csv(panels: &[(&str, &[Fig1Curve])]) -> String {
     out
 }
 
-/// Renders Fig. 2: `workload,freq_mhz,normalized_time`.
-pub fn fig2_csv(series: &[Fig2Series]) -> String {
-    let mut out = String::from("workload,freq_mhz,normalized_time\n");
-    for s in series {
-        for (f, v) in &s.points {
-            let _ = writeln!(out, "{},{:.0},{:.4}", s.workload, f.as_mhz(), v);
-        }
-    }
-    out
-}
-
-/// Renders Fig. 3: `workload,freq_mhz,buips_per_watt`.
-pub fn fig3_csv(series: &[Fig3Series]) -> String {
-    let mut out = String::from("workload,freq_mhz,buips_per_watt\n");
+/// Renders per-workload series as `workload,freq_mhz,<value>`: Fig. 2
+/// with `value` `normalized_time`, Fig. 3 with `buips_per_watt`.
+pub fn series_csv(value: &str, series: &[WorkloadSeries]) -> String {
+    let mut out = format!("workload,freq_mhz,{value}\n");
     for s in series {
         for (f, v) in &s.points {
             let _ = writeln!(out, "{},{:.0},{:.4}", s.workload, f.as_mhz(), v);
@@ -115,6 +107,33 @@ pub fn fig7_csv(points: &[Fig7Point]) -> String {
     out
 }
 
+/// The six fields that name a sweep arm, shared by its cell and group
+/// objects: `label`, `policy`, `server`, `qos_floor_mhz`,
+/// `static_power_scale` and `backend`.
+fn arm_fields(
+    label: String,
+    policy: PolicySpec,
+    server: ServerSpec,
+    qos_floor_mhz: Option<f64>,
+    static_power_scale: f64,
+    backend: BackendSpec,
+) -> Vec<(String, Value)> {
+    vec![
+        ("label".into(), Value::String(label)),
+        ("policy".into(), Value::tag(policy)),
+        ("server".into(), Value::tag(server)),
+        (
+            "qos_floor_mhz".into(),
+            qos_floor_mhz.map_or(Value::Null, Value::Number),
+        ),
+        (
+            "static_power_scale".into(),
+            Value::Number(static_power_scale),
+        ),
+        ("backend".into(), Value::tag(backend)),
+    ]
+}
+
 /// Renders a (possibly partial) sweep as JSON: a `cells` array
 /// carrying each completed cell's full identity (fleet, static-power
 /// scale, policy, server, QoS floor, accounting backend) with its
@@ -128,19 +147,15 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
         .iter()
         .map(|c| {
             let spec = c.cell;
-            Value::Object(vec![
-                ("label".into(), Value::String(spec.label(ablation))),
-                ("policy".into(), Value::tag(spec.policy)),
-                ("server".into(), Value::tag(spec.server)),
-                (
-                    "qos_floor_mhz".into(),
-                    spec.qos_floor_mhz.map_or(Value::Null, Value::Number),
-                ),
-                (
-                    "static_power_scale".into(),
-                    Value::Number(spec.static_power_scale),
-                ),
-                ("backend".into(), Value::tag(spec.backend)),
+            let mut fields = arm_fields(
+                spec.label(ablation),
+                spec.policy,
+                spec.server,
+                spec.qos_floor_mhz,
+                spec.static_power_scale,
+                spec.backend,
+            );
+            fields.extend([
                 ("num_vms".into(), Value::Int(spec.fleet.num_vms as u64)),
                 ("seed".into(), Value::Int(spec.fleet.seed)),
                 ("weeks".into(), Value::Int(spec.fleet.weeks as u64)),
@@ -160,7 +175,8 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     "mean_active_servers".into(),
                     Value::Number(c.outcome.mean_active_servers()),
                 ),
-            ])
+            ]);
+            Value::Object(fields)
         })
         .collect();
     let groups = sweep
@@ -173,25 +189,22 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     ("std".into(), Value::Number(ms.std)),
                 ])
             };
-            Value::Object(vec![
-                ("label".into(), Value::String(g.label(ablation))),
-                ("policy".into(), Value::tag(g.policy)),
-                ("server".into(), Value::tag(g.server)),
-                (
-                    "qos_floor_mhz".into(),
-                    g.qos_floor_mhz.map_or(Value::Null, Value::Number),
-                ),
-                (
-                    "static_power_scale".into(),
-                    Value::Number(g.static_power_scale),
-                ),
-                ("backend".into(), Value::tag(g.backend)),
+            let mut fields = arm_fields(
+                g.label(ablation),
+                g.policy,
+                g.server,
+                g.qos_floor_mhz,
+                g.static_power_scale,
+                g.backend,
+            );
+            fields.extend([
                 ("runs".into(), Value::Int(g.runs as u64)),
                 ("energy_mj".into(), stat(g.energy_mj)),
                 ("violations".into(), stat(g.violations)),
                 ("migrations".into(), stat(g.migrations)),
                 ("mean_active_servers".into(), stat(g.mean_active_servers)),
-            ])
+            ]);
+            Value::Object(fields)
         })
         .collect();
     let failures = sweep
@@ -279,8 +292,7 @@ mod tests {
 
     #[test]
     fn fig_csvs_have_headers() {
-        assert!(fig2_csv(&[]).starts_with("workload,freq_mhz,"));
-        assert!(fig3_csv(&[]).starts_with("workload,freq_mhz,"));
+        assert!(series_csv("normalized_time", &[]).starts_with("workload,freq_mhz,"));
         assert!(fig7_csv(&[]).starts_with("static_w,"));
         assert!(fig1_csv(&[]).starts_with("panel,utilization_pct,"));
     }

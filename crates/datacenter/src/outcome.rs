@@ -106,14 +106,6 @@ impl WeekOutcome {
         1.0 - self.total_energy().as_joules() / base
     }
 
-    /// Per-slot energy series in megajoules (the Fig. 6 y-axis).
-    pub fn energy_series_mj(&self) -> Vec<f64> {
-        self.slots
-            .iter()
-            .map(|s| s.energy.as_megajoules())
-            .collect()
-    }
-
     /// Per-slot active-server series (the Fig. 5 y-axis).
     pub fn active_servers_series(&self) -> Vec<usize> {
         self.slots.iter().map(|s| s.active_servers).collect()
@@ -145,7 +137,6 @@ mod tests {
         assert_eq!(w.total_migrations(), 6);
         assert_eq!(w.mean_active_servers(), 15.0);
         assert_eq!(w.total_energy(), Energy::from_megajoules(20.0));
-        assert_eq!(w.energy_series_mj(), vec![5.0, 15.0]);
     }
 
     #[test]

@@ -407,8 +407,12 @@ impl<'a> WeekSim<'a> {
     }
 }
 
-/// Samples in the evaluated final week of every fleet.
-const EVAL_WEEK: usize = 7 * 24 * 12;
+/// Days in the evaluated final week of every fleet: a forecast row.
+pub(crate) const EVAL_DAYS: usize = 7;
+/// Hourly slots in the evaluated week: a plan row.
+pub(crate) const EVAL_SLOTS: usize = EVAL_DAYS * 24;
+/// 5-minute samples in the evaluated week, 12 a slot.
+pub(crate) const EVAL_WEEK: usize = EVAL_SLOTS * 12;
 
 /// Sample index where `fleet`'s evaluation week begins; everything
 /// before it is training history.

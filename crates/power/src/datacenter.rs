@@ -22,7 +22,8 @@ use crate::{ServerLoad, ServerPowerModel};
 ///
 /// let dc = DataCenterPowerModel::new(ServerPowerModel::ntc(), 80);
 /// let u = Percent::new(30.0);
-/// let p_opt = dc.worst_case_power(u, dc.ntc_optimal_frequency()).unwrap();
+/// let f_opt = dc.server().ntc_optimal_frequency();
+/// let p_opt = dc.worst_case_power(u, f_opt).unwrap();
 /// let p_max = dc.worst_case_power(u, Frequency::from_ghz(3.1)).unwrap();
 /// assert!(p_opt < p_max); // consolidation at Fmax is NOT optimal
 /// ```
@@ -121,31 +122,6 @@ impl DataCenterPowerModel {
             .expect("at Fmax any util <= 100% is feasible")
     }
 
-    /// `F_NTC_opt`: the unconstrained energy-optimal frequency — the
-    /// DVFS level minimizing *power per unit of served capacity*
-    /// `P(f)/f`, i.e. the continuum limit of [`Self::optimal_frequency`]
-    /// where server-count rounding vanishes (§V-A reports ≈1.9 GHz for
-    /// the NTC server).
-    pub fn ntc_optimal_frequency(&self) -> Frequency {
-        self.server
-            .dvfs_levels()
-            .into_iter()
-            .min_by(|&a, &b| {
-                let pa = self
-                    .server
-                    .power_at(a, &ServerLoad::cpu_bound(Percent::FULL))
-                    .as_watts()
-                    / a.as_mhz();
-                let pb = self
-                    .server
-                    .power_at(b, &ServerLoad::cpu_bound(Percent::FULL))
-                    .as_watts()
-                    / b.as_mhz();
-                pa.partial_cmp(&pb).expect("finite power values")
-            })
-            .expect("the DVFS table is never empty")
-    }
-
     /// The full Fig. 1 surface: worst-case power for every `(util, f)`
     /// pair, `None` where infeasible.
     pub fn power_surface(&self, utils: &[Percent], freqs: &[Frequency]) -> Vec<Vec<Option<Power>>> {
@@ -166,7 +142,7 @@ mod tests {
 
     #[test]
     fn ntc_optimum_is_near_1_9_ghz() {
-        let f = ntc_dc().ntc_optimal_frequency();
+        let f = ntc_dc().server().ntc_optimal_frequency();
         assert!(
             (1.5..=2.2).contains(&f.as_ghz()),
             "paper reports F_NTC_opt ~ 1.9 GHz, model gives {f}"

@@ -17,10 +17,11 @@
 //! 4. **DRAM** ([`DramModel`]) — 15.5 mW/GB idle, 155 mW/GB with banks
 //!    active, and 800 pJ per byte read.
 //!
-//! [`ServerPowerModel`] composes the four; [`DataCenterPowerModel`] lifts a
-//! server model to the data-center level and exposes the worst-case power
-//! surface of Fig. 1 together with the frequency optimum
-//! `F_NTC_opt ≈ 1.9 GHz` that motivates EPACT.
+//! [`ServerPowerModel`] composes the four and names the frequency optimum
+//! `F_NTC_opt ≈ 1.9 GHz` that motivates EPACT
+//! ([`ServerPowerModel::ntc_optimal_frequency`]); [`DataCenterPowerModel`]
+//! lifts a server model to the data-center level and exposes the
+//! worst-case power surface of Fig. 1.
 //!
 //! # Examples
 //!

@@ -268,6 +268,22 @@ impl ServerPowerModel {
     pub fn peak_power(&self) -> Power {
         self.power_at(self.fmax(), &ServerLoad::cpu_bound(Percent::FULL))
     }
+
+    /// `F_NTC_opt`, the data-center-optimal frequency of §V-A (≈1.9 GHz
+    /// for the NTC server): the DVFS level minimizing fully loaded power
+    /// per unit of served capacity, `P(f)/f`. No server count enters it.
+    pub fn ntc_optimal_frequency(&self) -> Frequency {
+        let full = ServerLoad::cpu_bound(Percent::FULL);
+        let per_mhz = |f: Frequency| self.power_at(f, &full).as_watts() / f.as_mhz();
+        self.dvfs_levels()
+            .into_iter()
+            .min_by(|&a, &b| {
+                per_mhz(a)
+                    .partial_cmp(&per_mhz(b))
+                    .expect("finite power values")
+            })
+            .expect("the DVFS table is never empty")
+    }
 }
 
 #[cfg(test)]

@@ -60,8 +60,7 @@ pub fn motherboard_error() -> f64 {
 /// Deviation of the model's data-center-optimal frequency from the
 /// paper's 1.9 GHz, in MHz.
 pub fn f_ntc_opt_deviation_mhz() -> f64 {
-    let dc = DataCenterPowerModel::new(ServerPowerModel::ntc(), 80);
-    (dc.ntc_optimal_frequency().as_mhz() - 1900.0).abs()
+    (ServerPowerModel::ntc().ntc_optimal_frequency().as_mhz() - 1900.0).abs()
 }
 
 /// A one-line validation report.

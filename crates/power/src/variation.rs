@@ -167,8 +167,8 @@ mod tests {
             crate::DramModel::ddr4_16gb(),
             19.2e9,
         );
+        let f = server.ntc_optimal_frequency();
         let dc = DataCenterPowerModel::new(server, 80);
-        let f = dc.ntc_optimal_frequency();
         assert!(
             (1.4..=2.4).contains(&f.as_ghz()),
             "guardbanded optimum must stay near 1.9 GHz, got {f}"

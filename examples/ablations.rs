@@ -12,12 +12,13 @@
 
 use ntc_dc::datacenter::{experiments, FleetSpec, WeekSim};
 use ntc_dc::forecast::ArimaPredictor;
-use ntc_dc::policy::{AllocationPolicy, Epact, SlotContext, SlotPlan, TwoDimAllocator};
-use ntc_dc::power::{DataCenterPowerModel, ServerPowerModel};
+use ntc_dc::policy::{AllocationPolicy, Epact, SlotContext, SlotPlan, TwoDimAllocator, MEM_CAP};
+use ntc_dc::power::ServerPowerModel;
 use ntc_dc::trace::TimeSeries;
 
 /// EPACT with Algorithm 1's correlation matching replaced by plain
-/// first-fit (the ablation's control arm).
+/// first-fit under the same CPU and memory caps (the ablation's
+/// control arm).
 #[derive(Debug)]
 struct PlainFirstFit;
 
@@ -29,26 +30,29 @@ impl AllocationPolicy for PlainFirstFit {
     fn allocate(&self, ctx: &SlotContext<'_>) -> SlotPlan {
         let server = ctx.server();
         let fmax = server.fmax();
-        let dc = DataCenterPowerModel::new(server.clone(), ctx.max_servers());
-        let fopt = dc.ntc_optimal_frequency();
+        let fopt = server.ntc_optimal_frequency();
         let cap = fopt.ratio(fmax) * 100.0;
-        let cpu = ctx.predicted_cpu();
-        let slot_len = ctx.slot_len();
-        let mut srv: Vec<TimeSeries> = Vec::new();
+        let (cpu, mem) = (ctx.predicted_cpu(), ctx.predicted_mem());
+        let empty = TimeSeries::zeros(ctx.slot_len());
+        // (CPU, memory) load of every open server
+        let mut srv: Vec<(TimeSeries, TimeSeries)> = Vec::new();
         let mut assignment = vec![0usize; cpu.len()];
-        for (vm, series) in cpu.iter().enumerate() {
+        for vm in 0..cpu.len() {
             let slot = srv
                 .iter()
-                .position(|s| !s.add(series).exceeds(cap, 1e-9))
+                .position(|(c, m)| {
+                    !c.sum_exceeds(&cpu[vm], cap, 1e-9) && !m.sum_exceeds(&mem[vm], MEM_CAP, 1e-9)
+                })
                 .unwrap_or_else(|| {
-                    srv.push(TimeSeries::zeros(slot_len));
+                    srv.push((empty.clone(), empty.clone()));
                     srv.len() - 1
                 });
-            srv[slot] = srv[slot].add(series);
+            srv[slot].0.add_in_place(&cpu[vm]);
+            srv[slot].1.add_in_place(&mem[vm]);
             assignment[vm] = slot;
         }
         let n = srv.len();
-        SlotPlan::new(assignment, n, cap, 100.0, fopt, server.fmin(), fmax)
+        SlotPlan::new(assignment, n, cap, fopt, server.fmin(), fmax)
     }
 }
 
@@ -99,8 +103,8 @@ fn print_merit_ablation() {
         })
         .collect();
     let servers_used = |a: &[usize]| a.iter().copied().max().unwrap() + 1;
-    let full = TwoDimAllocator::new(61.3, 100.0, 8).allocate(&cpu, &mem);
-    let corr_only = TwoDimAllocator::new(61.3, 100.0, 8)
+    let full = TwoDimAllocator::new(61.3, 8).allocate(&cpu, &mem);
+    let corr_only = TwoDimAllocator::new(61.3, 8)
         .correlation_only()
         .allocate(&cpu, &mem);
     println!("\n=== Ablation: Eq. 2 distance term (memory-dominated slot) ===");

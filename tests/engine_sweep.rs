@@ -264,6 +264,20 @@ fn epact_plans_are_bit_identical_to_golden() {
 }
 
 #[test]
+fn oracle_epact_keeps_every_server_inside_memory() {
+    // A fleet on which Algorithm 1, packing by CPU alone, overflowed
+    // memory: its conventional week counted 12 violations, every one a
+    // server-sample above 100 % memory. With perfect predictions every
+    // packer now keeps each server inside the memory cap, so no sample
+    // of either server model violates.
+    let fleet = ClusterTraceGenerator::google_like(120, 18).generate();
+    for server in [ServerSpec::Ntc, ServerSpec::Conventional] {
+        let week = WeekSim::new(&fleet, server.model(), 600).run_with_oracle(&Epact::new());
+        assert_eq!(week.total_violations(), 0, "EPACT/{}", server.label());
+    }
+}
+
+#[test]
 fn cross_backend_sweep_shares_plans_and_groups_per_backend() {
     // The acceptance shape: `--backends analytic,archsim --seeds 1,2`
     // through one engine. Both backends share every upstream stage, so

@@ -11,8 +11,7 @@ use ntc_dc::units::{Frequency, Percent};
 fn headline_1_ntc_dc_optimum_is_1_9_ghz() {
     // §V-A: "the optimal frequency of servers is around 1.9 GHz,
     // instead of 3.1 GHz".
-    let dc = DataCenterPowerModel::new(ServerPowerModel::ntc(), 80);
-    let f = dc.ntc_optimal_frequency();
+    let f = ServerPowerModel::ntc().ntc_optimal_frequency();
     assert_eq!(f, Frequency::from_ghz(1.9));
 }
 
