@@ -19,6 +19,15 @@ use std::process::ExitCode;
 mod commands;
 
 fn main() -> ExitCode {
+    // A sweep reports each failed cell in its failure table, so a panic
+    // the engine catches is not printed a second time. Any other panic
+    // goes to the default hook and prints in full.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !ntc_datacenter::fault::in_catch_scope() {
+            default_hook(info);
+        }
+    }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!("{}", usage());

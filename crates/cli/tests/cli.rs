@@ -423,14 +423,17 @@ fn plans_beyond_max_servers_fail_naming_the_budget() {
     // 60 VMs need more than 2 servers under every policy. Each cell
     // fails in its plan stage with a message that names the budget,
     // and with no cell completed the footer reads zero, not -0.00.
+    // The failure table reports each caught panic once: no panic
+    // report or backtrace reaches stderr, even with backtraces on.
     let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
         .args(["sweep", "--vms", "60", "--max-servers", "2"])
+        .env("RUST_BACKTRACE", "1")
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.ends_with("error: 6 of 6 cells failed\n"), "{stderr}");
+    assert_eq!(stderr, "error: 6 of 6 cells failed\n");
     assert!(
         stdout.contains("\ncell time 0.00s total, speedup 0.00x\n"),
         "{stdout}"

@@ -1,4 +1,4 @@
-use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries};
+use ntc_trace::{CorrelationCache, LazyPatternStats, TimeSeries, SLOTS_PER_DAY};
 
 use crate::{AllocationPolicy, SlotContext, SlotPlan, MEM_CAP};
 
@@ -93,7 +93,7 @@ impl AllocationPolicy for Coat {
     }
 
     fn reallocation_period_slots(&self) -> usize {
-        24 // daily patterns, after Kim et al.
+        SLOTS_PER_DAY // daily patterns, after Kim et al.
     }
 
     fn allocate(&self, ctx: &SlotContext<'_>) -> SlotPlan {
@@ -143,7 +143,7 @@ impl AllocationPolicy for CoatOpt {
     }
 
     fn reallocation_period_slots(&self) -> usize {
-        24 // the cap is fixed and the packing follows daily patterns
+        SLOTS_PER_DAY // the cap is fixed and the packing follows daily patterns
     }
 
     fn allocate(&self, ctx: &SlotContext<'_>) -> SlotPlan {

@@ -440,6 +440,90 @@ mod tests {
     }
 
     #[test]
+    fn archsim_memo_matches_a_plain_per_sample_recomputation() {
+        // Every memory class at every DVFS level of both servers, plus
+        // an 1800 MHz QoS floor, which is a level of neither: the
+        // memoized backend must price each sample as converging the
+        // interval model for that sample afresh does, whether it fills
+        // the memo (first pass) or reads it (second pass).
+        let floor = Frequency::from_mhz(1800.0);
+        let qos = QosBaseline::paper_table1();
+        for (model, platform) in [
+            (ServerPowerModel::ntc(), Platform::ntc_server()),
+            (
+                ServerPowerModel::conventional_e5_2620(),
+                Platform::xeon_x5650(),
+            ),
+        ] {
+            let gov = DvfsGovernor::new(&model);
+            let levels = model.dvfs_levels();
+            assert!(!levels.contains(&floor));
+            let n = levels.len();
+            let mut slot = GovernedSlot::new();
+            slot.reset(Seconds::new(300.0), n);
+            for class in [MemClass::Low, MemClass::Mid, MemClass::High] {
+                // One server pinned to each level in turn, its demand
+                // rising past the level's capacity (a demand violation).
+                slot.push_server(class);
+                for (k, &f) in levels.iter().enumerate() {
+                    let demand = 100.0 * (k + 1) as f64 / n as f64 + 5.0;
+                    slot.push_sample(gov.govern_sample(demand, 30.0, f, f, None));
+                }
+                // One server under the QoS floor, from idle to full.
+                slot.push_server(class);
+                for k in 0..n {
+                    let demand = 100.0 * k as f64 / (n - 1) as f64;
+                    let s =
+                        gov.govern_sample(demand, 60.0, model.fmax(), model.fmin(), Some(floor));
+                    slot.push_sample(s);
+                }
+            }
+
+            let sim = ServerSim::new(platform.clone());
+            let mut plain = SlotAccounts::empty();
+            for (class, samples) in slot.servers() {
+                let kernel = Kernel::by_name(class.kernel_name()).unwrap();
+                for s in samples {
+                    let out = sim.run(&kernel, s.freq);
+                    let qos_met = out.exec_time / qos.qos_limit(&kernel) <= 1.0;
+                    if s.demand_violated || !qos_met {
+                        plain.violations += 1;
+                    }
+                    let busy = s.cpu_util.as_fraction();
+                    let wfm = Percent::new(s.cpu_util.value() * out.wfm_fraction);
+                    let load = ServerLoad {
+                        cpu_active: s.cpu_util - wfm,
+                        cpu_wfm: wfm,
+                        mem_active: s.mem_util,
+                        read_bytes_per_sec: out.dram_read_bytes_per_sec * busy,
+                        llc_reads_per_sec: out.llc_accesses_per_sec * busy * 0.8,
+                        llc_writes_per_sec: out.llc_accesses_per_sec * busy * 0.2,
+                    };
+                    plain.energy += model.power_at(s.freq, &load) * slot.sample_period();
+                    plain.freq_sum_mhz += s.freq.as_mhz();
+                    plain.freq_count += 1;
+                }
+            }
+
+            let backend = ArchsimBackend::new(platform);
+            for pass in ["fill", "read"] {
+                let memo = backend.account(&model, &slot);
+                assert_eq!(
+                    memo.energy.as_joules().to_bits(),
+                    plain.energy.as_joules().to_bits(),
+                    "{pass}"
+                );
+                assert_eq!(memo.freq_sum_mhz.to_bits(), plain.freq_sum_mhz.to_bits());
+                assert_eq!(memo.violations, plain.violations, "{pass}");
+                assert_eq!(memo.freq_count, plain.freq_count);
+            }
+            // Every level and the floor were priced, for each class.
+            assert_eq!(backend.memo.lock().unwrap().len(), 3 * (n + 1));
+            assert!(plain.violations > 0);
+        }
+    }
+
+    #[test]
     fn backend_spec_round_trips_labels() {
         for spec in [BackendSpec::Analytic, BackendSpec::Archsim] {
             let parsed: BackendSpec = spec.label().parse().unwrap();

@@ -66,7 +66,6 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -74,7 +73,7 @@ use std::time::{Duration, Instant};
 use ntc_core::{AllocationPolicy, Coat, CoatOpt, Epact, Error, LoadBalance, SlotPlan};
 use ntc_forecast::{ArimaPredictor, Predictor, SeasonalNaive};
 use ntc_power::ServerPowerModel;
-use ntc_trace::TimeSeries;
+use ntc_trace::{TimeSeries, SAMPLES_PER_DAY};
 use ntc_units::Frequency;
 use ntc_workload::{ClusterTraceGenerator, Fleet};
 
@@ -199,13 +198,13 @@ impl PredictorSpec {
         self.tag()
     }
 
-    /// The day-ahead predictor for fleets sampled `samples_per_day`
-    /// times a day, or `None` for oracle predictions.
-    pub(crate) fn build(&self, samples_per_day: usize) -> Option<Box<dyn Predictor>> {
+    /// The day-ahead predictor, seasonal over one day of samples, or
+    /// `None` for oracle predictions.
+    pub(crate) fn build(&self) -> Option<Box<dyn Predictor>> {
         match self {
             PredictorSpec::Oracle => None,
-            PredictorSpec::Arima => Some(Box::new(ArimaPredictor::daily(samples_per_day))),
-            PredictorSpec::SeasonalNaive => Some(Box::new(SeasonalNaive::new(samples_per_day))),
+            PredictorSpec::Arima => Some(Box::new(ArimaPredictor::daily(SAMPLES_PER_DAY))),
+            PredictorSpec::SeasonalNaive => Some(Box::new(SeasonalNaive::new(SAMPLES_PER_DAY))),
         }
     }
 }
@@ -849,7 +848,7 @@ fn claim_cell(
         Err(FailureCause::Skipped)
     } else {
         fault::arm(run.fault.as_ref(), i);
-        let caught = catch_unwind(AssertUnwindSafe(|| run_cell(spec, caches, cell)));
+        let caught = fault::catch(|| run_cell(spec, caches, cell));
         fault::disarm();
         caught.map_err(|payload| FailureCause::Panic {
             stage: fault::current_stage(),
@@ -923,13 +922,12 @@ fn up_front(spec: &ExperimentSpec, caches: &SweepCaches, threads: usize) -> Cach
 
     for_each_claimed(threads, keys.len() + claims.len(), |job| {
         // A panic leaves the claim's slots (or fleet lock) empty.
-        let _ = catch_unwind(AssertUnwindSafe(|| match job.checked_sub(keys.len()) {
+        let _ = fault::catch(|| match job.checked_sub(keys.len()) {
             None => drop(fleet_of(&caches.fleets, keys[job])),
             Some(claim) => {
                 let (day, series) = &claims[claim];
                 let fleet = fleet_of(&caches.fleets, day.fleet);
-                let per_day = fleet.grid().samples_per_day();
-                let Some(predictor) = spec.predictor.build(per_day) else {
+                let Some(predictor) = spec.predictor.build() else {
                     return;
                 };
                 for s in series.clone() {
@@ -937,7 +935,7 @@ fn up_front(spec: &ExperimentSpec, caches: &SweepCaches, threads: usize) -> Cach
                     let _ = day.series[s].set(forecast);
                 }
             }
-        }));
+        });
     });
 
     let mut stats = CacheStats::default();
@@ -995,12 +993,11 @@ fn run_cell(spec: &ExperimentSpec, caches: &SweepCaches, cell: &CellSpec) -> Cel
     }
     let sim = builder.build_or_panic();
     let policy = cell.policy.build(spec.ablation);
-    let per_day = fleet.grid().samples_per_day();
     let run_caches = RunCaches {
         plans: Some(caches.plans.row(&PlanKey::new(spec, cell))),
         forecasts: caches.forecasts.as_ref().map(|f| f.row(&cell.fleet)),
     };
-    let predictor = spec.predictor.build(per_day);
+    let predictor = spec.predictor.build();
     let (outcome, cache) = sim.run_counted(policy.as_ref(), predictor.as_deref(), &run_caches);
     CellOutcome {
         cell: *cell,

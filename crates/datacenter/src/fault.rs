@@ -41,8 +41,18 @@
 //! caught the thread-local still names the stage that was active. The
 //! same hook is where armed faults fire, which keeps the injection
 //! points and the attribution points identical by construction.
+//!
+//! # Caught panics
+//!
+//! The engine runs every cell, and every claim of a sweep's up-front
+//! step, through one `catch_unwind` scope that marks its thread while
+//! it runs. [`in_catch_scope`] reads that mark, so a front end's panic
+//! hook can stay silent for a panic the engine will catch and report
+//! as a failed cell, and print every other panic in full. `ntcdc`
+//! installs such a hook.
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::engine::CellSpec;
 use crate::spec_json::Tagged;
@@ -226,6 +236,25 @@ thread_local! {
     static CURRENT_STAGE: Cell<CellStage> = const { Cell::new(CellStage::Fleet) };
     /// The fault armed for the cell currently running on this worker.
     static ARMED: Cell<Option<CellStage>> = const { Cell::new(None) };
+    /// Whether the calling thread is inside [`catch`].
+    static CATCHING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` under `catch_unwind`, with the calling thread marked as
+/// inside an engine catch scope (see [`in_catch_scope`]) until `f`
+/// returns or unwinds.
+pub(crate) fn catch<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    let outer = CATCHING.with(|c| c.replace(true));
+    let caught = catch_unwind(AssertUnwindSafe(f));
+    CATCHING.with(|c| c.set(outer));
+    caught
+}
+
+/// Whether the calling thread is running a sweep cell or a claim of the
+/// sweep's up-front step: a panic there is caught by the engine and
+/// reported as a failed cell, so a panic hook need not print it.
+pub fn in_catch_scope() -> bool {
+    CATCHING.with(Cell::get)
 }
 
 /// Marks the calling worker as executing `stage` of its current cell,
@@ -293,6 +322,15 @@ mod tests {
         assert_eq!(current_stage(), CellStage::Govern);
         enter(CellStage::Govern); // disarmed after firing
         disarm();
+    }
+
+    #[test]
+    fn catch_marks_its_scope_until_it_returns() {
+        assert!(!in_catch_scope());
+        assert_eq!(catch(in_catch_scope).ok(), Some(true));
+        assert!(!in_catch_scope());
+        assert!(catch(|| panic!("caught")).is_err());
+        assert!(!in_catch_scope(), "an unwind clears the mark too");
     }
 
     #[test]

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use ntc_core::{AllocationPolicy, DvfsGovernor, SlotContext, SlotPlan};
 use ntc_forecast::Predictor;
 use ntc_power::ServerPowerModel;
-use ntc_trace::{DayCache, TimeSeries};
+use ntc_trace::{DayCache, TimeSeries, SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY};
 use ntc_units::Frequency;
 use ntc_workload::{Fleet, MemClass};
 
@@ -143,16 +143,6 @@ impl<'a> WeekSim<'a> {
         Self::builder(fleet, server, max_servers).build_or_panic()
     }
 
-    /// Sample index where the evaluation week begins.
-    pub fn eval_start(&self) -> usize {
-        self.eval_start
-    }
-
-    /// Number of evaluated slots (168).
-    pub fn eval_slots(&self) -> usize {
-        (self.fleet.grid().len() - self.eval_start) / self.fleet.grid().samples_per_slot()
-    }
-
     /// Runs `policy` with per-day forecasts from `predictor` — the
     /// paper's full pipeline (§V-B): ARIMA retrains each day on all
     /// history seen so far and forecasts the day ahead; each hourly slot
@@ -182,10 +172,7 @@ impl<'a> WeekSim<'a> {
         predictor: Option<&dyn Predictor>,
         caches: &RunCaches<'_>,
     ) -> (WeekOutcome, CacheStats) {
-        let grid = self.fleet.grid();
-        let sps = grid.samples_per_slot();
-        let slots = self.eval_slots();
-        let slots_per_day = grid.samples_per_day() / sps;
+        let sps = SAMPLES_PER_SLOT;
         let n_vms = self.fleet.len();
         let governor = DvfsGovernor::new(&self.server);
 
@@ -196,7 +183,7 @@ impl<'a> WeekSim<'a> {
 
         // EPACT re-plans every slot; the consolidation baselines follow
         // daily patterns and keep one plan in force for 24 slots.
-        let period = policy.reallocation_period_slots().clamp(1, slots_per_day);
+        let period = policy.reallocation_period_slots().clamp(1, SLOTS_PER_DAY);
         let mut current_plan: Option<Arc<SlotPlan>> = None;
         let mut migrations_this_slot;
         // Prediction-window buffers, reused across planning slots like
@@ -215,8 +202,8 @@ impl<'a> WeekSim<'a> {
         let mut dominant_class: Vec<MemClass> = Vec::new();
         let mut governed = GovernedSlot::new();
 
-        let mut outcomes = Vec::with_capacity(slots);
-        for slot in 0..slots {
+        let mut outcomes = Vec::with_capacity(EVAL_SLOTS);
+        for slot in 0..EVAL_SLOTS {
             let start = self.eval_start + slot * sps;
             let range = start..start + sps;
 
@@ -230,7 +217,7 @@ impl<'a> WeekSim<'a> {
                         // Forecast lazily: only planning days are
                         // forecast, and a day whose plans all hit is
                         // never forecast.
-                        let day = slot / slots_per_day;
+                        let day = slot / SLOTS_PER_DAY;
                         if let Some(p) = predictor {
                             if forecast.as_ref().is_none_or(|(d, _)| *d != day) {
                                 fault::enter(CellStage::Forecast);
@@ -243,7 +230,7 @@ impl<'a> WeekSim<'a> {
                         }
                         let day_forecast = forecast.as_ref().map(|(_, fc)| &**fc);
                         let windows = (&mut pred_cpu[..], &mut pred_mem[..]);
-                        self.plan_slot(policy, day_forecast, slot, period, slots, windows)
+                        self.plan_slot(policy, day_forecast, slot, period, windows)
                     });
                 if computed {
                     stats.plan_misses += 1;
@@ -284,7 +271,7 @@ impl<'a> WeekSim<'a> {
             // Stage 3 — govern: settle every active server-sample's
             // operating point in server-major, sample-minor order.
             fault::enter(CellStage::Govern);
-            governed.reset(grid.sample_period(), sps);
+            governed.reset(self.fleet.grid().sample_period(), sps);
             for (srv, active) in occupancy.iter().enumerate() {
                 if !active {
                     continue; // turned off, draws nothing
@@ -336,19 +323,16 @@ impl<'a> WeekSim<'a> {
         forecast: Option<&DayForecast>,
         slot: usize,
         period: usize,
-        slots: usize,
         (pred_cpu, pred_mem): (&mut [TimeSeries], &mut [TimeSeries]),
     ) -> SlotPlan {
-        let grid = self.fleet.grid();
-        let sps = grid.samples_per_slot();
-        let slots_per_day = grid.samples_per_day() / sps;
+        let sps = SAMPLES_PER_SLOT;
 
         // Prediction window covering the whole allocation period.
-        let window_len = sps * period.min(slots - slot);
+        let window_len = sps * period.min(EVAL_SLOTS - slot);
         let buffers = pred_cpu.iter_mut().zip(pred_mem.iter_mut());
         match forecast {
             Some(fc) => {
-                let offset = (slot % slots_per_day) * sps;
+                let offset = (slot % SLOTS_PER_DAY) * sps;
                 let range = offset..offset + window_len;
                 for ((cpu, mem), (fc_cpu, fc_mem)) in buffers.zip(fc.cpu.iter().zip(&fc.mem)) {
                     cpu.copy_window_from(fc_cpu, range.clone());
@@ -369,7 +353,7 @@ impl<'a> WeekSim<'a> {
         // block sums, one block per slot: the bits of the same window
         // of a whole day cut into slots, which pin EPACT's plans. A
         // once-a-day consolidator scores from the centered series.
-        if period < slots_per_day {
+        if period < SLOTS_PER_DAY {
             let cpu = DayCache::with_block_size(pred_cpu, sps);
             let mem = DayCache::with_block_size(pred_mem, sps);
             return policy.allocate(&ctx.with_day_window(&cpu, &mem, 0));
@@ -410,9 +394,9 @@ impl<'a> WeekSim<'a> {
 /// Days in the evaluated final week of every fleet: a forecast row.
 pub(crate) const EVAL_DAYS: usize = 7;
 /// Hourly slots in the evaluated week: a plan row.
-pub(crate) const EVAL_SLOTS: usize = EVAL_DAYS * 24;
-/// 5-minute samples in the evaluated week, 12 a slot.
-pub(crate) const EVAL_WEEK: usize = EVAL_SLOTS * 12;
+pub(crate) const EVAL_SLOTS: usize = EVAL_DAYS * SLOTS_PER_DAY;
+/// Samples in the evaluated week.
+pub(crate) const EVAL_WEEK: usize = EVAL_SLOTS * SAMPLES_PER_SLOT;
 
 /// Sample index where `fleet`'s evaluation week begins; everything
 /// before it is training history.
@@ -431,10 +415,9 @@ pub(crate) fn forecast_series(
     day: usize,
     s: usize,
 ) -> TimeSeries {
-    let per_day = fleet.grid().samples_per_day();
-    let history_end = eval_start(fleet) + day * per_day;
+    let history_end = eval_start(fleet) + day * SAMPLES_PER_DAY;
     let series = DayForecast::series(fleet, s);
-    predictor.forecast(&series.window(0..history_end), per_day)
+    predictor.forecast(&series.window(0..history_end), SAMPLES_PER_DAY)
 }
 
 #[cfg(test)]

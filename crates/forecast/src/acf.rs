@@ -1,4 +1,4 @@
-//! Autocorrelation (ACF) and partial autocorrelation (PACF) functions.
+//! The sample autocorrelation function (ACF).
 
 use ntc_trace::stats;
 
@@ -59,43 +59,6 @@ pub fn acf(y: &[f64], max_lag: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Sample partial autocorrelation at lags `1..=max_lag` via the
-/// Durbin–Levinson recursion (index 0 of the result is lag 1).
-///
-/// # Panics
-///
-/// Panics if `max_lag == 0` or `max_lag >= y.len()`.
-pub fn pacf(y: &[f64], max_lag: usize) -> Vec<f64> {
-    assert!(max_lag > 0, "PACF needs at least lag 1");
-    let rho = acf(y, max_lag);
-    // Durbin-Levinson: phi[k][j] coefficients of the order-k AR fit.
-    let mut phi_prev: Vec<f64> = Vec::new();
-    let mut out = Vec::with_capacity(max_lag);
-    for k in 1..=max_lag {
-        let num = rho[k]
-            - phi_prev
-                .iter()
-                .enumerate()
-                .map(|(j, &p)| p * rho[k - 1 - j])
-                .sum::<f64>();
-        let den = 1.0
-            - phi_prev
-                .iter()
-                .enumerate()
-                .map(|(j, &p)| p * rho[j + 1])
-                .sum::<f64>();
-        let phi_kk = if den.abs() < 1e-12 { 0.0 } else { num / den };
-        let mut phi_new = vec![0.0; k];
-        phi_new[k - 1] = phi_kk;
-        for j in 0..k - 1 {
-            phi_new[j] = phi_prev[j] - phi_kk * phi_prev[k - 2 - j];
-        }
-        out.push(phi_kk);
-        phi_prev = phi_new;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,16 +90,6 @@ mod tests {
         let r = acf(&y, 3);
         assert!((r[1] - 0.8).abs() < 0.07, "lag-1 acf {r:?}");
         assert!((r[2] - 0.64).abs() < 0.1);
-    }
-
-    #[test]
-    fn pacf_of_ar1_cuts_off_after_lag1() {
-        let y = ar1_series(0.7, 5000);
-        let p = pacf(&y, 4);
-        assert!((p[0] - 0.7).abs() < 0.07, "lag-1 pacf {p:?}");
-        for &later in &p[1..] {
-            assert!(later.abs() < 0.12, "higher-lag PACF must vanish: {p:?}");
-        }
     }
 
     #[test]

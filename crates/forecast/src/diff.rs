@@ -28,19 +28,6 @@ pub fn difference(y: &[f64], lag: usize) -> Vec<f64> {
     (lag..y.len()).map(|t| y[t] - y[t - lag]).collect()
 }
 
-/// Applies `difference` `d` times at lag 1.
-///
-/// # Panics
-///
-/// Panics if the series becomes too short.
-pub fn difference_n(y: &[f64], d: usize) -> Vec<f64> {
-    let mut z = y.to_vec();
-    for _ in 0..d {
-        z = difference(&z, 1);
-    }
-    z
-}
-
 /// Inverts a lag-`lag` difference: given the last `lag` values of the
 /// original series (`tail`, oldest first) and the differenced forecast
 /// `z`, reconstructs the original-scale forecast.
@@ -101,7 +88,7 @@ mod tests {
     #[test]
     fn double_difference_kills_quadratic() {
         let y: Vec<f64> = (0..10).map(|t| (t * t) as f64).collect();
-        let z = difference_n(&y, 2);
+        let z = difference(&difference(&y, 1), 1);
         assert!(z.iter().all(|&v| (v - 2.0).abs() < 1e-12));
     }
 
@@ -117,8 +104,8 @@ mod tests {
     #[test]
     fn integrate_n_round_trips() {
         let y = [1.0, 4.0, 9.0, 16.0, 25.0, 36.0];
-        let d1 = difference_n(&y, 1);
-        let d2 = difference_n(&y, 2);
+        let d1 = difference(&y, 1);
+        let d2 = difference(&d1, 1);
         assert_eq!(d2, vec![2.0; 4], "squares double-difference to 2");
         let tails = vec![*y.last().unwrap(), *d1.last().unwrap()];
         // forecast the next 3 double-differenced values (constant 2)

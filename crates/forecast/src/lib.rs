@@ -6,14 +6,13 @@
 //! previous week. This crate implements the full chain from scratch:
 //!
 //! * [`diff`] — ordinary and seasonal differencing/integration;
-//! * [`acf`] — autocorrelation and partial autocorrelation
-//!   (Durbin–Levinson);
+//! * [`acf`] — autocorrelation;
 //! * [`ar`] — Yule–Walker autoregressive fits;
 //! * [`Arima`] — ARIMA(p,d,q)(s) via the Hannan–Rissanen two-stage
 //!   regression, with multi-step forecasting;
 //! * [`SeasonalNaive`] — the same-time-yesterday baseline used in the
 //!   forecasting ablation;
-//! * [`metrics`] — RMSE/MAE/MAPE/sMAPE forecast-quality metrics.
+//! * [`metrics`] — RMSE/MAE/sMAPE forecast-quality metrics.
 //!
 //! # Examples
 //!

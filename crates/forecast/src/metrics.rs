@@ -38,29 +38,6 @@ pub fn mae(forecast: &[f64], actual: &[f64]) -> f64 {
         / forecast.len() as f64
 }
 
-/// Mean absolute percentage error (%), skipping samples where the actual
-/// value is (near) zero.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mape(forecast: &[f64], actual: &[f64]) -> f64 {
-    check(forecast, actual);
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (f, a) in forecast.iter().zip(actual) {
-        if a.abs() > 1e-9 {
-            sum += ((f - a) / a).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        100.0 * sum / n as f64
-    }
-}
-
 /// Symmetric MAPE (%), bounded in `[0, 200]`.
 ///
 /// # Panics
@@ -101,7 +78,6 @@ mod tests {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(rmse(&y, &y), 0.0);
         assert_eq!(mae(&y, &y), 0.0);
-        assert_eq!(mape(&y, &y), 0.0);
         assert_eq!(smape(&y, &y), 0.0);
     }
 
@@ -110,14 +86,6 @@ mod tests {
         let f = [2.0, 4.0];
         let a = [1.0, 2.0];
         assert!((mae(&f, &a) - 1.5).abs() < 1e-12);
-        assert!((mape(&f, &a) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mape_skips_zero_actuals() {
-        let f = [1.0, 5.0];
-        let a = [0.0, 4.0];
-        assert!((mape(&f, &a) - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl DataCenterPowerModel {
         &self.server
     }
 
-    /// Number of servers installed.
-    pub fn num_servers(&self) -> usize {
-        self.num_servers
-    }
-
     /// Total CPU capacity of the data center in MHz-equivalents
     /// (`num_servers × Fmax`), the denominator of the paper's data-center
     /// utilization rate.
@@ -120,15 +115,6 @@ impl DataCenterPowerModel {
                     .then(a.0.partial_cmp(&b.0).expect("frequencies are finite"))
             })
             .expect("at Fmax any util <= 100% is feasible")
-    }
-
-    /// The full Fig. 1 surface: worst-case power for every `(util, f)`
-    /// pair, `None` where infeasible.
-    pub fn power_surface(&self, utils: &[Percent], freqs: &[Frequency]) -> Vec<Vec<Option<Power>>> {
-        utils
-            .iter()
-            .map(|&u| freqs.iter().map(|&f| self.worst_case_power(u, f)).collect())
-            .collect()
     }
 }
 
@@ -220,7 +206,10 @@ mod tests {
         let dc = ntc_dc();
         let utils: Vec<Percent> = (1..=9).map(|i| Percent::new(10.0 * i as f64)).collect();
         let freqs = dc.server().dvfs_levels();
-        let surface = dc.power_surface(&utils, &freqs);
+        let surface: Vec<Vec<Option<Power>>> = utils
+            .iter()
+            .map(|&u| freqs.iter().map(|&f| dc.worst_case_power(u, f)).collect())
+            .collect();
         assert_eq!(surface.len(), 9);
         // every row is feasible at fmax
         for row in &surface {

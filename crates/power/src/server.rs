@@ -259,16 +259,6 @@ impl ServerPowerModel {
         self.power_at(f, &load)
     }
 
-    /// Power of an idle-but-on server at its lowest operating point.
-    pub fn idle_power(&self) -> Power {
-        self.power_at(self.fmin(), &ServerLoad::idle())
-    }
-
-    /// Power of a fully loaded (CPU-bound) server at `fmax`.
-    pub fn peak_power(&self) -> Power {
-        self.power_at(self.fmax(), &ServerLoad::cpu_bound(Percent::FULL))
-    }
-
     /// `F_NTC_opt`, the data-center-optimal frequency of §V-A (≈1.9 GHz
     /// for the NTC server): the DVFS level minimizing fully loaded power
     /// per unit of served capacity, `P(f)/f`. No server count enters it.
@@ -290,18 +280,29 @@ impl ServerPowerModel {
 mod tests {
     use super::*;
 
+    /// Power of a fully loaded (CPU-bound) server at Fmax.
+    fn peak_watts(m: &ServerPowerModel) -> f64 {
+        m.power_at(m.fmax(), &ServerLoad::cpu_bound(Percent::FULL))
+            .as_watts()
+    }
+
+    /// Power of an idle-but-on server at its lowest operating point.
+    fn idle_watts(m: &ServerPowerModel) -> f64 {
+        m.power_at(m.fmin(), &ServerLoad::idle()).as_watts()
+    }
+
     #[test]
     fn ntc_magnitudes_match_fig1a() {
         // Fig 1a: 80 fully-busy servers at 3.1 GHz draw ~11 kW, i.e.
         // ~130-145 W per server.
         let m = ServerPowerModel::ntc();
-        let peak = m.peak_power().as_watts();
+        let peak = peak_watts(&m);
         assert!(
             (110.0..160.0).contains(&peak),
             "NTC peak power should be ~130 W, got {peak}"
         );
         // And the static floor is the uncore constant + DRAM idle.
-        let idle = m.idle_power().as_watts();
+        let idle = idle_watts(&m);
         assert!(
             (26.0..34.0).contains(&idle),
             "NTC idle power should be ~28 W, got {idle}"
@@ -311,9 +312,9 @@ mod tests {
     #[test]
     fn conventional_is_not_proportional() {
         let c = ServerPowerModel::conventional_e5_2620();
-        let dyn_range = c.peak_power().as_watts() / c.idle_power().as_watts();
-        let ntc_range = ServerPowerModel::ntc().peak_power().as_watts()
-            / ServerPowerModel::ntc().idle_power().as_watts();
+        let dyn_range = peak_watts(&c) / idle_watts(&c);
+        let ntc = ServerPowerModel::ntc();
+        let ntc_range = peak_watts(&ntc) / idle_watts(&ntc);
         assert!(
             ntc_range > dyn_range,
             "the NTC server must be more energy-proportional: ntc {ntc_range:.2} vs conv {dyn_range:.2}"

@@ -2,10 +2,13 @@
 //!
 //! The allocation policies of the paper operate on per-VM CPU and memory
 //! utilization traces sampled every 5 minutes (the Google Cluster cadence)
-//! and organized into one-hour *time slots* of 12 samples each. This crate
-//! provides:
+//! and organized into one-hour *time slots* of 12 samples each, 24 to a
+//! day. That geometry is stated once, as this crate's constants
+//! [`SAMPLE_PERIOD_SECS`], [`SAMPLES_PER_SLOT`], [`SLOTS_PER_DAY`] and
+//! [`SAMPLES_PER_DAY`]; the workload generator, the week simulator and
+//! the predictors read them. This crate provides:
 //!
-//! * [`SampleGrid`] — the sampling layout (period, horizon, slot size);
+//! * [`SampleGrid`] — a set of traces' length on that geometry;
 //! * [`TimeSeries`] — a utilization trace with element-wise arithmetic,
 //!   peaks, slot windows and the *complementary pattern* operator of
 //!   Algorithms 1 and 2;
@@ -79,6 +82,17 @@ pub mod rolling;
 mod series;
 pub mod stats;
 mod windowed;
+
+/// Seconds between two samples of a trace: 5 minutes, the Google
+/// Cluster cadence.
+pub const SAMPLE_PERIOD_SECS: f64 = 300.0;
+/// Samples in one allocation slot `T`: an hour of 5-minute samples.
+pub const SAMPLES_PER_SLOT: usize = 12;
+/// Allocation slots in one day.
+pub const SLOTS_PER_DAY: usize = 24;
+/// Samples in one day (288), the seasonal period of the day-ahead
+/// forecasts.
+pub const SAMPLES_PER_DAY: usize = SLOTS_PER_DAY * SAMPLES_PER_SLOT;
 
 pub use corr::{CandidateTable, CorrelationCache, LazyPatternStats};
 pub use grid::SampleGrid;

@@ -158,15 +158,6 @@ impl TimeSeries {
         }
     }
 
-    /// Subtracts `other` from `self` element-wise, clamping at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn sub_clamped(&self, other: &TimeSeries) -> TimeSeries {
-        self.zip_with(other, |a, b| (a - b).max(0.0))
-    }
-
     /// Multiplies every sample by `k`.
     ///
     /// # Panics
@@ -264,21 +255,6 @@ impl TimeSeries {
     /// Panics if lengths differ.
     pub fn distance(&self, other: &TimeSeries) -> f64 {
         stats::euclidean_distance(&self.values, &other.values)
-    }
-
-    /// Element-wise maximum of many equal-length series; `None` if `items`
-    /// is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn elementwise_max<'a, I>(items: I) -> Option<TimeSeries>
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-    {
-        let mut iter = items.into_iter();
-        let first = iter.next()?.clone();
-        Some(iter.fold(first, |acc, s| acc.zip_with(s, f64::max)))
     }
 
     /// Element-wise sum of many equal-length series over a fresh
@@ -435,9 +411,6 @@ mod tests {
         let b = ts(&[3.0, 1.0]);
         let sum = TimeSeries::aggregate(2, [&a, &b]);
         assert_eq!(sum.values(), &[4.0, 3.0]);
-        let max = TimeSeries::elementwise_max([&a, &b]).unwrap();
-        assert_eq!(max.values(), &[3.0, 2.0]);
-        assert!(TimeSeries::elementwise_max(std::iter::empty()).is_none());
     }
 
     #[test]
@@ -450,7 +423,6 @@ mod tests {
     fn scale_and_sub() {
         let s = ts(&[10.0, 20.0]);
         assert_eq!(s.scale(0.5).values(), &[5.0, 10.0]);
-        assert_eq!(s.sub_clamped(&ts(&[15.0, 5.0])).values(), &[0.0, 15.0]);
     }
 
     #[test]

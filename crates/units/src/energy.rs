@@ -70,11 +70,6 @@ impl Energy {
     pub fn as_megajoules(self) -> f64 {
         self.0 / 1.0e6
     }
-
-    /// The value in kilowatt-hours.
-    pub fn as_kwh(self) -> f64 {
-        self.0 / 3.6e6
-    }
 }
 
 impl fmt::Display for Energy {
@@ -144,7 +139,6 @@ mod tests {
     fn conversions() {
         let e = Energy::from_picojoules(800.0);
         assert!((e.as_joules() - 8.0e-10).abs() < 1e-24);
-        assert!((Energy::from_megajoules(1.0).as_kwh() - 0.2777).abs() < 1e-3);
     }
 
     #[test]

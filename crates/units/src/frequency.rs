@@ -46,15 +46,6 @@ impl Frequency {
         Self::from_mhz(ghz * 1000.0)
     }
 
-    /// Creates a frequency from hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is negative or not finite.
-    pub fn from_hz(hz: f64) -> Self {
-        Self::from_mhz(hz / 1.0e6)
-    }
-
     /// The value in megahertz.
     pub fn as_mhz(self) -> f64 {
         self.0
@@ -160,7 +151,6 @@ mod tests {
         let f = Frequency::from_ghz(2.4);
         assert_eq!(f.as_mhz(), 2400.0);
         assert_eq!(f.as_hz(), 2.4e9);
-        assert_eq!(Frequency::from_hz(2.4e9), f);
     }
 
     #[test]

@@ -8,8 +8,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// one server's capacity. A *single* sample is bounded by 0–100%, but
 /// aggregates (the sum of co-located VM demands, or a whole data center's
 /// requirement) may exceed 100%, so `Percent` itself only forbids negative
-/// and non-finite values; use [`Percent::is_saturated`] to detect
-/// overcommit.
+/// and non-finite values; [`Percent::clamp_full`] caps one at 100%.
 ///
 /// # Examples
 ///
@@ -18,7 +17,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// let a = Percent::new(35.0);
 /// let b = Percent::new(80.0);
-/// assert!((a + b).is_saturated());       // 115% — an overutilized server
+/// assert_eq!((a + b).value(), 115.0); // an overutilized server
+/// assert_eq!((a + b).clamp_full(), Percent::FULL);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Percent(f64);
@@ -59,12 +59,6 @@ impl Percent {
     /// The value as a fraction (0.35 for 35%).
     pub fn as_fraction(self) -> f64 {
         self.0 / 100.0
-    }
-
-    /// `true` when the value is at or above 100% (resource saturated or
-    /// overcommitted).
-    pub fn is_saturated(self) -> bool {
-        self.0 >= 100.0
     }
 
     /// Clamps into `[0, 100]`.
@@ -158,17 +152,15 @@ mod tests {
     fn aggregates_may_exceed_100() {
         let agg: Percent = vec![Percent::new(60.0); 3].into_iter().sum();
         assert_eq!(agg.value(), 180.0);
-        assert!(agg.is_saturated());
         assert_eq!(agg.clamp_full(), Percent::FULL);
     }
 
     #[test]
     fn try_new_validates() {
         // `new` is the one constructor: a value above 100 is an
-        // aggregate, which `is_saturated` flags, and a negative or
-        // non-finite value panics.
-        assert!(Percent::new(100.01).is_saturated());
-        assert!(!Percent::new(99.99).is_saturated());
+        // aggregate and kept as given, and a negative or non-finite
+        // value panics.
+        assert_eq!(Percent::new(100.01).value(), 100.01);
         for bad in [-0.01, f64::NAN, f64::INFINITY] {
             let built = std::panic::catch_unwind(|| Percent::new(bad));
             assert!(built.is_err(), "{bad} must panic");

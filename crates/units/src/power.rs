@@ -44,15 +44,6 @@ impl Power {
         Self::from_watts(mw / 1000.0)
     }
 
-    /// Creates a power from kilowatts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kw` is negative or not finite.
-    pub fn from_kilowatts(kw: f64) -> Self {
-        Self::from_watts(kw * 1000.0)
-    }
-
     /// The value in watts.
     pub fn as_watts(self) -> f64 {
         self.0
@@ -157,8 +148,8 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        let p = Power::from_kilowatts(11.5);
-        assert_eq!(p.as_watts(), 11_500.0);
+        let p = Power::from_watts(11_500.0);
+        assert_eq!(p.as_kilowatts(), 11.5);
         assert_eq!(Power::from_milliwatts(15.5).as_watts(), 0.0155);
         assert!((Power::from_watts(2.5e6).as_megawatts() - 2.5).abs() < 1e-12);
     }
@@ -166,7 +157,7 @@ mod tests {
     #[test]
     fn display_scales() {
         assert_eq!(Power::from_watts(11.84).to_string(), "11.84 W");
-        assert_eq!(Power::from_kilowatts(11.5).to_string(), "11.500 kW");
+        assert_eq!(Power::from_watts(11_500.0).to_string(), "11.500 kW");
         assert_eq!(Power::from_watts(2.5e6).to_string(), "2.500 MW");
     }
 

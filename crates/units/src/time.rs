@@ -43,28 +43,9 @@ impl Seconds {
         Self::new(m * 60.0)
     }
 
-    /// Creates a duration from hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is negative or not finite.
-    pub fn from_hours(h: f64) -> Self {
-        Self::new(h * 3600.0)
-    }
-
     /// The value in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// The value in minutes.
-    pub fn as_minutes(self) -> f64 {
-        self.0 / 60.0
-    }
-
-    /// The value in hours.
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
     }
 
     /// Returns the larger of two durations.
@@ -229,8 +210,6 @@ mod tests {
     #[test]
     fn seconds_conversions() {
         assert_eq!(Seconds::from_minutes(5.0).as_secs(), 300.0);
-        assert_eq!(Seconds::from_hours(1.0).as_minutes(), 60.0);
-        assert!((Seconds::new(1800.0).as_hours() - 0.5).abs() < 1e-12);
     }
 
     #[test]

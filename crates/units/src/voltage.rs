@@ -35,15 +35,6 @@ impl Voltage {
         Self(v)
     }
 
-    /// Creates a voltage from millivolts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mv` is negative or not finite.
-    pub fn from_millivolts(mv: f64) -> Self {
-        Self::from_volts(mv / 1000.0)
-    }
-
     /// The value in volts.
     pub fn as_volts(self) -> f64 {
         self.0
@@ -111,8 +102,7 @@ mod tests {
 
     #[test]
     fn conversions() {
-        let v = Voltage::from_millivolts(620.0);
-        assert!((v.as_volts() - 0.62).abs() < 1e-12);
+        let v = Voltage::from_volts(0.62);
         assert!((v.as_millivolts() - 620.0).abs() < 1e-9);
     }
 

@@ -9,7 +9,6 @@ use std::error::Error;
 use std::fmt;
 
 use ntc_trace::{SampleGrid, TimeSeries};
-use ntc_units::Seconds;
 
 use crate::{Fleet, MemClass, Vm, VmId};
 
@@ -84,8 +83,9 @@ fn parse_class(s: &str, line: usize) -> Result<MemClass, ParseFleetError> {
     }
 }
 
-/// Parses a long-format fleet CSV back into a [`Fleet`] on the given
-/// sampling layout.
+/// Parses a long-format fleet CSV back into a [`Fleet`] of `samples`
+/// samples per VM, on the sampling geometry of [`ntc_trace`]'s
+/// constants.
 ///
 /// Rows must be grouped by VM and ordered by sample within each VM; the
 /// sample count per VM must equal `samples`.
@@ -94,13 +94,8 @@ fn parse_class(s: &str, line: usize) -> Result<MemClass, ParseFleetError> {
 ///
 /// Returns [`ParseFleetError`] on malformed rows, inconsistent sample
 /// counts, or non-finite values.
-pub fn from_csv(
-    text: &str,
-    samples: usize,
-    sample_period: Seconds,
-    samples_per_slot: usize,
-) -> Result<Fleet, ParseFleetError> {
-    let grid = SampleGrid::new(samples, sample_period, samples_per_slot);
+pub fn from_csv(text: &str, samples: usize) -> Result<Fleet, ParseFleetError> {
+    let grid = SampleGrid::new(samples);
     let mut vms: Vec<Vm> = Vec::new();
     let mut cur_id: Option<(usize, MemClass)> = None;
     let mut cpu: Vec<f64> = Vec::new();
@@ -191,13 +186,7 @@ mod tests {
     fn round_trip_preserves_the_fleet() {
         let fleet = ClusterTraceGenerator::google_like(3, 5).generate();
         let text = to_csv(&fleet);
-        let back = from_csv(
-            &text,
-            fleet.grid().len(),
-            fleet.grid().sample_period(),
-            fleet.grid().samples_per_slot(),
-        )
-        .expect("round trip parses");
+        let back = from_csv(&text, fleet.grid().len()).expect("round trip parses");
         assert_eq!(back.len(), fleet.len());
         for (a, b) in fleet.vms().iter().zip(back.vms()) {
             assert_eq!(a.id, b.id);
@@ -211,7 +200,7 @@ mod tests {
 
     #[test]
     fn missing_header_rejected() {
-        let err = from_csv("nope\n", 12, Seconds::from_minutes(5.0), 12).unwrap_err();
+        let err = from_csv("nope\n", 12).unwrap_err();
         assert_eq!(err.line(), 1);
         assert!(err.to_string().contains("header"));
     }
@@ -219,28 +208,28 @@ mod tests {
     #[test]
     fn malformed_row_is_located() {
         let text = "vm,class,sample,cpu_pct,mem_pct\n0,low-mem,0,1.0\n";
-        let err = from_csv(text, 1, Seconds::from_minutes(5.0), 1).unwrap_err();
+        let err = from_csv(text, 1).unwrap_err();
         assert_eq!(err.line(), 2);
     }
 
     #[test]
     fn unknown_class_rejected() {
         let text = "vm,class,sample,cpu_pct,mem_pct\n0,huge-mem,0,1.0,1.0\n";
-        let err = from_csv(text, 1, Seconds::from_minutes(5.0), 1).unwrap_err();
+        let err = from_csv(text, 1).unwrap_err();
         assert!(err.to_string().contains("unknown class"));
     }
 
     #[test]
     fn short_vm_rejected() {
         let text = "vm,class,sample,cpu_pct,mem_pct\n0,low-mem,0,1.0,1.0\n";
-        let err = from_csv(text, 2, Seconds::from_minutes(5.0), 2).unwrap_err();
+        let err = from_csv(text, 2).unwrap_err();
         assert!(err.to_string().contains("expected 2"));
     }
 
     #[test]
     fn negative_values_rejected() {
         let text = "vm,class,sample,cpu_pct,mem_pct\n0,low-mem,0,-1.0,1.0\n";
-        let err = from_csv(text, 1, Seconds::from_minutes(5.0), 1).unwrap_err();
+        let err = from_csv(text, 1).unwrap_err();
         assert!(err.to_string().contains("non-negative"));
     }
 }

@@ -72,48 +72,6 @@ impl Fleet {
     pub fn aggregate_mem(&self) -> TimeSeries {
         TimeSeries::aggregate(self.grid.len(), self.vms.iter().map(|v| &v.mem))
     }
-
-    /// A sub-fleet whose traces are restricted to sample range `range`
-    /// (e.g. the evaluation week of a two-week generation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is not slot-aligned or out of bounds.
-    pub fn window(&self, range: std::ops::Range<usize>) -> Fleet {
-        assert!(range.end <= self.grid.len(), "window out of bounds");
-        let len = range.end - range.start;
-        assert!(
-            len.is_multiple_of(self.grid.samples_per_slot()),
-            "window must be slot-aligned"
-        );
-        let grid = SampleGrid::new(len, self.grid.sample_period(), self.grid.samples_per_slot());
-        let vms = self
-            .vms
-            .iter()
-            .map(|v| {
-                Vm::new(
-                    v.id,
-                    v.class,
-                    v.cpu.window(range.clone()),
-                    v.mem.window(range.clone()),
-                )
-            })
-            .collect();
-        Fleet::new(grid, vms)
-    }
-
-    /// Splits a multi-week fleet into (training, evaluation) halves at
-    /// `at_sample`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at_sample` is not slot-aligned or out of bounds.
-    pub fn split_at(&self, at_sample: usize) -> (Fleet, Fleet) {
-        (
-            self.window(0..at_sample),
-            self.window(at_sample..self.grid.len()),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -130,16 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn window_and_split() {
-        let fleet = ClusterTraceGenerator::google_like(4, 3).generate();
-        let (train, eval) = fleet.split_at(2016);
-        assert_eq!(train.grid().len(), 2016);
-        assert_eq!(eval.grid().len(), 2016);
-        assert_eq!(train.vms()[0].cpu.at(0), fleet.vms()[0].cpu.at(0));
-        assert_eq!(eval.vms()[0].cpu.at(0), fleet.vms()[0].cpu.at(2016));
-    }
-
-    #[test]
     fn vm_lookup() {
         let fleet = ClusterTraceGenerator::google_like(4, 3).generate();
         let vm = fleet.vm(VmId::new(2));
@@ -147,9 +95,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slot-aligned")]
+    #[should_panic(expected = "horizon does not match the grid")]
     fn ragged_window_rejected() {
+        // A VM cut to a shorter window than the grid does not fit it.
         let fleet = ClusterTraceGenerator::google_like(2, 3).generate();
-        let _ = fleet.window(0..13);
+        let vms = fleet
+            .vms()
+            .iter()
+            .map(|v| Vm::new(v.id, v.class, v.cpu.window(0..13), v.mem.window(0..13)))
+            .collect();
+        let _ = Fleet::new(*fleet.grid(), vms);
     }
 }

@@ -1,6 +1,6 @@
 use std::f64::consts::TAU;
 
-use ntc_trace::{SampleGrid, TimeSeries};
+use ntc_trace::{SampleGrid, TimeSeries, SAMPLES_PER_DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,8 +94,8 @@ impl ClusterTraceGenerator {
     /// position, so every sample has the bits of evaluating them per
     /// sample.
     pub fn generate(&self) -> Fleet {
-        let grid = SampleGrid::new(self.weeks * 2016, ntc_units::Seconds::from_minutes(5.0), 12);
-        let per_day = grid.samples_per_day();
+        let per_day = SAMPLES_PER_DAY;
+        let grid = SampleGrid::new(self.weeks * 7 * per_day);
         let n = grid.len();
         // The horizon is whole weeks, hence whole days.
         let days = n / per_day;

@@ -146,13 +146,18 @@
 //!
 //! The engine memoizes planning work across cells: fleets are generated
 //! once per seed, day-ahead forecasts are shared by every cell of a
-//! fleet, and cells that differ only in static-power scale reuse whole
-//! slot plans. `ntcdc sweep --cache-stats` prints the hit/miss totals:
+//! fleet, and cells that differ only in QoS floor or backend reuse whole
+//! slot plans. Across static-power scales only some arms share: COAT
+//! plans at Fmax alone, so its arms always share; COAT-OPT's share
+//! when F_NTC_opt is the same at both scales (on conventional servers,
+//! whose optimum is Fmax); EPACT's never do, since its plans read the
+//! full-load power at every DVFS level, which static power moves.
+//! `ntcdc sweep --cache-stats` prints the hit/miss totals:
 //!
 //! ```text
 //! $ ntcdc sweep --seeds 1,2 --static-power-scales 0.5,1.0 --arima --cache-stats
 //! ...
-//! cache: plans 42 hit / 1414 miss, forecasts 112 hit / 14 miss
+//! cache: plans 42 hit / 1414 miss, forecasts 126 hit / 14 miss
 //! ```
 //!
 //! # Construction
